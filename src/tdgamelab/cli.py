@@ -1,8 +1,9 @@
 """Command-line surface of the laboratory.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or parse error,
-3 capacity or precondition error.  ``NO_COLOR`` disables the pass/fail
-coloring of verification tables.
+3 capacity or precondition error, 4 internal error (a witness that fails
+revalidation, a policy that breaks the rules, or a failed assertion).
+``NO_COLOR`` disables the pass/fail coloring of verification tables.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import os
 import sys
 
 from .families import FamilySpecError, family, parse_family_spec
-from .games import grundy_t, gtg, gti
+from .games import PolicyError, grundy_t, gtg, gti
 from .graph import CapacityError, Graph, IsolatedVertexError, VertexSet
 from .graphio import (
     EDGELIST,
@@ -23,7 +24,7 @@ from .graphio import (
     parse_graph,
     serialize_graph,
 )
-from .invariants import gamma_t, induced_matching_number, ooir, upper_gamma_t
+from .invariants import WitnessError, gamma_t, induced_matching_number, ooir, upper_gamma_t
 from .verify import (
     check_continuation,
     corpus_from_file,
@@ -37,7 +38,16 @@ from .verify import (
     survey,
 )
 
-_INVARIANT_KEYS = ("gt", "ugt", "gti", "gtg", "grt", "ooir", "nui")
+# Key -> solver(G, declared); the games return an int, the rest an InvariantValue.
+_INVARIANTS = {
+    "gt": lambda G, declared: gamma_t(G),
+    "ugt": lambda G, declared: upper_gamma_t(G),
+    "gti": lambda G, declared: gti(G, declared),
+    "gtg": lambda G, declared: gtg(G),
+    "grt": lambda G, declared: grundy_t(G),
+    "ooir": lambda G, declared: ooir(G),
+    "nui": lambda G, declared: induced_matching_number(G),
+}
 
 
 def _use_color() -> bool:
@@ -72,8 +82,6 @@ def _parse_vertex_list(text: str, n: int) -> VertexSet:
 
 def _witness_payload(value) -> list:
     witness = value.witness
-    if witness is None:
-        return []
     if hasattr(witness, "to_list"):
         return witness.to_list()
     return [list(edge) for edge in witness]
@@ -87,33 +95,20 @@ def cmd_family(args: argparse.Namespace) -> int:
 
 def cmd_invariant(args: argparse.Namespace) -> int:
     G = _load_graph(args)
-    which = _INVARIANT_KEYS if args.which == "all" else tuple(args.which.split(","))
+    which = tuple(_INVARIANTS) if args.which == "all" else tuple(args.which.split(","))
     for key in which:
-        if key not in _INVARIANT_KEYS:
-            raise ValueError(f"unknown invariant {key!r} (choose from {', '.join(_INVARIANT_KEYS)})")
+        if key not in _INVARIANTS:
+            raise ValueError(f"unknown invariant {key!r} (choose from {', '.join(_INVARIANTS)})")
     declared = _parse_vertex_list(args.declared, G.n) if args.declared else None
 
     values: dict[str, int] = {}
     witnesses: dict[str, list] = {}
     for key in which:
-        if key == "gt":
-            result = gamma_t(G)
+        result = _INVARIANTS[key](G, declared)
+        if isinstance(result, int):
+            values[key] = result
+        else:
             values[key], witnesses[key] = result.value, _witness_payload(result)
-        elif key == "ugt":
-            result = upper_gamma_t(G)
-            values[key], witnesses[key] = result.value, _witness_payload(result)
-        elif key == "ooir":
-            result = ooir(G)
-            values[key], witnesses[key] = result.value, _witness_payload(result)
-        elif key == "nui":
-            result = induced_matching_number(G)
-            values[key], witnesses[key] = result.value, _witness_payload(result)
-        elif key == "gti":
-            values[key] = gti(G, declared)
-        elif key == "gtg":
-            values[key] = gtg(G)
-        elif key == "grt":
-            values[key] = grundy_t(G)
 
     if args.json:
         payload = {
@@ -211,7 +206,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_inv.add_argument(
         "--which",
         default="all",
-        help="comma list from gt,ugt,gti,gtg,grt,ooir,nui or 'all'",
+        help=f"comma list from {','.join(_INVARIANTS)} or 'all'",
     )
     p_inv.add_argument(
         "--declared",
@@ -268,6 +263,9 @@ def main(argv: list[str] | None = None) -> int:
     except (FamilySpecError, GraphTextError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except (WitnessError, PolicyError, AssertionError) as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

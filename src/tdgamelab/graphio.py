@@ -64,7 +64,10 @@ def parse_graph6(text: str) -> Graph:
         payload = payload[len(_G6_HEADER):]
     if not payload:
         raise GraphTextError("empty graph6 payload")
-    data = payload.encode("ascii", errors="replace")
+    try:
+        data = payload.encode("ascii")
+    except UnicodeEncodeError:
+        raise GraphTextError("graph6 payload is not ASCII text") from None
     if data[0] == 126:  # '~': multi-byte order encoding, always beyond our cap
         raise CapacityError(
             f"graph6 payload encodes an order >= 63, beyond SOLVER_CAP = {SOLVER_CAP}"

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from typing import Callable
 
 from .graph import (
     Graph,
@@ -21,6 +22,7 @@ from .graph import (
     is_minimal_total_dominating,
     is_open_open_irredundant,
     is_total_dominating,
+    neighborhood_mask,
     require_isolate_free,
 )
 
@@ -75,43 +77,14 @@ def gamma_t(G: Graph) -> InvariantValue:
     raise AssertionError("isolate-free graph admits V(G) as a TD-set")
 
 
-def upper_gamma_t(G: Graph) -> InvariantValue:
-    """Upper total domination number: maximum cardinality of a minimal TD-set.
+def _largest_irredundant(G: Graph, accept: Callable[[int], bool]) -> tuple[int, int]:
+    """Size and mask of the first largest OO-irredundant set that ``accept`` admits.
 
-    Descending-cardinality enumeration; minimality is tested by the
-    private-neighborhood characterisation (every member keeps an open
-    private neighbor), which only prunes whole sets, never partial ones.
-    """
-    require_isolate_free(G)
-    full = G.full_mask
-    nbr = G.nbr
-    for k in range(G.n, 0, -1):
-        for combo in combinations(range(G.n), k):
-            covered = 0
-            mask = 0
-            for v in combo:
-                covered |= nbr[v]
-                mask |= 1 << v
-            if covered != full:
-                continue
-            private_ok = exactly_one_neighbor_mask(G, mask)
-            if all(nbr[v] & private_ok for v in combo):
-                witness = VertexSet(G.n, mask)
-                _certify(
-                    is_minimal_total_dominating(G, witness) and len(witness) == k,
-                    UPPER_GAMMA_T,
-                )
-                return InvariantValue(UPPER_GAMMA_T, k, witness)
-    raise AssertionError("isolate-free graph admits a minimal TD-set")
-
-
-def ooir(G: Graph) -> InvariantValue:
-    """Open-open irredundance number: maximum set where every member has an
-    open private neighbor.
-
-    Branch-and-bound over subsets in lexicographic order.  The property is
-    closed under taking subsets, so any infeasible partial set prunes all
+    Branch-and-bound over subsets in lexicographic order.  OO-irredundance
+    is closed under taking subsets, so any infeasible partial set prunes all
     of its supersets; the cardinality bound uses the remaining-vertex count.
+    The best set is replaced only on a strict size gain, so among the
+    largest admitted sets the lexicographically smallest one is kept.
     """
     n = G.n
     nbr = G.nbr
@@ -127,7 +100,7 @@ def ooir(G: Graph) -> InvariantValue:
 
     def extend(mask: int, size: int, start: int) -> None:
         nonlocal best_size, best_mask
-        if size > best_size:
+        if size > best_size and accept(mask):
             best_size, best_mask = size, mask
         for v in range(start, n):
             if size + (n - v) <= best_size:
@@ -137,11 +110,40 @@ def ooir(G: Graph) -> InvariantValue:
                 extend(grown, size + 1, v + 1)
 
     extend(0, 0, 0)
-    witness = VertexSet(G.n, best_mask)
+    return best_size, best_mask
+
+
+def upper_gamma_t(G: Graph) -> InvariantValue:
+    """Upper total domination number: maximum cardinality of a minimal TD-set.
+
+    A TD-set is minimal exactly when every member keeps an open private
+    neighbor, i.e. when it is OO-irredundant.  So Γt is the largest set of
+    the ``ooir`` search that also totally dominates G, and the witness is
+    the lexicographically smallest minimal TD-set of that size.
+    """
+    require_isolate_free(G)
+    full = G.full_mask
+    size, mask = _largest_irredundant(G, lambda m: neighborhood_mask(G, m) == full)
+    witness = VertexSet(G.n, mask)
     _certify(
-        is_open_open_irredundant(G, witness) and len(witness) == best_size, OOIR
+        is_minimal_total_dominating(G, witness) and len(witness) == size,
+        UPPER_GAMMA_T,
     )
-    return InvariantValue(OOIR, best_size, witness)
+    return InvariantValue(UPPER_GAMMA_T, size, witness)
+
+
+def ooir(G: Graph) -> InvariantValue:
+    """Open-open irredundance number: maximum set where every member has an
+    open private neighbor.
+
+    The same subset search as ``upper_gamma_t``, admitting every set; the
+    witness is the lexicographically smallest OO-irredundant set of
+    maximum size.
+    """
+    size, mask = _largest_irredundant(G, lambda m: True)
+    witness = VertexSet(G.n, mask)
+    _certify(is_open_open_irredundant(G, witness) and len(witness) == size, OOIR)
+    return InvariantValue(OOIR, size, witness)
 
 
 def is_induced_matching(G: Graph, edges: tuple[Edge, ...]) -> bool:

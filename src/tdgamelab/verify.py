@@ -14,7 +14,7 @@ import io
 import json
 import random
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from functools import lru_cache
 from itertools import combinations, permutations
 from typing import Callable, Iterable, Iterator
@@ -32,6 +32,8 @@ from .families import (
 )
 from .games import IndicatedGameSolver, best_response_length, grundy_t, gtg, gti
 from .graph import (
+    SOLVER_CAP,
+    CapacityError,
     Graph,
     bits,
     build_graph,
@@ -124,6 +126,8 @@ def random_isolate_free_graph(
         raise ValueError("edge probability must lie in [0, 1]")
     if n < 2:
         raise ValueError("isolate-free graphs need n >= 2")
+    if n > SOLVER_CAP:
+        raise CapacityError(f"order {n} exceeds SOLVER_CAP = {SOLVER_CAP}")
     for _ in range(max_retries):
         edges = [
             (u, v)
@@ -360,8 +364,6 @@ def _pair(a: int, b: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
 # Invariant-chain survey
 
 
-CSV_HEADER = "graph,n,gt,ugt,gti,gtg,grt,ooir,nui,bipartite,violations"
-
 _CHAIN_CHECKS: tuple[tuple[str, Callable], ...] = (
     ("gt<=ugt", lambda r: r.gt <= r.ugt),
     ("ugt<=gti", lambda r: r.ugt <= r.gti),
@@ -390,6 +392,9 @@ class SurveyRow:
     violations: tuple[str, ...] = ()
 
 
+CSV_HEADER = ",".join(f.name for f in fields(SurveyRow))
+
+
 def survey_row(graph_id: str, G: Graph) -> SurveyRow:
     """Compute all seven invariants for one graph and apply the chain checks."""
     row = SurveyRow(
@@ -416,39 +421,26 @@ def survey(corpus: Iterable[tuple[str, Graph]]) -> Iterator[SurveyRow]:
 
 def rows_to_csv(rows: Iterable[SurveyRow]) -> str:
     # Graph ids may contain commas (family specs like cyclepower:7,2), so the
-    # writer quotes per RFC 4180; the header itself is fixed.
+    # writer quotes per RFC 4180; booleans print lower-case.
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(CSV_HEADER.split(","))
+    names = CSV_HEADER.split(",")
+    writer.writerow(names)
     for r in rows:
-        writer.writerow(
-            [r.graph, r.n, r.gt, r.ugt, r.gti, r.gtg, r.grt, r.ooir, r.nui,
-             str(r.bipartite).lower(), ";".join(r.violations)]
-        )
+        writer.writerow([_csv_cell(getattr(r, name)) for name in names])
     return out.getvalue()
 
 
+def _csv_cell(value) -> object:
+    if isinstance(value, bool):
+        return str(value).lower()
+    if isinstance(value, tuple):
+        return ";".join(value)
+    return value
+
+
 def rows_to_json_lines(rows: Iterable[SurveyRow]) -> str:
-    out = []
-    for r in rows:
-        out.append(
-            json.dumps(
-                {
-                    "graph": r.graph,
-                    "n": r.n,
-                    "gt": r.gt,
-                    "ugt": r.ugt,
-                    "gti": r.gti,
-                    "gtg": r.gtg,
-                    "grt": r.grt,
-                    "ooir": r.ooir,
-                    "nui": r.nui,
-                    "bipartite": r.bipartite,
-                    "violations": list(r.violations),
-                },
-                sort_keys=True,
-            )
-        )
+    out = [json.dumps(vars(r), sort_keys=True) for r in rows]
     return "\n".join(out) + "\n"
 
 

@@ -2,7 +2,12 @@
 
 import json
 
+import pytest
+
+from tdgamelab import cli
 from tdgamelab.cli import main
+from tdgamelab.games import PolicyError
+from tdgamelab.invariants import WitnessError
 
 
 def run(capsys, *argv):
@@ -79,6 +84,17 @@ class TestInvariant:
     def test_usage_error_exit_2(self, capsys):
         assert main(["invariant"]) == 2
 
+    @pytest.mark.parametrize("error", [WitnessError, PolicyError, AssertionError])
+    def test_internal_error_exit_4(self, capsys, monkeypatch, error):
+        def broken(G):
+            raise error("injected")
+
+        monkeypatch.setattr(cli, "upper_gamma_t", broken)
+        code, out, err = run(capsys, "invariant", "--graph", "path:4", "--which", "ugt")
+        assert code == 4
+        assert out == ""
+        assert err == "internal error: injected\n"
+
 
 class TestVerify:
     def test_paper_single_quick_criterion(self, capsys):
@@ -124,6 +140,13 @@ class TestSurvey:
         rows = [json.loads(line) for line in out_path.read_text().strip().splitlines()]
         assert len(rows) == 3
         assert all(row["violations"] == [] for row in rows)
+
+    def test_random_order_over_cap_exit_3(self, capsys):
+        # Rejected before any edge is drawn, so this returns at once.
+        code, out, err = run(capsys, "survey", "--random", "1000000,0.5,1,0")
+        assert code == 3
+        assert out == ""
+        assert "exceeds SOLVER_CAP" in err
 
     def test_graph6_file_corpus(self, capsys, tmp_path):
         corpus = tmp_path / "c.g6"

@@ -15,6 +15,7 @@ from tdgamelab import (
     induced_matching_number,
     is_induced_matching,
     is_minimal_total_dominating,
+    is_minimal_total_dominating_by_removal,
     is_open_open_irredundant,
     is_perfect_matching,
     is_total_dominating,
@@ -23,6 +24,7 @@ from tdgamelab import (
     upper_gamma_t,
 )
 from tdgamelab.families import path_graph
+from tdgamelab.verify import exhaustive_corpus
 
 from conftest import isolate_free_graphs_st
 
@@ -52,6 +54,30 @@ def brute_ooir(G):
             if is_open_open_irredundant(G, VertexSet.of(G.n, combo)):
                 best = max(best, k)
     return best
+
+
+def first_largest(G, predicate):
+    """Size and mask of the lexicographically first largest set passing ``predicate``.
+
+    Descends through the subset sizes from n and scans each size in
+    ``combinations`` order, so ties go to the lexicographically smallest set.
+    """
+    for k in range(G.n, 0, -1):
+        for combo in combinations(range(G.n), k):
+            D = VertexSet.of(G.n, combo)
+            if predicate(G, D):
+                return k, D.mask
+    return 0, 0
+
+
+def brute_upper_gamma_t_witness(G):
+    return first_largest(
+        G, lambda G, D: is_total_dominating(G, D) and is_minimal_total_dominating_by_removal(G, D)
+    )
+
+
+def brute_ooir_witness(G):
+    return first_largest(G, is_open_open_irredundant)
 
 
 def brute_induced_matching(G):
@@ -171,6 +197,12 @@ class TestAgainstBruteForce:
         assert ooir(G).value == brute_ooir(G)
         assert induced_matching_number(G).value == brute_induced_matching(G)
         assert bool(has_perfect_matching(G).value) == brute_has_perfect_matching(G)
+
+    def test_witness_tie_break_on_every_graph_up_to_7(self):
+        for graph_id, G in exhaustive_corpus(7):
+            ugt, oo = upper_gamma_t(G), ooir(G)
+            assert (ugt.value, ugt.witness.mask) == brute_upper_gamma_t_witness(G), graph_id
+            assert (oo.value, oo.witness.mask) == brute_ooir_witness(G), graph_id
 
     @settings(max_examples=40, deadline=None)
     @given(isolate_free_graphs_st(max_n=7))

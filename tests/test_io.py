@@ -82,6 +82,11 @@ class TestGraph6:
         with pytest.raises(GraphTextError):
             parse_graph6(bad)
 
+    def test_non_ascii_rejected(self):
+        # A lossy encoding would turn "é" into "?", a valid data byte.
+        with pytest.raises(GraphTextError):
+            parse_graph6("Bé")
+
     def test_large_order_capacity_error(self):
         with pytest.raises(CapacityError):
             parse_graph6("~" + "?" * 10)
