@@ -5,9 +5,18 @@ indicated game is that the dominated mask alone determines the rest of the
 game: legal indications depend only on the mask, the replies available for
 an indicated vertex are its whole open neighborhood regardless of what was
 played before, and every round grows the built set by exactly one vertex.
-Memo tables therefore key on the dominated mask (plus the player to move
-for the alternating game), are private to one solve, and are discarded
+Tables therefore key on the dominated mask (plus the player to move for
+the alternating game), are private to one solve, and are discarded
 afterward.
+
+The alternating game (γtg) and the Grundy sequence (γgrt) share one
+fail-soft alpha-beta search that keeps proven lower and upper bounds per
+state, because only the root value is wanted.  The indicated game (γti)
+keeps an exact value per mask instead: one ``IndicatedGameSolver`` answers
+queries for many masks off the same table, and a table of bounds would
+send those queries back into re-searches.  Its scan over indications and
+replies still stops early once the remaining choices cannot change the
+value.
 """
 
 from __future__ import annotations
@@ -89,6 +98,7 @@ class IndicatedGameSolver:
         self.graph = G
         self._nbr = G.nbr
         self._full = G.full_mask
+        self._delta = _max_degree(G)
         self._memo: dict[int, int] = {self._full: 0}
 
     def value(self, mask: int) -> int:
@@ -100,6 +110,8 @@ class IndicatedGameSolver:
         full = self._full
         best = full.bit_count() + 1
         undominated = ~mask & full
+        # Each selection dominates at most Delta new vertices.
+        floor = -(-undominated.bit_count() // self._delta)
         rest = undominated
         while rest:
             v = (rest & -rest).bit_length() - 1
@@ -118,8 +130,12 @@ class IndicatedGameSolver:
                     sub = self.value(after)
                 if sub > worst:
                     worst = sub
+                    if worst + 1 >= best:
+                        break  # v cannot beat the best indication so far
             if worst + 1 < best:
                 best = worst + 1
+                if best <= floor:
+                    break
         memo[mask] = best
         return best
 
@@ -164,6 +180,11 @@ def gti(G: Graph, declared: VertexSet | None = None) -> int:
     return solver.value(mask)
 
 
+def _max_degree(G: Graph) -> int:
+    """Most vertices one move can newly dominate; 1 on the order-0 graph."""
+    return max((m.bit_count() for m in G.nbr), default=1)
+
+
 def _declared_mask(G: Graph, declared: VertexSet) -> int:
     if declared.n != G.n:
         raise ValueError("declared set capacity does not match the graph")
@@ -176,55 +197,84 @@ def gtg(G: Graph) -> int:
     Players alternate, every move must totally dominate a new vertex,
     Dominator minimises and Staller maximises the total number of moves.
     """
-    require_isolate_free(G)
-    nbr = G.nbr
-    full = G.full_mask
-    n = G.n
-    memo: dict[tuple[int, bool], int] = {}
-
-    def value(mask: int, dominators_turn: bool) -> int:
-        if mask == full:
-            return 0
-        key = (mask, dominators_turn)
-        cached = memo.get(key)
-        if cached is not None:
-            return cached
-        best = -1
-        for u in range(n):
-            if nbr[u] & ~mask:
-                sub = 1 + value(mask | nbr[u], not dominators_turn)
-                if best < 0 or (sub < best if dominators_turn else sub > best):
-                    best = sub
-        memo[key] = best
-        return best
-
-    return value(0, True)
+    return _move_count_game(G, alternate=True)
 
 
 def grundy_t(G: Graph) -> int:
     """Grundy total domination number: longest total dominating sequence."""
+    return _move_count_game(G, alternate=False)
+
+
+def _move_count_game(G: Graph, alternate: bool) -> int:
+    """Exact move count of a game where every move totally dominates a new vertex.
+
+    With ``alternate`` the minimiser (Dominator) and the maximiser
+    (Staller) take turns and the minimiser starts; without it the
+    maximiser makes every move.  A state is ``mask << 1 | turn`` with
+    turn 1 for the minimiser.
+
+    Fail-soft alpha-beta over the dominated mask, with moves that reach
+    the same mask searched once.  Every state starts inside an admissible
+    window: a move dominates at least one and at most Delta new vertices,
+    so ceil(undominated / Delta) <= value <= undominated.  A search that
+    fails low or high stores only the bound it proved, in separate lower
+    and upper tables, so later visits with other windows reuse it.  The
+    root is searched with a window wider than any value, so its result is
+    exact.
+    """
     require_isolate_free(G)
     nbr = G.nbr
     full = G.full_mask
-    n = G.n
-    memo: dict[int, int] = {}
+    delta = _max_degree(G)
+    flip = 1 if alternate else 0
+    lower: dict[int, int] = {}
+    upper: dict[int, int] = {}
 
-    def value(mask: int) -> int:
-        if mask == full:
-            return 0
-        cached = memo.get(mask)
-        if cached is not None:
-            return cached
-        best = 0
-        for u in range(n):
-            if nbr[u] & ~mask:
-                sub = 1 + value(mask | nbr[u])
-                if sub > best:
-                    best = sub
-        memo[mask] = best
-        return best
+    def search(mask: int, turn: int, alpha: int, beta: int) -> int:
+        undominated = full & ~mask
+        count = undominated.bit_count()
+        key = mask << 1 | turn
+        lo = lower.get(key, -(-count // delta))
+        hi = upper.get(key, count)
+        if lo >= beta or lo == hi:
+            return lo
+        if hi <= alpha:
+            return hi
+        alpha = max(alpha, lo)
+        beta = min(beta, hi)
+        after = turn ^ flip
+        children = {mask | m for m in nbr if m & undominated}
+        a, b = alpha, beta
+        if turn:
+            # Likely-short lines first: the smallest proven upper bound,
+            # then the move that dominates the most.
+            order = sorted((upper.get(c << 1 | after, count), -c.bit_count(), c) for c in children)
+            g = hi + 1
+            for _, _, child in order:
+                sub = 1 + search(child, after, a - 1, b - 1)
+                if sub < g:
+                    g = sub
+                    if g <= a:
+                        break
+                    b = min(b, g)
+        else:
+            # Likely-long lines first, by the mirror-image rule.
+            order = sorted((-lower.get(c << 1 | after, 0), c.bit_count(), c) for c in children)
+            g = lo - 1
+            for _, _, child in order:
+                sub = 1 + search(child, after, a - 1, b - 1)
+                if sub > g:
+                    g = sub
+                    if g >= b:
+                        break
+                    a = max(a, g)
+        if g > alpha:
+            lower[key] = g
+        if g < beta:
+            upper[key] = g
+        return g
 
-    return value(0)
+    return search(0, flip, -1, full.bit_count() + 1)
 
 
 def best_response_length(G: Graph, declared: VertexSet | None, fixed: Policy) -> int:
@@ -232,7 +282,8 @@ def best_response_length(G: Graph, declared: VertexSet | None, fixed: Policy) ->
 
     The fixed side's branching collapses to the policy's single choice; the
     free side is solved exactly against it.  Raises PolicyError when the
-    policy returns an illegal move.
+    policy returns an illegal move.  Every reachable state consults the
+    policy, so there are no cut-offs here.
     """
     require_isolate_free(G)
     declared = declared if declared is not None else VertexSet(G.n)
@@ -240,38 +291,28 @@ def best_response_length(G: Graph, declared: VertexSet | None, fixed: Policy) ->
     nbr = G.nbr
     full = G.full_mask
     n = G.n
-    # Policies may consult the move count, so the memo keys on (mask, move).
-    memo: dict[tuple[int, int], int] = {}
-
-    def state_for(mask: int, moves: int) -> GameState:
-        return GameState(G, declared, VertexSet(n, mask), moves)
+    # Policies may consult the move count, so the memo keys on both.
+    memo: dict[int, int] = {}
 
     def value(mask: int, moves: int) -> int:
         if mask == full:
             return 0
-        key = (mask, moves)
+        key = moves << n | mask
         cached = memo.get(key)
         if cached is not None:
             return cached
+        state = GameState(G, declared, VertexSet(n, mask), moves)
         if fixed.role is Role.DOMINATOR:
-            v = fixed.move(state_for(mask, moves))
-            if not (isinstance(v, int) and 0 <= v < n) or mask >> v & 1:
-                raise PolicyError(
-                    f"policy {fixed.name!r} indicated illegal vertex {v!r} at "
-                    + state_for(mask, moves).describe()
-                )
+            v = fixed.move(state)
+            _check_indication(fixed, state, v)
             best = 0
             for u in bits(nbr[v]):
                 best = max(best, 1 + value(mask | nbr[u], moves + 1))
         else:
             best = -1
             for v in bits(~mask & full):
-                u = fixed.move(state_for(mask, moves), v)
-                if not (isinstance(u, int) and 0 <= u < n) or not nbr[v] >> u & 1:
-                    raise PolicyError(
-                        f"policy {fixed.name!r} selected illegal vertex {u!r} for "
-                        f"indicated {v} at " + state_for(mask, moves).describe()
-                    )
+                u = fixed.move(state, v)
+                _check_selection(fixed, state, v, u)
                 sub = 1 + value(mask | nbr[u], moves + 1)
                 if best < 0 or sub < best:
                     best = sub
@@ -279,6 +320,21 @@ def best_response_length(G: Graph, declared: VertexSet | None, fixed: Policy) ->
         return best
 
     return value(start, 0)
+
+
+def _check_indication(policy: Policy, state: GameState, v: object) -> None:
+    if not (isinstance(v, int) and 0 <= v < state.graph.n) or state.dominated.mask >> v & 1:
+        raise PolicyError(
+            f"policy {policy.name!r} indicated illegal vertex {v!r} at " + state.describe()
+        )
+
+
+def _check_selection(policy: Policy, state: GameState, v: int, u: object) -> None:
+    if not (isinstance(u, int) and 0 <= u < state.graph.n) or not state.graph.nbr[v] >> u & 1:
+        raise PolicyError(
+            f"policy {policy.name!r} selected illegal vertex {u!r} for "
+            f"indicated {v} at " + state.describe()
+        )
 
 
 def optimal_policy(G: Graph, role: Role) -> Policy:
@@ -316,17 +372,9 @@ def play_game(
     while mask != G.full_mask:
         state = GameState(G, declared, VertexSet(G.n, mask), len(rounds))
         v = dominator.move(state)
-        if not (0 <= v < G.n) or mask >> v & 1:
-            raise PolicyError(
-                f"policy {dominator.name!r} indicated illegal vertex {v!r} at "
-                + state.describe()
-            )
+        _check_indication(dominator, state, v)
         u = staller.move(state, v)
-        if not (0 <= u < G.n) or not G.nbr[v] >> u & 1:
-            raise PolicyError(
-                f"policy {staller.name!r} selected illegal vertex {u!r} for "
-                f"indicated {v} at " + state.describe()
-            )
+        _check_selection(staller, state, v, u)
         if played >> u & 1:
             raise AssertionError(
                 f"replayed vertex {u}: indicated {v} should already be dominated"

@@ -65,7 +65,7 @@ def gamma_t(G: Graph) -> InvariantValue:
     require_isolate_free(G)
     full = G.full_mask
     nbr = G.nbr
-    for k in range(1, G.n + 1):
+    for k in range(G.n + 1):
         for combo in combinations(range(G.n), k):
             covered = 0
             for v in combo:

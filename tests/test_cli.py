@@ -69,6 +69,15 @@ class TestInvariant:
         assert code == 0
         assert "gti = 2" in out
 
+    def test_order_zero_graph(self, capsys, tmp_path):
+        path = tmp_path / "g.txt"
+        path.write_text("0\n")
+        code, out, err = run(capsys, "invariant", "--file", str(path))
+        assert (code, err) == (0, "")
+        assert out.splitlines() == [
+            "gt = 0", "ugt = 0", "gti = 0", "gtg = 0", "grt = 0", "ooir = 0", "nui = 0",
+        ]
+
     def test_unknown_invariant_exit_2(self, capsys):
         code, _, err = run(capsys, "invariant", "--graph", "path:4", "--which", "zz")
         assert code == 2

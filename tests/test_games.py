@@ -1,11 +1,15 @@
 """Game engines against rule-level brute force, frozen values, and properties."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 
 from tdgamelab import (
     IndicatedGameSolver,
     IsolatedVertexError,
+    Policy,
+    PolicyError,
     Role,
     VertexSet,
     best_response_length,
@@ -19,6 +23,7 @@ from tdgamelab import (
     play_game,
 )
 from tdgamelab.families import cycle_graph, disjoint_union, path_graph
+from tdgamelab.verify import exhaustive_corpus, random_isolate_free_graph
 
 from conftest import isolate_free_graphs_st
 
@@ -76,6 +81,118 @@ def brute_grundy(G):
         )
 
     return value(frozenset())
+
+
+class OracleIndicatedGame:
+    """Plain memo recursion for the indicated game, expanding every indication and reply."""
+
+    def __init__(self, G):
+        self.nbr = G.nbr
+        self.full = G.full_mask
+        self.memo = {self.full: 0}
+
+    def value(self, mask):
+        cached = self.memo.get(mask)
+        if cached is not None:
+            return cached
+        best = self.full.bit_count() + 1
+        for v in range(len(self.nbr)):
+            if not mask >> v & 1:
+                best = min(best, 1 + self.reply_value(mask, v))
+        self.memo[mask] = best
+        return best
+
+    def reply_value(self, mask, v):
+        return max(self.value(mask | self.nbr[u]) for u in range(len(self.nbr)) if self.nbr[v] >> u & 1)
+
+    def best_indication(self, mask):
+        target = self.value(mask)
+        return min(v for v in range(len(self.nbr))
+                   if not mask >> v & 1 and 1 + self.reply_value(mask, v) == target)
+
+    def best_selection(self, mask, v):
+        target = self.reply_value(mask, v)
+        return min(u for u in range(len(self.nbr))
+                   if self.nbr[v] >> u & 1 and self.value(mask | self.nbr[u]) == target)
+
+
+def oracle_gtg(G):
+    """Plain memo recursion for the alternating game, over every legal move."""
+    nbr, full, memo = G.nbr, G.full_mask, {}
+
+    def value(mask, dominators_turn):
+        if mask == full:
+            return 0
+        key = (mask, dominators_turn)
+        if key not in memo:
+            subs = [1 + value(mask | nbr[u], not dominators_turn) for u in range(G.n) if nbr[u] & ~mask]
+            memo[key] = min(subs) if dominators_turn else max(subs)
+        return memo[key]
+
+    return value(0, True)
+
+
+def oracle_grundy(G):
+    """Plain memo recursion for the longest total dominating sequence."""
+    nbr, full, memo = G.nbr, G.full_mask, {}
+
+    def value(mask):
+        if mask == full:
+            return 0
+        if mask not in memo:
+            memo[mask] = max(1 + value(mask | nbr[u]) for u in range(G.n) if nbr[u] & ~mask)
+        return memo[mask]
+
+    return value(0)
+
+
+class TestAgainstPlainRecursions:
+    def test_every_graph_up_to_7(self):
+        for graph_id, G in exhaustive_corpus(7):
+            assert gti(G) == OracleIndicatedGame(G).value(0), graph_id
+            assert gtg(G) == oracle_gtg(G), graph_id
+            assert grundy_t(G) == oracle_grundy(G), graph_id
+
+    def test_seeded_graphs_8_to_11(self):
+        rng = random.Random(0x6A3E)
+        for _ in range(60):
+            G = random_isolate_free_graph(rng.randint(8, 11), rng.uniform(0.2, 0.7), rng)
+            assert gti(G) == OracleIndicatedGame(G).value(0), G.edges()
+            assert gtg(G) == oracle_gtg(G), G.edges()
+            assert grundy_t(G) == oracle_grundy(G), G.edges()
+
+    def test_relabeled_paths_and_cycles_13_to_16(self):
+        # Many transpositions and deep windows: a bound stored on the wrong
+        # side of a window shows here first.
+        rng = random.Random(0xC7C1E)
+        for spec in ["path:13", "path:14", "path:15", "path:16",
+                     "cycle:13", "cycle:14", "cycle:15", "cycle:16"]:
+            G = family(parse_family_spec(spec))
+            perm = list(range(G.n))
+            rng.shuffle(perm)
+            H = build_graph(G.n, [(perm[u], perm[v]) for u, v in G.edges()])
+            assert gtg(H) == oracle_gtg(H), (spec, perm)
+            assert grundy_t(H) == oracle_grundy(H), (spec, perm)
+
+    def test_values_and_best_moves_on_every_mask_up_to_6(self):
+        for graph_id, G in exhaustive_corpus(6):
+            solver, oracle = IndicatedGameSolver(G), OracleIndicatedGame(G)
+            for mask in range(G.full_mask):
+                assert solver.value(mask) == oracle.value(mask), (graph_id, mask)
+                assert solver.best_indication(mask) == oracle.best_indication(mask), (graph_id, mask)
+                for v in range(G.n):
+                    if not mask >> v & 1:
+                        assert solver.best_selection(mask, v) == oracle.best_selection(mask, v), (
+                            graph_id, mask, v)
+
+    @pytest.mark.parametrize(
+        "spec, gtg_value, grundy_value",
+        [("path:19", 13, 18), ("cycle:18", 12, 16), ("substar:3,5", 13, 18), ("corona:path10", 14, 20)],
+    )
+    def test_frozen_deep_instances(self, spec, gtg_value, grundy_value):
+        G = family(parse_family_spec(spec))
+        assert gtg(G) == gtg_value
+        assert grundy_t(G) == grundy_value
 
 
 class TestIndicatedGame:
@@ -239,6 +356,18 @@ class TestPoliciesAndDeterminism:
         assert len(rounds) == gti(G)
         played = [u for _, u in rounds]
         assert len(played) == len(set(played))  # no vertex is ever replayed
+
+    def test_non_integer_indication_is_a_policy_error(self):
+        G = path_graph(5)
+        dominator = Policy(Role.DOMINATOR, "float-dominator", lambda s: 1.0)
+        with pytest.raises(PolicyError, match=r"'float-dominator' indicated illegal vertex 1\.0 at move 0"):
+            play_game(G, dominator, optimal_policy(G, Role.STALLER))
+
+    def test_missing_selection_is_a_policy_error(self):
+        G = path_graph(5)
+        staller = Policy(Role.STALLER, "silent-staller", lambda s, v: None)
+        with pytest.raises(PolicyError, match=r"'silent-staller' selected illegal vertex None for indicated \d+ at move 0"):
+            play_game(G, optimal_policy(G, Role.DOMINATOR), staller)
 
     def test_repeat_solves_are_reproducible(self):
         G = family(parse_family_spec("fk:5"))
