@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 verification failure, 2 usage or parse error,
 3 capacity or precondition error, 4 internal error (a witness that fails
-revalidation, a policy that breaks the rules, or a failed assertion).
+revalidation, a policy that breaks the rules, a failed assertion, or a
+``verify paper`` check that raised).
 ``NO_COLOR`` disables the pass/fail coloring of verification tables.
 """
 
@@ -32,10 +33,9 @@ from .verify import (
     exhaustive_corpus,
     explore_trees,
     random_corpus,
-    rows_to_csv,
-    rows_to_json_lines,
     run_paper_suite,
     survey,
+    write_rows,
 )
 
 # Key -> solver(G, declared); the games return an int, the rest an InvariantValue.
@@ -134,6 +134,8 @@ def cmd_verify_paper(args: argparse.Namespace) -> int:
         criteria = [int(tok) for tok in args.only.split(",")]
     report = run_paper_suite(criteria=criteria)
     print(report.render(color=_use_color()))
+    if report.errors():
+        return 4
     return 0 if report.ok else 1
 
 
@@ -162,14 +164,14 @@ def cmd_survey(args: argparse.Namespace) -> int:
         corpus = random_corpus(int(pieces[0]), float(pieces[1]), int(pieces[2]), int(pieces[3]))
     else:
         corpus = corpus_from_file(args.file, args.format)
-    rows = list(survey(corpus))
-    text = rows_to_json_lines(rows) if args.emit == "json" else rows_to_csv(rows)
+    # The corpus is built in full first, so bad input fails before any output.
+    rows = survey(corpus)
     if args.out and args.out != "-":
         with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(text)
+            violated = write_rows(rows, args.emit, handle)
     else:
-        sys.stdout.write(text)
-    return 1 if any(row.violations for row in rows) else 0
+        violated = write_rows(rows, args.emit, sys.stdout)
+    return 1 if violated else 0
 
 
 def cmd_trees(args: argparse.Namespace) -> int:

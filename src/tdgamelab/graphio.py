@@ -135,12 +135,15 @@ def serialize_graph(G: Graph, fmt: str) -> str:
 
 
 def iter_graph6_lines(text: str):
-    """Yield one graph per non-empty line of a graph6 stream."""
+    """Yield one graph per non-empty line of a graph6 stream.
+
+    A bad line raises the parser's own error type, with its line number.
+    """
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line:
             continue
         try:
             yield parse_graph6(line)
-        except GraphTextError as exc:
-            raise GraphTextError(f"line {lineno}: {exc}") from None
+        except (GraphTextError, CapacityError) as exc:
+            raise type(exc)(f"line {lineno}: {exc}") from None

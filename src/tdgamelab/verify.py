@@ -16,10 +16,7 @@ import random
 import time
 from dataclasses import dataclass, fields, replace
 from functools import lru_cache
-from itertools import combinations, permutations
-from typing import Callable, Iterable, Iterator
-
-import numpy as np
+from typing import Callable, Iterable, Iterator, TextIO
 
 from . import graphio
 from .families import (
@@ -64,43 +61,149 @@ TREE_ORDER_CAP = 12
 def isolate_free_graphs(n: int) -> tuple[Graph, ...]:
     """All isolate-free graphs on exactly n vertices, one per isomorphism class.
 
-    Walks every labeled graph in increasing edge-mask order; the first mask
-    of each isomorphism class is kept and its whole relabeling orbit is
-    marked in a bitmap, so each class is emitted exactly once.
+    A labeled graph is ranked by its edge mask, where slot (a, b) with a < b
+    is bit ``combinations(range(n), 2).index((a, b))``.  Each class is given
+    by its smallest-mask labeling, and the classes come in increasing mask
+    order.  The slots of label k's edges to the labels above k come right
+    after all the slots among those labels, so two labelings compare block
+    by block from the top: for k = n-2, ..., 0, the adjacency of label k to
+    labels n-1, ..., k+1, read from n-1 down.  Deleting label 0 from a
+    smallest-mask graph thus leaves a smallest-mask graph on labels 1..n-1.
+
+    Orderly generation (Read 1978; McKay 1998) follows from that: the
+    smallest-mask graphs on m vertices, isolates included, are those on
+    m - 1 vertices shifted up one label, each with a new vertex 0 joined to
+    some set, kept when no relabeling gives a smaller mask (see
+    ``_smallest_mask_extensions``).  Only the last level drops graphs with
+    an isolated vertex.  Nothing is kept between calls, so ``cache_clear()``
+    leaves the next call fully cold.
     """
     if not 1 <= n <= EXHAUSTIVE_ORDER_CAP:
         raise ValueError(f"exhaustive enumeration supports 1 <= n <= {EXHAUSTIVE_ORDER_CAP}")
-    slots = list(combinations(range(n), 2))
-    m = len(slots)
-    slot_index = {e: i for i, e in enumerate(slots)}
-    perms = list(permutations(range(n)))
-    table = np.zeros((len(perms), max(m, 1)), dtype=np.int64)
-    for pi, perm in enumerate(perms):
-        for si, (a, b) in enumerate(slots):
-            ta, tb = perm[a], perm[b]
-            table[pi, si] = 1 << slot_index[(min(ta, tb), max(ta, tb))]
-    seen = bytearray(((1 << m) >> 3) + 1)
-    graphs = []
-    full_vertices = (1 << n) - 1
-    for mask in range(1 << m):
-        if seen[mask >> 3] >> (mask & 7) & 1:
-            continue
-        on = [i for i in range(m) if mask >> i & 1]
-        if on:
-            orbit = table[:, on].sum(axis=1).tolist()
+    level: list[tuple[int, ...]] = [()]
+    for m in range(1, n + 1):
+        level = [G for H in level for G in _smallest_mask_extensions(H, m == n)]
+    return tuple(Graph(n, nbr, label=f"exhaustive:n={n}:i={i}") for i, nbr in enumerate(level))
+
+
+def _smallest_mask_extensions(h: tuple[int, ...], isolate_free: bool) -> list[tuple[int, ...]]:
+    """The smallest-mask graphs G whose vertices 1..n-1 induce h, in mask order.
+
+    ``h`` is a smallest-mask graph as neighbourhood masks; its vertex i is
+    vertex i + 1 of G, and vertex 0 of G is joined to ``s << 1`` for some s.
+    All s are decided together, as bitmaps over the values of s.
+
+    A relabeling is searched label by label from the top, and only while
+    its blocks tie the identity's.  While vertex 0 is unplaced, the tied
+    prefixes are h's own, the same for every s, so they are walked once.
+    No vertex of h can beat the identity's block there, as h has the
+    smallest mask; vertex 0 can, which rejects s, or tie, and then the
+    search goes on below for that s alone.  Twins u < v in h are only
+    worth placing in both orders for the s that hold u and not v; an s
+    that holds v and not u is rejected outright, as swapping them lowers
+    the mask.
+    """
+    n = len(h) + 1
+    base = (0,) + tuple(a << 1 for a in h)  # G's neighbourhoods, vertex 0 aside
+    has = (0,) + tuple(_bit_column(i, n - 1) for i in range(n - 1))  # has[v]: the s joining v
+    allowed = (1 << (1 << (n - 1))) - 1
+    if isolate_free:
+        allowed &= ~1
+        for v in range(1, n):
+            if not base[v]:
+                allowed &= has[v]
+    prev_twin = [0] * n  # the largest twin below v in h, or 0
+    for v in range(2, n):
+        for u in range(v - 1, 0, -1):
+            if base[u] & ~(1 << v) == base[v] & ~(1 << u):
+                prev_twin[v] = u
+                allowed &= has[u] | ~has[v]
+                break
+    rejected = 0
+    ties_of_zero = []  # (k, the s where vertex 0 ties at label k, placement, unplaced)
+    place = [0] * n
+
+    def walk(k: int, unplaced: int, scope: int) -> None:
+        # Labels above k hold vertices of h, place[j] at label j, tying the
+        # identity; scope is the set of s this prefix still stands for.
+        # First vertex 0's block at label k is compared for every s at once.
+        nonlocal rejected
+        eq, smaller, ties = scope, 0, unplaced & ~1
+        if k:
+            row = base[k]
+            for j in range(n - 1, k, -1):
+                p = place[j]
+                if row >> j & 1:  # no vertex of h lacks p here: it would beat h
+                    smaller |= eq & ~has[p]
+                    eq &= has[p]
+                else:
+                    eq &= ~has[p]
+                    ties &= ~base[p]
+        else:  # the identity's last block is s itself
+            for j in range(n - 1, 0, -1):
+                a, t = has[place[j]], has[j]
+                smaller |= eq & t & ~a
+                eq &= ~(a ^ t)
+        rejected |= smaller
+        if not k:
+            return
+        if eq:
+            ties_of_zero.append((k, eq, tuple(place), unplaced & ~1))
+        for v in bits(ties):
+            u = prev_twin[v]
+            while u and not ties >> u & 1:
+                u = prev_twin[u]
+            sub = scope & has[u] & ~has[v] if u else scope
+            if sub & ~rejected:
+                place[k] = v
+                walk(k - 1, unplaced & ~(1 << v), sub)
+
+    walk(n - 1, (1 << n) - 1, allowed)
+    alive = allowed & ~rejected
+    for k, eq, placed, unplaced in ties_of_zero:
+        for s in bits(eq & alive):
+            adj = _joined(h, s)
+            cols = [adj[v] for v in placed]
+            cols[k] = adj[0]
+            if _smaller_below(adj, cols, k - 1, unplaced):
+                alive &= ~(1 << s)
+    return [_joined(h, s) for s in bits(alive)]
+
+
+def _bit_column(i: int, m: int) -> int:
+    """The bitmap over s in range(2**m) of the s with bit i set."""
+    run = ((1 << (1 << i)) - 1) << (1 << i)  # 2**i values without bit i, then 2**i with it
+    column = 0
+    for start in range(0, 1 << m, 2 << i):
+        column |= run << start
+    return column
+
+
+def _joined(h: tuple[int, ...], s: int) -> tuple[int, ...]:
+    """h shifted up one label, with a new vertex 0 joined to ``s << 1``."""
+    return (s << 1,) + tuple(a << 1 | s >> i & 1 for i, a in enumerate(h))
+
+
+def _smaller_below(adj: tuple[int, ...], cols: list[int], k: int, unplaced: int) -> bool:
+    """Whether labels k..0 can be filled to beat the identity's mask.
+
+    ``cols[j]`` is the neighbourhood of the vertex at label j for j > k,
+    and those labels tie the identity's blocks.
+    """
+    row = adj[k]
+    ties = unplaced
+    for j in range(len(adj) - 1, k, -1):
+        if row >> j & 1:
+            if ties & ~cols[j]:
+                return True
         else:
-            orbit = [0]
-        for om in orbit:
-            seen[om >> 3] |= 1 << (om & 7)
-        touched = 0
-        for i in on:
-            a, b = slots[i]
-            touched |= 1 << a | 1 << b
-        if touched == full_vertices:
-            graphs.append(
-                build_graph(n, [slots[i] for i in on], label=f"exhaustive:n={n}:i={len(graphs)}")
-            )
-    return tuple(graphs)
+            ties &= ~cols[j]
+    if k:
+        for v in bits(ties):
+            cols[k] = adj[v]
+            if _smaller_below(adj, cols, k - 1, unplaced & ~(1 << v)):
+                return True
+    return False
 
 
 def exhaustive_corpus(n_max: int) -> Iterator[tuple[str, Graph]]:
@@ -419,16 +522,31 @@ def survey(corpus: Iterable[tuple[str, Graph]]) -> Iterator[SurveyRow]:
         yield survey_row(graph_id, G)
 
 
-def rows_to_csv(rows: Iterable[SurveyRow]) -> str:
-    # Graph ids may contain commas (family specs like cyclepower:7,2), so the
-    # writer quotes per RFC 4180; booleans print lower-case.
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    names = CSV_HEADER.split(",")
-    writer.writerow(names)
-    for r in rows:
-        writer.writerow([_csv_cell(getattr(r, name)) for name in names])
-    return out.getvalue()
+def write_rows(rows: Iterable[SurveyRow], emit: str, out: TextIO) -> bool:
+    """Write survey rows as CSV or JSON lines, flushing after each row.
+
+    Returns whether any row has violations.  Rows are written as they
+    arrive, so a survey that stops early leaves the rows computed so far.
+    """
+    if emit == "json":
+        write = lambda row: out.write(json.dumps(vars(row), sort_keys=True) + "\n")
+    else:
+        # Graph ids may contain commas (family specs like cyclepower:7,2), so
+        # the writer quotes per RFC 4180; booleans print lower-case.
+        writer = csv.writer(out, lineterminator="\n")
+        names = CSV_HEADER.split(",")
+        writer.writerow(names)
+        out.flush()
+        write = lambda row: writer.writerow([_csv_cell(getattr(row, name)) for name in names])
+    written = violated = False
+    for row in rows:
+        write(row)
+        out.flush()
+        written = True
+        violated = violated or bool(row.violations)
+    if emit == "json" and not written:  # an empty JSON survey has always been one newline
+        out.write("\n")
+    return violated
 
 
 def _csv_cell(value) -> object:
@@ -439,9 +557,16 @@ def _csv_cell(value) -> object:
     return value
 
 
+def rows_to_csv(rows: Iterable[SurveyRow]) -> str:
+    out = io.StringIO()
+    write_rows(rows, "csv", out)
+    return out.getvalue()
+
+
 def rows_to_json_lines(rows: Iterable[SurveyRow]) -> str:
-    out = [json.dumps(vars(r), sort_keys=True) for r in rows]
-    return "\n".join(out) + "\n"
+    out = io.StringIO()
+    write_rows(rows, "json", out)
+    return out.getvalue()
 
 
 # ---------------------------------------------------------------------------
@@ -579,9 +704,10 @@ class SuiteRow:
     relation: str
     expected: int
     source: str
-    computed: int
+    computed: int | None
     ok: bool
     seconds: float
+    error: str | None = None
 
 
 @dataclass(frozen=True)
@@ -595,6 +721,9 @@ class SuiteReport:
     def failures(self) -> list[SuiteRow]:
         return [row for row in self.rows if not row.ok]
 
+    def errors(self) -> list[SuiteRow]:
+        return [row for row in self.rows if row.error is not None]
+
     def criteria(self) -> dict[int, bool]:
         status: dict[int, bool] = {}
         for row in self.rows:
@@ -605,14 +734,20 @@ class SuiteReport:
         green, red, reset = ("\x1b[32m", "\x1b[31m", "\x1b[0m") if color else ("", "", "")
         lines = []
         for row in self.rows:
-            tag = f"{green}PASS{reset}" if row.ok else f"{red}FAIL{reset}"
+            if row.error is not None:
+                tag, got = f"{red}ERROR{reset}", row.error
+            else:
+                tag = f"{green}PASS{reset}" if row.ok else f"{red}FAIL{reset}"
+                got = f"got {row.computed:<3}"
             lines.append(
                 f"[{tag}] {row.claim_id:<22} {row.instance:<16} "
                 f"{row.quantity} {row.relation} {row.expected:<3} "
-                f"got {row.computed:<3} ({row.seconds:.3f}s)  [{row.source}]"
+                f"{got} ({row.seconds:.3f}s)  [{row.source}]"
             )
         passed = sum(1 for row in self.rows if row.ok)
-        lines.append(f"{passed}/{len(self.rows)} checks passed")
+        errors = len(self.errors())
+        tail = f", {errors} raised an error" if errors else ""
+        lines.append(f"{passed}/{len(self.rows)} checks passed{tail}")
         return "\n".join(lines)
 
 
@@ -940,8 +1075,11 @@ def run_paper_suite(
 ) -> SuiteReport:
     """Recompute every frozen expected value; failures become report rows.
 
-    The report is deterministic apart from the per-row timing field, and a
-    run over the default claim table is the acceptance gate for the package.
+    A claim whose computation raises becomes an error row (``computed`` is
+    None, ``error`` names the exception) and the rest of the suite still
+    runs.  The report is deterministic apart from the per-row timing field,
+    and a run over the default claim table is the acceptance gate for the
+    package.
     """
     if claims is None:
         claims = paper_claims()
@@ -951,7 +1089,11 @@ def run_paper_suite(
     rows = []
     for claim in claims:
         start = time.perf_counter()
-        computed = claim.compute()
+        computed, error = None, None
+        try:
+            computed = claim.compute()
+        except Exception as exc:  # one broken claim must not hide the rest
+            error = f"{type(exc).__name__}: {exc}"
         elapsed = time.perf_counter() - start
         rows.append(
             SuiteRow(
@@ -963,8 +1105,9 @@ def run_paper_suite(
                 expected=claim.expected,
                 source=claim.source,
                 computed=computed,
-                ok=_relation_holds(claim.relation, computed, claim.expected),
+                ok=error is None and _relation_holds(claim.relation, computed, claim.expected),
                 seconds=elapsed,
+                error=error,
             )
         )
     return SuiteReport(tuple(rows))

@@ -1,10 +1,11 @@
 """Command-line surface: subcommands, formats, and exit codes."""
 
+import dataclasses
 import json
 
 import pytest
 
-from tdgamelab import cli
+from tdgamelab import cli, verify
 from tdgamelab.cli import main
 from tdgamelab.games import PolicyError
 from tdgamelab.invariants import WitnessError
@@ -111,6 +112,23 @@ class TestVerify:
         assert code == 0
         assert "PASS" in out and "checks passed" in out
 
+    def test_paper_error_row_exit_4(self, capsys, monkeypatch):
+        real_claims = verify.paper_claims
+
+        def with_broken_claim():
+            claims = [c for c in real_claims() if c.criterion == 5][:2]
+            broken = dataclasses.replace(claims[0], claim_id="broken", compute=lambda: 1 // 0)
+            return [broken] + claims
+
+        monkeypatch.setattr(verify, "paper_claims", with_broken_claim)
+        code, out, _ = run(capsys, "verify", "paper")
+        assert code == 4
+        lines = out.splitlines()
+        assert lines[0].startswith("[ERROR] broken ")
+        assert "ZeroDivisionError" in lines[0]
+        assert [line[:6] for line in lines[1:3]] == ["[PASS]", "[PASS]"]
+        assert lines[3] == "2/3 checks passed, 1 raised an error"
+
     def test_continuation_clean_graph(self, capsys):
         code, out, _ = run(capsys, "verify", "continuation", "--graph", "path:5")
         assert code == 0
@@ -156,6 +174,24 @@ class TestSurvey:
         assert code == 3
         assert out == ""
         assert "exceeds SOLVER_CAP" in err
+
+    def test_rows_stream_before_a_failure(self, capsys, monkeypatch, tmp_path):
+        real_row = verify.survey_row
+        seen = []
+
+        def third_fails(graph_id, G):
+            seen.append(graph_id)
+            if len(seen) == 3:
+                raise WitnessError("injected")
+            return real_row(graph_id, G)
+
+        monkeypatch.setattr(verify, "survey_row", third_fails)
+        out_path = tmp_path / "rows.csv"
+        code, _, err = run(capsys, "survey", "--exhaustive", "4", "--out", str(out_path))
+        assert (code, err) == (4, "internal error: injected\n")
+        lines = out_path.read_text().splitlines()
+        assert lines[0] == verify.CSV_HEADER
+        assert [line.split(",")[0] for line in lines[1:]] == seen[:2]
 
     def test_graph6_file_corpus(self, capsys, tmp_path):
         corpus = tmp_path / "c.g6"

@@ -93,6 +93,13 @@ class TestGraph6:
         with pytest.raises(CapacityError):
             parse_graph6(chr(63 + 40) + "?" * 200)
 
+    def test_stream_errors_name_the_line(self):
+        # "_??" encodes order 32; the error keeps its type, so the CLI exits 3.
+        with pytest.raises(CapacityError, match=r"^line 2: graph6 order 32 exceeds SOLVER_CAP"):
+            list(iter_graph6_lines("A_\n_??\n"))
+        with pytest.raises(GraphTextError, match=r"^line 3: "):
+            list(iter_graph6_lines("A_\n\nA\n"))
+
     def test_all_four_vertex_graphs_from_reference_codec(self):
         # Every 4-vertex graph, encoded by networkx, parses back identically.
         payloads = []

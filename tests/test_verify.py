@@ -1,14 +1,23 @@
 """Verification harness: corpora, trees, continuation, survey, and the suite."""
 
 import dataclasses
+import hashlib
+import io
 import json
+import os
+import subprocess
+import sys
 from collections import deque
-from itertools import product
+from itertools import combinations, permutations, product
+from pathlib import Path
 
 import pytest
 
+import tdgamelab
 from tdgamelab import build_graph, check_continuation
 from tdgamelab.families import cycle_graph, path_graph
+from tdgamelab.graphio import serialize_graph6
+from tdgamelab.invariants import WitnessError
 from tdgamelab.verify import (
     CSV_HEADER,
     enumerate_trees,
@@ -24,6 +33,7 @@ from tdgamelab.verify import (
     run_paper_suite,
     survey,
     survey_row,
+    write_rows,
 )
 import random
 
@@ -119,6 +129,65 @@ class TestExhaustiveEnumeration:
     def test_order_cap(self):
         with pytest.raises(ValueError):
             isolate_free_graphs(8)
+        with pytest.raises(ValueError):
+            isolate_free_graphs(0)
+        assert isolate_free_graphs(1) == ()
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_matches_orbit_marking_oracle(self, n):
+        assert isolate_free_graphs(n) == orbit_marking_graphs(n)
+
+    def test_frozen_corpus_digest(self):
+        # The ordered corpus for n = 2..7: labels, graphs and order.
+        text = "".join(
+            f"{G.label} {serialize_graph6(G)}\n" for _, G in exhaustive_corpus(7)
+        )
+        assert text.count("\n") == 1043
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "03e4f39971e1e7a4cc15c676d12025647af5cc3f2fd00a335d4aca39f66e3b05"
+        )
+
+    def test_cache_clear_rebuilds_equal_graphs(self):
+        first = isolate_free_graphs(5)
+        isolate_free_graphs.cache_clear()
+        again = isolate_free_graphs(5)
+        assert again == first and again is not first
+
+
+def orbit_marking_graphs(n):
+    """Reference enumeration: walk every labeled edge mask in increasing order,
+    keep the first mask of each isomorphism class and mark its whole
+    relabeling orbit as seen."""
+    slots = list(combinations(range(n), 2))
+    slot_bit = {e: 1 << i for i, e in enumerate(slots)}
+    relabel = [
+        [slot_bit[tuple(sorted((p[a], p[b])))] for a, b in slots]
+        for p in permutations(range(n))
+    ]
+    seen = bytearray(1 << len(slots))
+    graphs = []
+    for mask in range(1 << len(slots)):
+        if seen[mask]:
+            continue
+        on = [i for i in range(len(slots)) if mask >> i & 1]
+        for row in relabel:
+            seen[sum(row[i] for i in on)] = 1
+        G = build_graph(n, [slots[i] for i in on], label=f"exhaustive:n={n}:i={len(graphs)}")
+        if G.is_isolate_free():
+            graphs.append(G)
+    return tuple(graphs)
+
+
+def test_runtime_imports_no_numpy():
+    # The runtime is stdlib-only; a fresh interpreter shows what the import pulls in.
+    src = str(Path(tdgamelab.__file__).resolve().parents[1])
+    code = "import sys, tdgamelab; print('numpy' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": src}
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"
 
 
 class TestTreeEnumeration:
@@ -205,6 +274,21 @@ class TestSurvey:
         assert lines[0] == CSV_HEADER
         assert len(lines) == len(rows) + 1
         assert lines[1].startswith("exhaustive:n=2:i=0,2,")
+
+    def test_empty_sinks(self):
+        assert rows_to_csv([]) == CSV_HEADER + "\n"
+        assert rows_to_json_lines([]) == "\n"
+        out = io.StringIO()
+        assert write_rows([], "json", out) is False
+        assert out.getvalue() == "\n"
+
+    def test_write_rows_matches_sinks(self):
+        rows = list(survey(exhaustive_corpus(4)))
+        rows[1] = dataclasses.replace(rows[1], graph="cyclepower:7,2", violations=("a", "b"))
+        for emit, sink in (("csv", rows_to_csv), ("json", rows_to_json_lines)):
+            out = io.StringIO()
+            assert write_rows(rows, emit, out) is True
+            assert out.getvalue() == sink(rows)
 
     def test_json_lines_parse_back(self):
         rows = list(survey(exhaustive_corpus(3)))
@@ -314,6 +398,26 @@ class TestSuite:
     def test_all_criteria_present(self):
         criteria = {c.criterion for c in paper_claims()}
         assert criteria == set(range(1, 16))
+
+    def test_raising_claim_becomes_error_row(self):
+        claims = [c for c in paper_claims() if c.criterion == 5][:3]
+
+        def broken():
+            raise WitnessError("injected")
+
+        claims[1] = dataclasses.replace(claims[1], compute=broken)
+        report = run_paper_suite(claims=claims)
+        assert [r.claim_id for r in report.rows] == [c.claim_id for c in claims]
+        row = report.rows[1]
+        assert (row.computed, row.ok, row.error) == (None, False, "WitnessError: injected")
+        assert report.errors() == [row]
+        assert report.failures() == [row]
+        assert report.rows[0].ok and report.rows[2].ok
+        assert report.rows[0].error is report.rows[2].error is None
+        text = report.render()
+        assert text.splitlines()[1].startswith("[ERROR] ")
+        assert "WitnessError: injected" in text
+        assert text.endswith("2/3 checks passed, 1 raised an error")
 
     def test_render_mentions_failures(self):
         claims = [c for c in paper_claims() if c.criterion == 5][:2]
