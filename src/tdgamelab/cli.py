@@ -15,7 +15,7 @@ import os
 import sys
 
 from .families import FamilySpecError, family, parse_family_spec
-from .games import PolicyError, grundy_t, gtg, gti
+from .games import PolicyError, gti
 from .graph import CapacityError, Graph, IsolatedVertexError, VertexSet
 from .graphio import (
     EDGELIST,
@@ -25,8 +25,10 @@ from .graphio import (
     parse_graph,
     serialize_graph,
 )
-from .invariants import WitnessError, gamma_t, induced_matching_number, ooir, upper_gamma_t
+from .invariants import InvariantValue, WitnessError
 from .verify import (
+    INVARIANTS,
+    TREE_ORDER_CAP,
     check_continuation,
     corpus_from_file,
     enumerate_trees,
@@ -37,18 +39,6 @@ from .verify import (
     survey,
     write_rows,
 )
-
-# Key -> solver(G, declared); the games return an int, the rest an InvariantValue.
-_INVARIANTS = {
-    "gt": lambda G, declared: gamma_t(G),
-    "ugt": lambda G, declared: upper_gamma_t(G),
-    "gti": lambda G, declared: gti(G, declared),
-    "gtg": lambda G, declared: gtg(G),
-    "grt": lambda G, declared: grundy_t(G),
-    "ooir": lambda G, declared: ooir(G),
-    "nui": lambda G, declared: induced_matching_number(G),
-}
-
 
 def _use_color() -> bool:
     return sys.stdout.isatty() and "NO_COLOR" not in os.environ
@@ -95,20 +85,19 @@ def cmd_family(args: argparse.Namespace) -> int:
 
 def cmd_invariant(args: argparse.Namespace) -> int:
     G = _load_graph(args)
-    which = tuple(_INVARIANTS) if args.which == "all" else tuple(args.which.split(","))
+    which = tuple(INVARIANTS) if args.which == "all" else tuple(args.which.split(","))
     for key in which:
-        if key not in _INVARIANTS:
-            raise ValueError(f"unknown invariant {key!r} (choose from {', '.join(_INVARIANTS)})")
+        if key not in INVARIANTS:
+            raise ValueError(f"unknown invariant {key!r} (choose from {', '.join(INVARIANTS)})")
     declared = _parse_vertex_list(args.declared, G.n) if args.declared else None
 
     values: dict[str, int] = {}
     witnesses: dict[str, list] = {}
     for key in which:
-        result = _INVARIANTS[key](G, declared)
-        if isinstance(result, int):
-            values[key] = result
-        else:
-            values[key], witnesses[key] = result.value, _witness_payload(result)
+        result = gti(G, declared) if key == "gti" else INVARIANTS[key](G)
+        values[key] = int(result)
+        if isinstance(result, InvariantValue):
+            witnesses[key] = _witness_payload(result)
 
     if args.json:
         payload = {
@@ -175,6 +164,8 @@ def cmd_survey(args: argparse.Namespace) -> int:
 
 
 def cmd_trees(args: argparse.Namespace) -> int:
+    if not 2 <= args.max <= TREE_ORDER_CAP:  # checked before the first tree is printed
+        raise ValueError(f"--max must lie in 2..{TREE_ORDER_CAP}")
     if args.probe:
         report = explore_trees(args.max)
         by_n: dict[int, int] = {}
@@ -208,7 +199,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_inv.add_argument(
         "--which",
         default="all",
-        help=f"comma list from {','.join(_INVARIANTS)} or 'all'",
+        help=f"comma list from {','.join(INVARIANTS)} or 'all'",
     )
     p_inv.add_argument(
         "--declared",
@@ -228,8 +219,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_cont = verify_sub.add_parser("continuation", help="check declared-set monotonicity")
     _add_graph_source(p_cont)
-    p_cont.add_argument("--exhaustive", action="store_true", help="check all pairs (default)")
-    p_cont.add_argument("--samples", type=int, default=None, help="check N sampled pairs")
+    mode = p_cont.add_mutually_exclusive_group()
+    mode.add_argument("--exhaustive", action="store_true", help="check all pairs (default)")
+    mode.add_argument("--samples", type=int, default=None, help="check N sampled pairs")
     p_cont.add_argument("--seed", type=int, default=0)
     p_cont.set_defaults(handler=cmd_verify_continuation)
 

@@ -100,9 +100,6 @@ class VertexSet:
         self._check(other)
         return self.mask & ~other.mask == 0
 
-    def complement(self) -> "VertexSet":
-        return VertexSet(self.n, ~self.mask & (1 << self.n) - 1)
-
     def to_list(self) -> list[int]:
         return list(self)
 
@@ -358,15 +355,3 @@ def bipartition(G: Graph) -> tuple[VertexSet, VertexSet] | None:
 
 def is_bipartite(G: Graph) -> bool:
     return bipartition(G) is not None
-
-
-def induced_subgraph(G: Graph, S: VertexSet) -> Graph:
-    """Subgraph induced by S, reindexed to 0..|S|-1 in increasing order."""
-    keep = S.to_list()
-    index = {v: i for i, v in enumerate(keep)}
-    nbr = [0] * len(keep)
-    for v in keep:
-        for u in bits(G.nbr[v] & S.mask):
-            nbr[index[v]] |= 1 << index[u]
-    labels = tuple(G.vertex_name(v) for v in keep) if G.vertex_labels else None
-    return Graph(len(keep), tuple(nbr), label=G.label, vertex_labels=labels)

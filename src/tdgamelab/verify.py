@@ -12,9 +12,10 @@ from __future__ import annotations
 import csv
 import io
 import json
+import operator
 import random
 import time
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from functools import lru_cache
 from typing import Callable, Iterable, Iterator, TextIO
 
@@ -38,6 +39,7 @@ from .graph import (
     require_isolate_free,
 )
 from .invariants import (
+    InvariantValue,
     WitnessError,
     gamma_t,
     has_perfect_matching,
@@ -497,19 +499,26 @@ class SurveyRow:
 
 CSV_HEADER = ",".join(f.name for f in fields(SurveyRow))
 
+# The seven invariants, keyed and ordered like SurveyRow's columns; read a
+# value with int().  Each entry looks its solver up as a module global when
+# called, so a rebinding of ``verify.gti`` and the like is seen here too.
+INVARIANTS: dict[str, Callable[[Graph], int | InvariantValue]] = {
+    "gt": lambda G: gamma_t(G),
+    "ugt": lambda G: upper_gamma_t(G),
+    "gti": lambda G: gti(G),
+    "gtg": lambda G: gtg(G),
+    "grt": lambda G: grundy_t(G),
+    "ooir": lambda G: ooir(G),
+    "nui": lambda G: induced_matching_number(G),
+}
+
 
 def survey_row(graph_id: str, G: Graph) -> SurveyRow:
     """Compute all seven invariants for one graph and apply the chain checks."""
     row = SurveyRow(
         graph=graph_id,
         n=G.n,
-        gt=gamma_t(G).value,
-        ugt=upper_gamma_t(G).value,
-        gti=gti(G),
-        gtg=gtg(G),
-        grt=grundy_t(G),
-        ooir=ooir(G).value,
-        nui=induced_matching_number(G).value,
+        **{key: int(solve(G)) for key, solve in INVARIANTS.items()},
         bipartite=is_bipartite(G),
     )
     failed = tuple(label for label, check in _CHAIN_CHECKS if not check(row))
@@ -692,18 +701,11 @@ class Claim:
     relation: str  # "==", "<=", ">="
     expected: int
     source: str
-    compute: Callable[[], int]
+    compute: Callable[[], int] = field(compare=False, repr=False)
 
 
 @dataclass(frozen=True)
-class SuiteRow:
-    claim_id: str
-    criterion: int
-    instance: str
-    quantity: str
-    relation: str
-    expected: int
-    source: str
+class SuiteRow(Claim):
     computed: int | None
     ok: bool
     seconds: float
@@ -723,12 +725,6 @@ class SuiteReport:
 
     def errors(self) -> list[SuiteRow]:
         return [row for row in self.rows if row.error is not None]
-
-    def criteria(self) -> dict[int, bool]:
-        status: dict[int, bool] = {}
-        for row in self.rows:
-            status[row.criterion] = status.get(row.criterion, True) and row.ok
-        return status
 
     def render(self, color: bool = False) -> str:
         green, red, reset = ("\x1b[32m", "\x1b[31m", "\x1b[0m") if color else ("", "", "")
@@ -751,14 +747,7 @@ class SuiteReport:
         return "\n".join(lines)
 
 
-def _relation_holds(relation: str, computed: int, expected: int) -> bool:
-    if relation == "==":
-        return computed == expected
-    if relation == "<=":
-        return computed <= expected
-    if relation == ">=":
-        return computed >= expected
-    raise ValueError(f"unknown relation {relation!r}")
+_RELATIONS = {"==": operator.eq, "<=": operator.le, ">=": operator.ge}
 
 
 def path_game_value(n: int) -> int:
@@ -872,6 +861,23 @@ def _claim(
     )
 
 
+def _graph_claims(
+    criterion: int, instance: str, G: Graph, source: str, **expected: int | tuple[str, int]
+) -> list[Claim]:
+    """One claim per keyword, in keyword order, each an ``INVARIANTS`` key of G.
+
+    A value is an int, claimed with ``==``, or a ``(relation, value)`` pair:
+    ``gti=3`` claims gti(G) == 3 and ``gtg=(">=", 10)`` claims gtg(G) >= 10.
+    """
+    claims = []
+    for quantity, value in expected.items():
+        relation, value = value if isinstance(value, tuple) else ("==", value)
+        solve = INVARIANTS[quantity]
+        compute = lambda solve=solve: int(solve(G))  # binds this quantity's solver
+        claims.append(_claim(criterion, instance, quantity, relation, value, source, compute))
+    return claims
+
+
 def paper_claims() -> list[Claim]:
     """The full table of frozen expected values the suite recomputes."""
     claims: list[Claim] = []
@@ -879,91 +885,59 @@ def paper_claims() -> list[Claim]:
     for n in range(2, 16):
         value = path_game_value(n)
         src = "gti(P_n) = UGT(P_n) = 2*floor((n+1)/3)"
-        P = path_graph(n)
-        claims.append(_claim(1, f"path{n}", "gti", "==", value, src, lambda G=P: gti(G)))
-        claims.append(
-            _claim(1, f"path{n}", "ugt", "==", value, src, lambda G=P: upper_gamma_t(G).value)
-        )
+        claims += _graph_claims(1, f"path{n}", path_graph(n), src, gti=value, ugt=value)
 
     for k in (2, 3, 4):
         spec = parse_family_spec(f"cyclepower:{2 * k + 3},{k}")
         src = "k-th power of the (2k+3)-cycle has UGT 2 < gti 3"
-        G = family(spec)
-        claims.append(_claim(2, spec.text(), "ugt", "==", 2, src, lambda G=G: upper_gamma_t(G).value))
-        claims.append(_claim(2, spec.text(), "gti", "==", 3, src, lambda G=G: gti(G)))
+        claims += _graph_claims(2, spec.text(), family(spec), src, ugt=2, gti=3)
 
     for k, (v_gti, v_ugt, v_ooir) in ((1, (3, 2, 2)), (2, (6, 4, 4))):
         G = family(parse_family_spec(f"gk:{k}"))
         src = "joined-4-path chain: gti 3k, UGT 2k, OOIR 2k"
-        claims.append(_claim(3, f"gk{k}", "gti", "==", v_gti, src, lambda G=G: gti(G)))
-        claims.append(_claim(3, f"gk{k}", "ugt", "==", v_ugt, src, lambda G=G: upper_gamma_t(G).value))
-        claims.append(_claim(3, f"gk{k}", "ooir", "==", v_ooir, src, lambda G=G: ooir(G).value))
+        claims += _graph_claims(3, f"gk{k}", G, src, gti=v_gti, ugt=v_ugt, ooir=v_ooir)
 
     for k in range(5, 9):
         G = family(parse_family_spec(f"fk:{k}"))
         src = "clique prism minus one rung: gti 4, OOIR k-1, gtg 3"
-        claims.append(_claim(4, f"fk{k}", "gti", "==", 4, src, lambda G=G: gti(G)))
-        claims.append(_claim(4, f"fk{k}", "ooir", "==", k - 1, src, lambda G=G: ooir(G).value))
-        claims.append(_claim(4, f"fk{k}", "gtg", "==", 3, src, lambda G=G: gtg(G)))
+        claims += _graph_claims(4, f"fk{k}", G, src, gti=4, ooir=k - 1, gtg=3)
 
     for k in range(1, 6):
         G = family(parse_family_spec(f"bk:{k}"))
         src = "triangle bouquet with pendant: gti=gt=ugt=gtg=2, nui=k"
-        claims.append(_claim(5, f"bk{k}", "gti", "==", 2, src, lambda G=G: gti(G)))
-        claims.append(
-            _claim(5, f"bk{k}", "nui", "==", k, src, lambda G=G: induced_matching_number(G).value)
-        )
-        claims.append(_claim(5, f"bk{k}", "gtg", "==", 2, src, lambda G=G: gtg(G)))
-        claims.append(_claim(5, f"bk{k}", "gt", "==", 2, src, lambda G=G: gamma_t(G).value))
-        claims.append(_claim(5, f"bk{k}", "ugt", "==", 2, src, lambda G=G: upper_gamma_t(G).value))
+        claims += _graph_claims(5, f"bk{k}", G, src, gti=2, nui=k, gtg=2, gt=2, ugt=2)
 
     for k in range(1, 6):
         G = family(parse_family_spec(f"jk:{k}"))
         src = "4-cycle bouquet with pendant: gti k+1, nui k"
-        claims.append(_claim(6, f"jk{k}", "gti", "==", k + 1, src, lambda G=G: gti(G)))
-        claims.append(
-            _claim(6, f"jk{k}", "nui", "==", k, src, lambda G=G: induced_matching_number(G).value)
-        )
+        claims += _graph_claims(6, f"jk{k}", G, src, gti=k + 1, nui=k)
 
     for k in range(3, 7):
         G = family(parse_family_spec(f"substar:{k},1"))
         src = "once-subdivided star: gti=UGT=2k, gtg=k+1"
-        claims.append(_claim(7, f"substar{k}-1", "gti", "==", 2 * k, src, lambda G=G: gti(G)))
-        claims.append(
-            _claim(7, f"substar{k}-1", "ugt", "==", 2 * k, src, lambda G=G: upper_gamma_t(G).value)
-        )
-        claims.append(_claim(7, f"substar{k}-1", "gtg", "==", k + 1, src, lambda G=G: gtg(G)))
+        claims += _graph_claims(7, f"substar{k}-1", G, src, gti=2 * k, ugt=2 * k, gtg=k + 1)
 
-    G8 = family(parse_family_spec("substar:4,3"))
-    src8 = "thrice-subdivided star, k=4: gti<=2k+2, OOIR=2k+2, nui=k+1, gtg>=5k/2"
-    claims.append(_claim(8, "substar4-3", "gti", "<=", 10, src8, lambda: gti(G8)))
-    claims.append(_claim(8, "substar4-3", "ooir", "==", 10, src8, lambda: ooir(G8).value))
-    claims.append(
-        _claim(8, "substar4-3", "nui", "==", 5, src8, lambda: induced_matching_number(G8).value)
+    claims += _graph_claims(
+        8,
+        "substar4-3",
+        family(parse_family_spec("substar:4,3")),
+        "thrice-subdivided star, k=4: gti<=2k+2, OOIR=2k+2, nui=k+1, gtg>=5k/2",
+        gti=("<=", 10),
+        ooir=10,
+        nui=5,
+        gtg=(">=", 10),
     )
-    claims.append(_claim(8, "substar4-3", "gtg", ">=", 10, src8, lambda: gtg(G8)))
 
     for k in range(2, 6):
         G = family(parse_family_spec(f"corona:complete{k}"))
         src = "corona of the k-clique: gti=gt=ugt=k, gtg=k+1, 2*nui=2"
-        claims.append(_claim(9, f"corona-k{k}", "gti", "==", k, src, lambda G=G: gti(G)))
-        claims.append(_claim(9, f"corona-k{k}", "gt", "==", k, src, lambda G=G: gamma_t(G).value))
-        claims.append(
-            _claim(9, f"corona-k{k}", "ugt", "==", k, src, lambda G=G: upper_gamma_t(G).value)
-        )
-        claims.append(_claim(9, f"corona-k{k}", "gtg", "==", k + 1, src, lambda G=G: gtg(G)))
-        claims.append(
-            _claim(9, f"corona-k{k}", "nui", "==", 1, src, lambda G=G: induced_matching_number(G).value)
-        )
+        claims += _graph_claims(9, f"corona-k{k}", G, src, gti=k, gt=k, ugt=k, gtg=k + 1, nui=1)
 
     rng = random.Random(0x1D5EED)
     for i in range(20):
         T, s = random_leaf_support_tree(rng)
         src = "leaf/support trees: gti = UGT = number of supports"
-        claims.append(_claim(10, f"lstree{i}", "gti", "==", s, src, lambda T=T: gti(T)))
-        claims.append(
-            _claim(10, f"lstree{i}", "ugt", "==", s, src, lambda T=T: upper_gamma_t(T).value)
-        )
+        claims += _graph_claims(10, f"lstree{i}", T, src, gti=s, ugt=s)
 
     src11 = "declaring more vertices dominated never raises the game value"
     for n in range(2, 6):
@@ -1079,12 +1053,15 @@ def run_paper_suite(
     None, ``error`` names the exception) and the rest of the suite still
     runs.  The report is deterministic apart from the per-row timing field,
     and a run over the default claim table is the acceptance gate for the
-    package.
+    package.  A requested criterion with no claim raises ValueError.
     """
     if claims is None:
         claims = paper_claims()
     if criteria is not None:
         wanted = set(criteria)
+        missing = wanted - {c.criterion for c in claims}
+        if missing:
+            raise ValueError(f"no claims for criterion {', '.join(map(str, sorted(missing)))}")
         claims = [c for c in claims if c.criterion in wanted]
     rows = []
     for claim in claims:
@@ -1095,19 +1072,6 @@ def run_paper_suite(
         except Exception as exc:  # one broken claim must not hide the rest
             error = f"{type(exc).__name__}: {exc}"
         elapsed = time.perf_counter() - start
-        rows.append(
-            SuiteRow(
-                claim_id=claim.claim_id,
-                criterion=claim.criterion,
-                instance=claim.instance,
-                quantity=claim.quantity,
-                relation=claim.relation,
-                expected=claim.expected,
-                source=claim.source,
-                computed=computed,
-                ok=error is None and _relation_holds(claim.relation, computed, claim.expected),
-                seconds=elapsed,
-                error=error,
-            )
-        )
+        ok = error is None and _RELATIONS[claim.relation](computed, claim.expected)
+        rows.append(SuiteRow(**vars(claim), computed=computed, ok=ok, seconds=elapsed, error=error))
     return SuiteReport(tuple(rows))

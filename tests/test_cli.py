@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from tdgamelab import cli, verify
+from tdgamelab import verify
 from tdgamelab.cli import main
 from tdgamelab.games import PolicyError
 from tdgamelab.invariants import WitnessError
@@ -99,7 +99,7 @@ class TestInvariant:
         def broken(G):
             raise error("injected")
 
-        monkeypatch.setattr(cli, "upper_gamma_t", broken)
+        monkeypatch.setattr(verify, "upper_gamma_t", broken)
         code, out, err = run(capsys, "invariant", "--graph", "path:4", "--which", "ugt")
         assert code == 4
         assert out == ""
@@ -111,6 +111,13 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "paper", "--only", "5")
         assert code == 0
         assert "PASS" in out and "checks passed" in out
+
+    @pytest.mark.parametrize("only", ["99", "5,99"])
+    def test_paper_unknown_criterion_exit_2(self, capsys, only):
+        code, out, err = run(capsys, "verify", "paper", "--only", only)
+        assert code == 2
+        assert out == ""
+        assert "no claims for criterion 99" in err
 
     def test_paper_error_row_exit_4(self, capsys, monkeypatch):
         real_claims = verify.paper_claims
@@ -140,6 +147,18 @@ class TestVerify:
             "--samples", "100", "--seed", "4",
         )
         assert code == 0
+
+    def test_continuation_exhaustive_flag(self, capsys):
+        code, out, _ = run(capsys, "verify", "continuation", "--graph", "path:5", "--exhaustive")
+        assert code == 0
+        assert "(exhaustive)" in out
+
+    def test_continuation_modes_exclusive_exit_2(self, capsys):
+        code, out, _ = run(
+            capsys, "verify", "continuation", "--graph", "path:5", "--exhaustive", "--samples", "5"
+        )
+        assert code == 2
+        assert out == ""
 
     def test_continuation_reports_violations(self, capsys, tmp_path):
         path = tmp_path / "paw.txt"
@@ -212,3 +231,11 @@ class TestTrees:
         code, out, _ = run(capsys, "trees", "--probe", "--max", "5")
         assert code == 0
         assert "no counterexample found up to n=5" in out
+
+    @pytest.mark.parametrize("probe", [[], ["--probe"]])
+    @pytest.mark.parametrize("order", ["1", "13"])
+    def test_order_out_of_range_exit_2_before_output(self, capsys, order, probe):
+        code, out, err = run(capsys, "trees", "--max", order, *probe)
+        assert code == 2
+        assert out == ""
+        assert "--max must lie in 2..12" in err

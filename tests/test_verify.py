@@ -20,6 +20,7 @@ from tdgamelab.graphio import serialize_graph6
 from tdgamelab.invariants import WitnessError
 from tdgamelab.verify import (
     CSV_HEADER,
+    INVARIANTS,
     enumerate_trees,
     exhaustive_corpus,
     explore_trees,
@@ -302,6 +303,28 @@ class TestSurvey:
         assert once == twice
 
 
+class TestInvariantTable:
+    SOLVERS = ("gamma_t", "upper_gamma_t", "gti", "gtg", "grundy_t", "ooir", "induced_matching_number")
+
+    def test_keys_are_the_survey_columns(self):
+        assert tuple(INVARIANTS) == tuple(CSV_HEADER.split(",")[2:9])
+
+    def test_each_key_calls_its_own_solver(self, monkeypatch):
+        # Seven distinct values: a claim or column wired to another key's
+        # solver, or a table entry that captured the function object instead
+        # of the module global, reads the wrong one.
+        expected = {}
+        for value, (key, name) in enumerate(zip(INVARIANTS, self.SOLVERS), start=101):
+            monkeypatch.setattr(tdgamelab.verify, name, lambda *args, value=value: value)
+            expected[key] = value
+        claims = [c for c in paper_claims() if c.criterion <= 10]
+        assert {c.quantity for c in claims} == set(INVARIANTS) - {"grt"}  # no graph claim on grt
+        for claim in claims:
+            assert claim.compute() == expected[claim.quantity], claim.claim_id
+        row = survey_row("path:4", path_graph(4))
+        assert {key: getattr(row, key) for key in INVARIANTS} == expected
+
+
 class TestRandomCorpus:
     def test_reproducible(self):
         a = random_corpus(6, 0.5, 5, seed=42)
@@ -394,6 +417,21 @@ class TestSuite:
         report = run_paper_suite(claims=perturbed)
         assert baseline.ok
         assert [r.claim_id for r in report.failures()] == [target.claim_id]
+
+    def test_frozen_claim_table_digest(self):
+        claims = paper_claims()
+        text = "".join(
+            f"{c.claim_id}|{c.criterion}|{c.instance}|{c.quantity}|{c.relation}|{c.expected}|{c.source}\n"
+            for c in claims
+        )
+        assert len(claims) == 214
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "f943e3e3ba2ad3c6a94752c56332946411f67c94e0db59010798ab6d3a090603"
+        )
+
+    def test_unknown_criterion_raises(self):
+        with pytest.raises(ValueError, match="no claims for criterion 16, 99"):
+            run_paper_suite(criteria=[5, 99, 16])
 
     def test_all_criteria_present(self):
         criteria = {c.criterion for c in paper_claims()}
