@@ -1,17 +1,19 @@
 """Exact computation of the non-game invariants.
 
-All four optimisation invariants run exhaustive or branch-and-bound search
-over bitmask subsets; there are no heuristics and no special-case shortcuts,
-so the returned values are exact for every graph within SOLVER_CAP.  Every
-optimum comes with a witness that is re-checked against the defining
-predicate before being returned, and ties are broken toward the
-lexicographically smallest witness.
+All four optimisation invariants run branch-and-bound search over bitmask
+subsets; every prune is exact and there are no special-case shortcuts, so
+the returned values are exact for every graph within SOLVER_CAP.  γt is a
+depth-first search through the sizes k = 0, 1, ... and, within each size,
+the k-subsets in lexicographic order, cut by a degree bound and a reach
+bound on the undominated vertices.  Γt and OOIR share one search over
+OO-irredundant sets.  Every optimum comes with a witness that is re-checked
+against the defining predicate before being returned, and ties are broken
+toward the lexicographically smallest witness.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Callable
 
 from .graph import (
@@ -59,21 +61,65 @@ def _certify(condition: bool, kind: str) -> None:
 def gamma_t(G: Graph) -> InvariantValue:
     """Total domination number: minimum cardinality of a TD-set.
 
-    Increasing-cardinality search; the first set found in lexicographic
-    order at the optimal size is the witness.
+    The witness is the lexicographically first TD-set of the smallest size,
+    found by the search in ``_first_smallest_td_set``.
     """
     require_isolate_free(G)
-    full = G.full_mask
+    chosen = _first_smallest_td_set(G)
+    witness = VertexSet.of(G.n, chosen)
+    _certify(is_total_dominating(G, witness) and len(witness) == len(chosen), GAMMA_T)
+    return InvariantValue(GAMMA_T, len(chosen), witness)
+
+
+def _first_smallest_td_set(G: Graph) -> list[int]:
+    """Members, in increasing order, of the lexicographically first smallest TD-set.
+
+    Tries the sizes k = ⌈n/Δ⌉, ⌈n/Δ⌉ + 1, ... in turn, where Δ is the
+    maximum degree; no smaller set dominates all n vertices.  For each k, a
+    depth-first search picks the members in increasing order, so it meets
+    the k-subsets in lexicographic order and the first TD-set it finds is
+    the answer.  Two exact prunes cut a branch that can no longer be
+    completed, with ``left`` picks still to make:
+
+    - degree prune: the undominated vertices number at most ``left · Δ``;
+    - reach prune: each undominated vertex has a neighbour among the
+      candidates still open, tested as ``und & ~reach[v] == 0`` with the
+      suffix unions ``reach[v] = nbr[v] | ... | nbr[n-1]``.
+
+    ``G`` must be isolate-free; the order-0 graph gives the empty set.
+    """
+    n = G.n
     nbr = G.nbr
-    for k in range(G.n + 1):
-        for combo in combinations(range(G.n), k):
-            covered = 0
-            for v in combo:
-                covered |= nbr[v]
-            if covered == full:
-                witness = VertexSet.of(G.n, combo)
-                _certify(is_total_dominating(G, witness) and len(witness) == k, GAMMA_T)
-                return InvariantValue(GAMMA_T, k, witness)
+    chosen: list[int] = []
+    if not n:
+        return chosen
+    delta = max(map(int.bit_count, nbr))
+    reach = [0] * (n + 1)
+    for v in range(n - 1, -1, -1):
+        reach[v] = reach[v + 1] | nbr[v]
+
+    def search(und: int, start: int, left: int) -> bool:
+        """Push onto ``chosen`` the lexicographically first ``left``
+        candidates from ``start`` on that dominate ``und``; True when they
+        exist."""
+        left -= 1
+        cap = left * delta
+        for v in range(start, n - left):
+            if und & ~reach[v]:
+                return False  # reach prune, for v and every later candidate
+            rest = und & ~nbr[v]
+            if rest.bit_count() > cap:
+                continue  # degree prune
+            chosen.append(v)
+            # No smaller TD-set exists, so ``rest`` empties only on the last pick.
+            if not rest or search(rest, v + 1, left):
+                return True
+            chosen.pop()
+        return False
+
+    for k in range(-(-n // delta), n + 1):
+        if search(G.full_mask, 0, k):
+            return chosen
     raise AssertionError("isolate-free graph admits V(G) as a TD-set")
 
 

@@ -80,12 +80,16 @@ def isolate_free_graphs(n: int) -> tuple[Graph, ...]:
     an isolated vertex.  Nothing is kept between calls, so ``cache_clear()``
     leaves the next call fully cold.
     """
-    if not 1 <= n <= EXHAUSTIVE_ORDER_CAP:
-        raise ValueError(f"exhaustive enumeration supports 1 <= n <= {EXHAUSTIVE_ORDER_CAP}")
+    _check_exhaustive_order(n)
     level: list[tuple[int, ...]] = [()]
     for m in range(1, n + 1):
         level = [G for H in level for G in _smallest_mask_extensions(H, m == n)]
     return tuple(Graph(n, nbr, label=f"exhaustive:n={n}:i={i}") for i, nbr in enumerate(level))
+
+
+def _check_exhaustive_order(n: int) -> None:
+    if not 1 <= n <= EXHAUSTIVE_ORDER_CAP:
+        raise ValueError(f"exhaustive enumeration supports 1 <= n <= {EXHAUSTIVE_ORDER_CAP}")
 
 
 def _smallest_mask_extensions(h: tuple[int, ...], isolate_free: bool) -> list[tuple[int, ...]]:
@@ -209,10 +213,13 @@ def _smaller_below(adj: tuple[int, ...], cols: list[int], k: int, unplaced: int)
 
 
 def exhaustive_corpus(n_max: int) -> Iterator[tuple[str, Graph]]:
-    """All isolate-free graphs with 2 <= n <= n_max, labeled deterministically."""
-    for n in range(2, n_max + 1):
-        for G in isolate_free_graphs(n):
-            yield G.label, G
+    """All isolate-free graphs with 2 <= n <= n_max, labeled deterministically.
+
+    ``n_max`` must lie in 1..EXHAUSTIVE_ORDER_CAP; it is checked at the
+    call, before any graph is built.
+    """
+    _check_exhaustive_order(n_max)
+    return ((G.label, G) for n in range(2, n_max + 1) for G in isolate_free_graphs(n))
 
 
 # ---------------------------------------------------------------------------
@@ -247,6 +254,8 @@ def random_isolate_free_graph(
 
 
 def random_corpus(n: int, p: float, count: int, seed: int) -> list[tuple[str, Graph]]:
+    if count < 0:
+        raise ValueError(f"random corpus size must be >= 0, not {count}")
     rng = random.Random(seed)
     return [
         (f"random:n={n}:p={p}:seed={seed}:i={i}", random_isolate_free_graph(n, p, rng))
@@ -424,8 +433,9 @@ def check_continuation(
     """Check that declaring more vertices dominated never raises the game value.
 
     Exhaustive mode visits every pair B <= A of declared sets (3^n ordered
-    pairs) and is cost-guarded to n <= 7; sampled mode draws seeded random
-    pairs.  Violations are reported with the witnessing (A, B).
+    pairs) and is cost-guarded to n <= 7; sampled mode draws ``samples``
+    seeded random pairs, at least one.  Violations are reported with the
+    witnessing (A, B).
     """
     require_isolate_free(G)
     solver = IndicatedGameSolver(G)
@@ -448,6 +458,8 @@ def check_continuation(
                     break
                 b = (b - 1) & a
     elif mode == "sampled":
+        if samples < 1:
+            raise ValueError(f"sampled continuation checks need samples >= 1, not {samples}")
         rng = random.Random(seed)
         for _ in range(samples):
             a = rng.randrange(full + 1)

@@ -160,6 +160,14 @@ class TestVerify:
         assert code == 2
         assert out == ""
 
+    @pytest.mark.parametrize("samples", ["0", "-3"])
+    def test_continuation_no_samples_exit_2(self, capsys, samples):
+        code, out, err = run(
+            capsys, "verify", "continuation", "--graph", "path:5", "--samples", samples
+        )
+        assert (code, out) == (2, "")
+        assert "samples >= 1" in err
+
     def test_continuation_reports_violations(self, capsys, tmp_path):
         path = tmp_path / "paw.txt"
         path.write_text("4\n0 1\n0 2\n0 3\n1 2\n")
@@ -193,6 +201,21 @@ class TestSurvey:
         assert code == 3
         assert out == ""
         assert "exceeds SOLVER_CAP" in err
+
+    def test_random_negative_count_exit_2(self, capsys):
+        code, out, err = run(capsys, "survey", "--random", "5,0.5,-1,7")
+        assert (code, out) == (2, "")
+        assert "random corpus size must be >= 0" in err
+
+    @pytest.mark.parametrize("order", ["0", "-1", "8"])
+    def test_exhaustive_order_out_of_range_exit_2(self, capsys, order):
+        code, out, err = run(capsys, "survey", "--exhaustive", order)
+        assert (code, out) == (2, "")
+        assert err == "error: exhaustive enumeration supports 1 <= n <= 7\n"
+
+    def test_exhaustive_order_1_is_empty(self, capsys):
+        code, out, _ = run(capsys, "survey", "--exhaustive", "1")
+        assert (code, out) == (0, verify.CSV_HEADER + "\n")
 
     def test_rows_stream_before_a_failure(self, capsys, monkeypatch, tmp_path):
         real_row = verify.survey_row

@@ -1,5 +1,6 @@
 """Exact invariants against brute-force oracles and frozen known values."""
 
+import random
 from itertools import combinations
 
 import pytest
@@ -24,17 +25,9 @@ from tdgamelab import (
     upper_gamma_t,
 )
 from tdgamelab.families import path_graph
-from tdgamelab.verify import exhaustive_corpus
+from tdgamelab.verify import exhaustive_corpus, random_isolate_free_graph
 
 from conftest import isolate_free_graphs_st
-
-
-def brute_gamma_t(G):
-    for k in range(1, G.n + 1):
-        for combo in combinations(range(G.n), k):
-            if is_total_dominating(G, VertexSet.of(G.n, combo)):
-                return k
-    raise AssertionError
 
 
 def brute_upper_gamma_t(G):
@@ -56,6 +49,20 @@ def brute_ooir(G):
     return best
 
 
+def first_smallest(G, predicate):
+    """Size and mask of the lexicographically first smallest set passing ``predicate``.
+
+    Ascends through the subset sizes from 0 and scans each size in
+    ``combinations`` order, so ties go to the lexicographically smallest set.
+    """
+    for k in range(G.n + 1):
+        for combo in combinations(range(G.n), k):
+            D = VertexSet.of(G.n, combo)
+            if predicate(G, D):
+                return k, D.mask
+    raise AssertionError("no set passes the predicate")
+
+
 def first_largest(G, predicate):
     """Size and mask of the lexicographically first largest set passing ``predicate``.
 
@@ -68,6 +75,10 @@ def first_largest(G, predicate):
             if predicate(G, D):
                 return k, D.mask
     return 0, 0
+
+
+def brute_gamma_t_witness(G):
+    return first_smallest(G, is_total_dominating)
 
 
 def brute_upper_gamma_t_witness(G):
@@ -116,10 +127,37 @@ class TestGammaT:
             gamma_t(build_graph(3, [(0, 1)]))
 
     def test_witness_is_lex_smallest(self):
-        # P_5 has several optimal TD-sets; {1, 2} is the lexicographically first.
+        # P_5 has several optimal TD-sets; {1, 2, 3} is the lexicographically first.
         result = gamma_t(path_graph(5))
         assert result.value == 3
         assert sorted(result.witness) == [1, 2, 3]
+
+    def test_order_zero(self):
+        result = gamma_t(build_graph(0, []))
+        assert (result.value, result.witness.mask) == (0, 0)
+
+    @pytest.mark.parametrize(
+        "spec, value",
+        [("path:24", 12), ("cycle:22", 12), ("corona:path12", 12), ("substar:4,4", 10)],
+    )
+    def test_frozen_values(self, spec, value):
+        G = family(parse_family_spec(spec))
+        result = gamma_t(G)
+        assert result.value == value
+        assert is_total_dominating(G, result.witness) and len(result.witness) == value
+
+    def test_witness_matches_ascent_on_relabeled_random_graphs(self):
+        # Relabeling moves the lexicographically first TD-set around, so the
+        # search's order is tested, not only its value.
+        rng = random.Random(0x67A3)
+        for n in range(8, 15):
+            for _ in range(4):
+                H = random_isolate_free_graph(n, rng.uniform(0.15, 0.6), rng)
+                perm = list(range(n))
+                rng.shuffle(perm)
+                G = build_graph(n, [(perm[u], perm[v]) for u, v in H.edges()])
+                gt = gamma_t(G)
+                assert (gt.value, gt.witness.mask) == brute_gamma_t_witness(G), G.edges()
 
 
 class TestUpperGammaT:
@@ -192,7 +230,8 @@ class TestAgainstBruteForce:
     @settings(max_examples=40, deadline=None)
     @given(isolate_free_graphs_st(max_n=6))
     def test_all_invariants_match_oracles(self, G):
-        assert gamma_t(G).value == brute_gamma_t(G)
+        gt = gamma_t(G)
+        assert (gt.value, gt.witness.mask) == brute_gamma_t_witness(G)
         assert upper_gamma_t(G).value == brute_upper_gamma_t(G)
         assert ooir(G).value == brute_ooir(G)
         assert induced_matching_number(G).value == brute_induced_matching(G)
@@ -200,7 +239,8 @@ class TestAgainstBruteForce:
 
     def test_witness_tie_break_on_every_graph_up_to_7(self):
         for graph_id, G in exhaustive_corpus(7):
-            ugt, oo = upper_gamma_t(G), ooir(G)
+            gt, ugt, oo = gamma_t(G), upper_gamma_t(G), ooir(G)
+            assert (gt.value, gt.witness.mask) == brute_gamma_t_witness(G), graph_id
             assert (ugt.value, ugt.witness.mask) == brute_upper_gamma_t_witness(G), graph_id
             assert (oo.value, oo.witness.mask) == brute_ooir_witness(G), graph_id
 
@@ -233,10 +273,7 @@ class TestAgainstBruteForce:
 
 def test_classical_chain_on_seeded_corpus():
     # 200 seeded draws up to n = 9, including the bipartite equality case.
-    import random
-
     from tdgamelab import is_bipartite
-    from tdgamelab.verify import random_isolate_free_graph
 
     rng = random.Random(0xC0FFEE)
     for _ in range(200):

@@ -123,6 +123,11 @@ class TestExhaustiveEnumeration:
                 for j in range(i + 1, len(batch)):
                     assert not nx.is_isomorphic(batch[i], batch[j])
 
+    @pytest.mark.parametrize("n_max", [0, -1, 8])
+    def test_corpus_order_checked_at_the_call(self, n_max):
+        with pytest.raises(ValueError, match="supports 1 <= n <= 7"):
+            exhaustive_corpus(n_max)
+
     def test_corpus_labels(self):
         ids = [gid for gid, _ in exhaustive_corpus(3)]
         assert ids == ["exhaustive:n=2:i=0", "exhaustive:n=3:i=0", "exhaustive:n=3:i=1"]
@@ -239,6 +244,11 @@ class TestContinuationChecker:
         with pytest.raises(ValueError):
             check_continuation(build_graph(8, [(i, (i + 1) % 8) for i in range(8)]))
 
+    @pytest.mark.parametrize("samples", [0, -1])
+    def test_sampled_needs_a_sample(self, samples):
+        with pytest.raises(ValueError, match="samples >= 1"):
+            check_continuation(path_graph(5), mode="sampled", samples=samples)
+
     def test_violations_carry_witnessing_pair(self):
         # The checker honestly reports the paw-graph counterexample, where
         # declaring the pendant dominated removes Dominator's forcing move.
@@ -330,6 +340,11 @@ class TestRandomCorpus:
         a = random_corpus(6, 0.5, 5, seed=42)
         b = random_corpus(6, 0.5, 5, seed=42)
         assert [(gid, G.nbr) for gid, G in a] == [(gid, G.nbr) for gid, G in b]
+
+    def test_negative_count_rejected(self):
+        with pytest.raises(ValueError, match="size must be >= 0"):
+            random_corpus(6, 0.5, -1, seed=42)
+        assert random_corpus(6, 0.5, 0, seed=42) == []
 
     def test_isolate_free(self):
         rng = random.Random(3)
