@@ -3,9 +3,9 @@
 All four optimisation invariants run branch-and-bound search over bitmask
 subsets; every prune is exact and there are no special-case shortcuts, so
 the returned values are exact for every graph within SOLVER_CAP.  γt is a
-depth-first search through the sizes k = 0, 1, ... and, within each size,
-the k-subsets in lexicographic order, cut by a degree bound and a reach
-bound on the undominated vertices.  Γt and OOIR share one search over
+depth-first search through the sizes k = ⌈n/Δ⌉, ⌈n/Δ⌉ + 1, ... and, within
+each size, the k-subsets in lexicographic order, cut by a degree bound and
+a reach bound on the undominated vertices.  Γt and OOIR share one search over
 OO-irredundant sets.  Every optimum comes with a witness that is re-checked
 against the defining predicate before being returned, and ties are broken
 toward the lexicographically smallest witness.
