@@ -1,0 +1,136 @@
+"""Paired tdbench runs of two commits, written as one BENCH_<name>.json.
+
+    python3 scripts/bench_pairs.py --parent REV --change REV --name NAME \
+        --workload positions:10 --workload survey7:10 --traced positions \
+        --seed-base 9100 --workdir DIR --claim "what should improve, and where"
+
+Clones this repository twice into ``--workdir``, checks out each commit, and
+runs ``tdbench/run.py`` inside each clone, so both sides are measured with
+their own committed files.  For a workload given as ``NAME:PAIRS`` it runs
+PAIRS pairs, one run after another: pair i (from 1) uses seed
+``seed_base + 100 * k + i``, where k counts the workloads from 0, and the
+parent runs first in odd pairs and the change in even ones.  Each
+``--traced`` workload gets one more pair with ``--trace 1`` on seed
+``seed_base + 100 * k + 51``.  The run length is ``run_seconds`` from the
+parent's ``BENCHMARK.json``, the same on both sides.
+
+The output keeps the last line of every run (``correct``, ``attempted``,
+``failed``, ``metrics``) and, per workload and end-to-end metric, each
+side's quartiles and median (inclusive method) and the number of pairs in
+which the change was better, ties counting for neither side.  Stdlib only.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SIDES = ("parent", "change")
+
+
+def git(*args: str, cwd: Path = ROOT) -> str:
+    return subprocess.run(["git", *args], cwd=cwd, check=True, capture_output=True, text=True).stdout.strip()
+
+
+def clone(commit: str, dest: Path) -> None:
+    if dest.exists():
+        raise SystemExit(f"{dest} already exists; give an empty --workdir")
+    git("clone", "--quiet", "--no-checkout", str(ROOT), str(dest))
+    git("checkout", "--quiet", "--detach", commit, cwd=dest)
+
+
+def bench(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> tuple[dict, dict]:
+    """The info line and the result line of one ``tdbench/run.py`` run."""
+    cmd = [sys.executable, "tdbench/run.py", "--workload", workload, "--seed", str(seed),
+           "--seconds", str(seconds), "--trace", str(trace)]
+    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
+    lines = proc.stdout.strip().splitlines()
+    if proc.returncode != 0 or not lines:
+        raise SystemExit(f"{' '.join(cmd)} in {checkout} exited with {proc.returncode}:\n{proc.stderr}")
+    return json.loads(lines[0]), json.loads(lines[-1])
+
+
+def quartiles(values: list[float]) -> dict:
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"q1": round(q1, 6), "median": round(median, 6), "q3": round(q3, 6)}
+
+
+def summarize(pairs: list[dict], end_to_end: list[dict]) -> dict:
+    """Per end-to-end metric: each side's quartiles and the pairs the change won."""
+    summary = {}
+    for metric in end_to_end:
+        name = metric["name"]
+        values = {side: [pair[side]["metrics"][name]["value"] for pair in pairs] for side in SIDES}
+        sign = 1 if metric["better"] == "lower" else -1
+        better = sum(sign * (c - p) < 0 for p, c in zip(values["parent"], values["change"]))
+        summary[name] = {**{side: quartiles(values[side]) for side in SIDES},
+                         "change_better_pairs": better, "pairs": len(pairs)}
+    return summary
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--parent", required=True, help="commit measured as the parent")
+    parser.add_argument("--change", required=True, help="commit measured as the change")
+    parser.add_argument("--name", required=True, help="writes BENCH_<name>.json at the repository root")
+    parser.add_argument("--claim", required=True, help="the claim the runs test, stored in the output")
+    parser.add_argument("--workload", action="append", required=True, metavar="NAME:PAIRS")
+    parser.add_argument("--traced", action="append", default=[], metavar="NAME")
+    parser.add_argument("--seed-base", type=int, required=True)
+    parser.add_argument("--workdir", type=Path, required=True, help="empty directory for the two clones")
+    args = parser.parse_args()
+
+    commits = {side: git("rev-parse", "--verify", getattr(args, side) + "^{commit}") for side in SIDES}
+    plan = []
+    for k, item in enumerate(args.workload):
+        name, _, pairs = item.partition(":")
+        plan.append((k, name, int(pairs)))
+    unknown = set(args.traced) - {name for _, name, _ in plan}
+    if unknown:
+        parser.error(f"--traced names workloads not given with --workload: {sorted(unknown)}")
+    args.workdir.mkdir(parents=True, exist_ok=True)
+    checkouts = {side: args.workdir / side for side in SIDES}
+    for side in SIDES:
+        clone(commits[side], checkouts[side])
+    spec = json.loads((checkouts["parent"] / "BENCHMARK.json").read_text())
+    seconds = spec["run_seconds"]
+    machine: dict = {}
+
+    def pair(name: str, seed: int, first: str, trace: int) -> dict:
+        out = {"seed": seed, "first": first}
+        for side in (first, SIDES[1 - SIDES.index(first)]):
+            info, out[side] = bench(checkouts[side], name, seed, seconds, trace)
+            machine.update({key: info[key] for key in ("python", "nproc", "cpu")})
+            print(f"{name} seed {seed} {side}: {json.dumps(out[side]['metrics'])[:160]}", file=sys.stderr)
+        return out
+
+    workloads, traced = {}, {}
+    for k, name, count in plan:
+        pairs = [pair(name, args.seed_base + 100 * k + i, SIDES[(i - 1) % 2], 0) for i in range(1, count + 1)]
+        workloads[name] = {"pairs": pairs, "summary": summarize(pairs, spec["end_to_end"]),
+                           "failed": sum(p[side]["failed"] for p in pairs for side in SIDES)}
+        if name in args.traced:
+            traced[name] = pair(name, args.seed_base + 100 * k + 51, "parent", 1)
+
+    result = {
+        "claim": args.claim,
+        "command": (f"python3 tdbench/run.py --workload W --seed N --seconds {seconds} --trace T, "
+                    "run in a clone of each commit, one run after another, alternating which commit runs first"),
+        "machine": machine,
+        "commits": commits,
+        "workloads": workloads,
+        "traced": traced,
+    }
+    out_path = ROOT / f"BENCH_{args.name}.json"
+    out_path.write_text(json.dumps(result, indent=1) + "\n")
+    print(f"wrote {out_path}", file=sys.stderr)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

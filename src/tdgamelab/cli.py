@@ -145,7 +145,7 @@ def cmd_verify_continuation(args: argparse.Namespace) -> int:
 
 def cmd_survey(args: argparse.Namespace) -> int:
     if args.exhaustive is not None:
-        corpus = list(exhaustive_corpus(args.exhaustive))
+        corpus = exhaustive_corpus(args.exhaustive)
     elif args.random is not None:
         pieces = args.random.split(",")
         if len(pieces) != 4:
@@ -153,7 +153,8 @@ def cmd_survey(args: argparse.Namespace) -> int:
         corpus = random_corpus(int(pieces[0]), float(pieces[1]), int(pieces[2]), int(pieces[3]))
     else:
         corpus = corpus_from_file(args.file, args.format)
-    # The corpus is built in full first, so bad input fails before any output.
+    # Each source checks its arguments at the call, so bad input fails
+    # before any output; generated graphs are then made one row at a time.
     rows = survey(corpus)
     if args.out and args.out != "-":
         with open(args.out, "w", encoding="utf-8") as handle:

@@ -14,9 +14,21 @@ fail-soft alpha-beta search that keeps proven lower and upper bounds per
 state, because only the root value is wanted.  The indicated game (γti)
 keeps an exact value per mask instead: one ``IndicatedGameSolver`` answers
 queries for many masks off the same table, and a table of bounds would
-send those queries back into re-searches.  Its scan over indications and
-replies still stops early once the remaining choices cannot change the
-value.
+send those queries back into re-searches.
+
+The indicated game also splits.  A round that indicates v ends with a
+reply x in N(v), which newly dominates only vertices of N(x), and each of
+those shares the neighbour x with v.  So the undominated set U falls into
+components under "shares a neighbour", a round changes only the
+component of its indicated vertex, and the rounds played in one component
+leave the others as they were.  Staller answers inside the component
+Dominator chose and every round counts one, so the value of a position is
+the sum of the values of its components, each played alone: the same
+additivity as over disjoint unions, applied inside one graph.  On a
+bipartite graph no two vertices of different colour share a neighbour, so
+paths, cycles and trees fall into small pieces.  A position that does not
+split is scanned over indications and replies, and the scan stops early
+once the remaining choices cannot change the value.
 """
 
 from __future__ import annotations
@@ -91,12 +103,31 @@ class IndicatedGameSolver:
     when the vertices of M are already totally dominated, i.e. the game
     value of the partially total dominated graph.  One instance answers
     queries for every mask of the same graph off a shared memo table.
+
+    When the undominated vertices fall into more than one component under
+    "shares a neighbour" (see the module docstring), the value is the
+    value of the lowest vertex's component K played alone plus the value
+    of the rest, each read through the same memo: value(V - K) +
+    value(M | K).  The split changes no value, so ``best_indication`` and
+    ``best_selection``, which compare the values of the positions after
+    each move, keep their smallest-index choices.
     """
 
     def __init__(self, G: Graph):
         require_isolate_free(G)
         self.graph = G
-        self._nbr = G.nbr
+        self._nbr = nbr = G.nbr
+        # near[v] = N(N(v)): the vertices that share a neighbour with v,
+        # which are all that a reply to v can newly dominate.  Plain loops,
+        # as a survey builds one solver per small graph.
+        self._near = near = []
+        for m in nbr:
+            reach = 0
+            while m:
+                low = m & -m
+                reach |= nbr[low.bit_length() - 1]
+                m ^= low
+            near.append(reach)
         self._full = G.full_mask
         self._delta = _max_degree(G)
         self._memo: dict[int, int] = {self._full: 0}
@@ -106,10 +137,25 @@ class IndicatedGameSolver:
         cached = memo.get(mask)
         if cached is not None:
             return cached
-        nbr = self._nbr
         full = self._full
-        best = full.bit_count() + 1
         undominated = ~mask & full
+        # Grow the lowest undominated vertex's component; ``outside`` ends
+        # as the undominated vertices not in it.
+        near = self._near
+        frontier = undominated & -undominated
+        outside = undominated ^ frontier
+        while frontier and outside:
+            v = (frontier & -frontier).bit_length() - 1
+            frontier &= frontier - 1
+            grown = near[v] & outside
+            outside ^= grown
+            frontier |= grown
+        if outside:
+            best = self.value(full ^ undominated ^ outside) + self.value(full ^ outside)
+            memo[mask] = best
+            return best
+        nbr = self._nbr
+        best = full.bit_count() + 1
         # Each selection dominates at most Delta new vertices.
         floor = -(-undominated.bit_count() // self._delta)
         rest = undominated

@@ -17,6 +17,7 @@ import random
 import time
 from dataclasses import dataclass, field, fields, replace
 from functools import lru_cache
+from itertools import chain, islice
 from typing import Callable, Iterable, Iterator, TextIO
 
 from . import graphio
@@ -234,12 +235,9 @@ def random_isolate_free_graph(
     Draws containing isolates are discarded and redrawn, up to
     ``max_retries`` attempts.
     """
+    _check_random_order(n)
     if not 0.0 <= p <= 1.0:
         raise ValueError("edge probability must lie in [0, 1]")
-    if n < 2:
-        raise ValueError("isolate-free graphs need n >= 2")
-    if n > SOLVER_CAP:
-        raise CapacityError(f"order {n} exceeds SOLVER_CAP = {SOLVER_CAP}")
     for _ in range(max_retries):
         edges = [
             (u, v)
@@ -253,14 +251,29 @@ def random_isolate_free_graph(
     raise ValueError(f"no isolate-free G({n}, {p}) draw within {max_retries} retries")
 
 
-def random_corpus(n: int, p: float, count: int, seed: int) -> list[tuple[str, Graph]]:
+def _check_random_order(n: int) -> None:
+    if n < 2:
+        raise ValueError("isolate-free graphs need n >= 2")
+    if n > SOLVER_CAP:
+        raise CapacityError(f"order {n} exceeds SOLVER_CAP = {SOLVER_CAP}")
+
+
+def random_corpus(n: int, p: float, count: int, seed: int) -> Iterator[tuple[str, Graph]]:
+    """``count`` seeded draws of ``random_isolate_free_graph(n, p)``, made as they are read.
+
+    n, p and count are checked at the call, and the first graph is drawn
+    there too, so a p too small to give an isolate-free graph fails before
+    a caller writes anything.  p = 0 is rejected outright.
+    """
+    _check_random_order(n)
+    if not 0.0 < p <= 1.0:
+        raise ValueError("edge probability of a random corpus must lie in (0, 1]")
     if count < 0:
         raise ValueError(f"random corpus size must be >= 0, not {count}")
     rng = random.Random(seed)
-    return [
-        (f"random:n={n}:p={p}:seed={seed}:i={i}", random_isolate_free_graph(n, p, rng))
-        for i in range(count)
-    ]
+    draws = (random_isolate_free_graph(n, p, rng) for _ in range(count))
+    first = list(islice(draws, 1))
+    return ((f"random:n={n}:p={p}:seed={seed}:i={i}", G) for i, G in enumerate(chain(first, draws)))
 
 
 def corpus_from_file(path: str, fmt: str) -> list[tuple[str, Graph]]:

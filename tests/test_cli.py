@@ -207,6 +207,31 @@ class TestSurvey:
         assert (code, out) == (2, "")
         assert "random corpus size must be >= 0" in err
 
+    @pytest.mark.parametrize(
+        "spec, code",
+        [("1,0.5,3,7", 2), ("1,0.5,0,7", 2), ("27,0.5,0,7", 3),
+         ("5,0,3,7", 2), ("5,0,0,7", 2), ("5,1.5,0,7", 2), ("5,nan,3,7", 2), ("5,1e-9,3,7", 2)],
+    )
+    def test_random_bad_arguments_no_output(self, capsys, spec, code):
+        assert run(capsys, "survey", "--random", spec)[:2] == (code, "")
+
+    def test_random_rows_stream_before_a_failure(self, capsys, monkeypatch):
+        real_draw = verify.random_isolate_free_graph
+        draws = []
+
+        def counted(n, p, rng):
+            draws.append(n)
+            return real_draw(n, p, rng)
+
+        def second_fails(graph_id, G):
+            raise WitnessError("injected")
+
+        monkeypatch.setattr(verify, "random_isolate_free_graph", counted)
+        monkeypatch.setattr(verify, "survey_row", second_fails)
+        code, out, _ = run(capsys, "survey", "--random", "5,0.5,1000,7")
+        assert (code, out) == (4, verify.CSV_HEADER + "\n")
+        assert len(draws) == 1  # the corpus is drawn as the rows are made
+
     @pytest.mark.parametrize("order", ["0", "-1", "8"])
     def test_exhaustive_order_out_of_range_exit_2(self, capsys, order):
         code, out, err = run(capsys, "survey", "--exhaustive", order)

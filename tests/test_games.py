@@ -23,7 +23,8 @@ from tdgamelab import (
     play_game,
 )
 from tdgamelab.families import cycle_graph, disjoint_union, path_graph
-from tdgamelab.verify import exhaustive_corpus, random_isolate_free_graph
+from tdgamelab.graph import bipartition
+from tdgamelab.verify import exhaustive_corpus, isolate_free_graphs, random_isolate_free_graph
 
 from conftest import isolate_free_graphs_st
 
@@ -83,13 +84,21 @@ def brute_grundy(G):
     return value(frozenset())
 
 
+def relabeled(G, rng):
+    perm = list(range(G.n))
+    rng.shuffle(perm)
+    return build_graph(G.n, [(perm[u], perm[v]) for u, v in G.edges()])
+
+
 class OracleIndicatedGame:
     """Plain memo recursion for the indicated game, expanding every indication and reply."""
 
     def __init__(self, G):
         self.nbr = G.nbr
+        self.neighbors = [sorted(G.neighbors(v)) for v in range(G.n)]
         self.full = G.full_mask
         self.memo = {self.full: 0}
+        self.first_best = {}  # mask -> smallest optimal indication
 
     def value(self, mask):
         cached = self.memo.get(mask)
@@ -98,22 +107,23 @@ class OracleIndicatedGame:
         best = self.full.bit_count() + 1
         for v in range(len(self.nbr)):
             if not mask >> v & 1:
-                best = min(best, 1 + self.reply_value(mask, v))
+                sub = 1 + self.reply_value(mask, v)
+                if sub < best:
+                    best = sub
+                    self.first_best[mask] = v
         self.memo[mask] = best
         return best
 
     def reply_value(self, mask, v):
-        return max(self.value(mask | self.nbr[u]) for u in range(len(self.nbr)) if self.nbr[v] >> u & 1)
+        return max(self.value(mask | self.nbr[u]) for u in self.neighbors[v])
 
     def best_indication(self, mask):
-        target = self.value(mask)
-        return min(v for v in range(len(self.nbr))
-                   if not mask >> v & 1 and 1 + self.reply_value(mask, v) == target)
+        self.value(mask)
+        return self.first_best[mask]
 
     def best_selection(self, mask, v):
         target = self.reply_value(mask, v)
-        return min(u for u in range(len(self.nbr))
-                   if self.nbr[v] >> u & 1 and self.value(mask | self.nbr[u]) == target)
+        return next(u for u in self.neighbors[v] if self.value(mask | self.nbr[u]) == target)
 
 
 def oracle_gtg(G):
@@ -184,6 +194,41 @@ class TestAgainstPlainRecursions:
                     if not mask >> v & 1:
                         assert solver.best_selection(mask, v) == oracle.best_selection(mask, v), (
                             graph_id, mask, v)
+
+    def test_values_and_best_indications_on_every_mask_at_7(self):
+        for G in isolate_free_graphs(7):
+            solver, oracle = IndicatedGameSolver(G), OracleIndicatedGame(G)
+            for mask in range(G.full_mask):
+                assert solver.value(mask) == oracle.value(mask), (G.label, mask)
+                assert solver.best_indication(mask) == oracle.best_indication(mask), (G.label, mask)
+
+    def test_sampled_masks_of_relabeled_graphs_8_to_11(self):
+        # Sparse draws and relabeled bipartite families split often, and in
+        # every order of their labels.
+        rng = random.Random(0x5B117)
+        graphs = [relabeled(family(parse_family_spec(spec)), rng)
+                  for spec in ["path:11", "cycle:10", "substar:3,2", "corona:path5", "bk:4"]]
+        graphs += [random_isolate_free_graph(rng.randint(8, 11), rng.uniform(0.15, 0.6), rng)
+                   for _ in range(15)]
+        for G in graphs:
+            solver, oracle = IndicatedGameSolver(G), OracleIndicatedGame(G)
+            for _ in range(40):
+                mask = rng.getrandbits(G.n) & rng.getrandbits(G.n)
+                if mask == G.full_mask:
+                    continue
+                assert solver.value(mask) == oracle.value(mask), (G.edges(), mask)
+                assert solver.best_indication(mask) == oracle.best_indication(mask), (G.edges(), mask)
+                for v in range(G.n):
+                    if not mask >> v & 1:
+                        assert solver.best_selection(mask, v) == oracle.best_selection(mask, v), (
+                            G.edges(), mask, v)
+
+    @pytest.mark.parametrize(
+        "spec, value", [("path:24", 16), ("path:26", 18), ("cycle:22", 14), ("cycle:26", 18)]
+    )
+    def test_frozen_relabeled_gti(self, spec, value):
+        G = relabeled(family(parse_family_spec(spec)), random.Random(spec))
+        assert gti(G) == value
 
     @pytest.mark.parametrize(
         "spec, gtg_value, grundy_value",
@@ -340,6 +385,30 @@ class TestComponentAdditivity:
     def test_random_unions(self, A, B):
         whole = disjoint_union([A, B])
         assert gti(whole) == gti(A) + gti(B)
+
+    # The identities below are what the solver's split rests on: a position
+    # is the sum of its parts when no two of them share a neighbour.  They
+    # use the plain recursion alone, so they hold whatever the solver does.
+    def test_colour_classes_split_every_bipartite_graph_up_to_7(self):
+        checked = 0
+        for graph_id, G in exhaustive_corpus(7):
+            sides = bipartition(G)
+            if sides is None:
+                continue
+            oracle = OracleIndicatedGame(G)
+            a, b = (side.mask for side in sides)
+            assert oracle.value(0) == oracle.value(a) + oracle.value(b), graph_id
+            checked += 1
+        assert checked == 1 + 1 + 4 + 6 + 22 + 53  # bipartite isolate-free graphs, n = 2..7
+
+    @settings(max_examples=30, deadline=None)
+    @given(isolate_free_graphs_st(max_n=5), isolate_free_graphs_st(max_n=5))
+    def test_disjoint_parts_split_in_the_oracle(self, A, B):
+        whole = disjoint_union([A, B])
+        oracle = OracleIndicatedGame(whole)
+        part_a = A.full_mask
+        part_b = whole.full_mask ^ part_a
+        assert oracle.value(0) == oracle.value(part_a) + oracle.value(part_b)
 
 
 class TestPoliciesAndDeterminism:

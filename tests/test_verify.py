@@ -8,14 +8,15 @@ import os
 import subprocess
 import sys
 from collections import deque
-from itertools import combinations, permutations, product
+from itertools import combinations, islice, permutations, product
 from pathlib import Path
 
 import pytest
 
 import tdgamelab
-from tdgamelab import build_graph, check_continuation
+from tdgamelab import build_graph, check_continuation, verify
 from tdgamelab.families import cycle_graph, path_graph
+from tdgamelab.graph import CapacityError
 from tdgamelab.graphio import serialize_graph6
 from tdgamelab.invariants import WitnessError
 from tdgamelab.verify import (
@@ -344,7 +345,37 @@ class TestRandomCorpus:
     def test_negative_count_rejected(self):
         with pytest.raises(ValueError, match="size must be >= 0"):
             random_corpus(6, 0.5, -1, seed=42)
-        assert random_corpus(6, 0.5, 0, seed=42) == []
+        assert list(random_corpus(6, 0.5, 0, seed=42)) == []
+
+    @pytest.mark.parametrize(
+        "n, p, error, message",
+        [(1, 0.5, ValueError, "n >= 2"), (27, 0.5, CapacityError, "SOLVER_CAP"),
+         (6, 0.0, ValueError, r"\(0, 1\]"), (6, 1.5, ValueError, r"\(0, 1\]"),
+         (6, float("nan"), ValueError, r"\(0, 1\]")],
+    )
+    def test_order_and_probability_checked_at_the_call(self, n, p, error, message):
+        # Raised before any graph is drawn, so an empty corpus is no excuse.
+        with pytest.raises(error, match=message):
+            random_corpus(n, p, 0, seed=42)
+
+    def test_draws_one_graph_per_item(self, monkeypatch):
+        real_draw = verify.random_isolate_free_graph
+        draws = []
+
+        def counted(n, p, rng):
+            draws.append(n)
+            return real_draw(n, p, rng)
+
+        monkeypatch.setattr(verify, "random_isolate_free_graph", counted)
+        corpus = random_corpus(6, 0.5, 1000, seed=42)
+        assert len(draws) == 1  # the first draw is made at the call
+        first_three = list(islice(corpus, 3))
+        assert len(draws) == 3
+        assert first_three == list(random_corpus(6, 0.5, 3, seed=42))
+
+    def test_hopeless_probability_fails_at_the_call(self):
+        with pytest.raises(ValueError, match="no isolate-free G"):
+            random_corpus(6, 1e-9, 3, seed=42)
 
     def test_isolate_free(self):
         rng = random.Random(3)
