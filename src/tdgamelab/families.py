@@ -5,18 +5,17 @@ branch-major order) so tests and policies can reference vertices stably,
 plus a canonical text form used by the CLI, e.g. ``path:7``,
 ``cyclepower:7,2``, ``gk:2``, ``substar:4,3``, ``join:path4+path4``,
 ``corona:complete3``, ``union:path4+cycle3``.
+
+Each kind lives in one row of the ``_KINDS`` table, which parsing,
+validation, the text form and ``family`` all read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
-from .graph import Graph, VertexSet, bits, build_graph, distance
-
-SIMPLE_KINDS = ("path", "cycle", "complete", "star", "gk", "fk", "bk", "jk")
-TWO_PARAM_KINDS = ("cyclepower", "substar")
-COMPOSITE_KINDS = ("join", "corona", "union")
-ALL_KINDS = SIMPLE_KINDS + TWO_PARAM_KINDS + COMPOSITE_KINDS
+from .graph import SOLVER_CAP, CapacityError, Graph, VertexSet, bits, build_graph, distance
 
 
 class FamilySpecError(ValueError):
@@ -39,38 +38,27 @@ class FamilySpec:
 
     def text(self) -> str:
         """Canonical text form (inverse of parse_family_spec)."""
-        if self.kind in ("path", "cycle", "complete"):
-            return f"{self.kind}:{self.n}"
-        if self.kind in ("star", "gk", "fk", "bk", "jk"):
-            return f"{self.kind}:{self.k}"
-        if self.kind == "cyclepower":
-            return f"cyclepower:{self.n},{self.k}"
-        if self.kind == "substar":
-            return f"substar:{self.k},{self.t}"
-        inner = "+".join(_compact(p) for p in self.parts)
-        return f"{self.kind}:{inner}"
+        if _row(self.kind).params:
+            return f"{self.kind}:" + ",".join(map(str, _values(self)))
+        # Nested specs take the compact form: path4, not path:4.
+        return f"{self.kind}:" + "+".join(p.text().replace(":", "") for p in self.parts)
 
 
-def _compact(spec: FamilySpec) -> str:
-    if spec.kind not in SIMPLE_KINDS:
-        raise FamilySpecError(
-            f"only simple one-parameter kinds may nest inside composites, not {spec.kind!r}"
-        )
-    value = spec.n if spec.kind in ("path", "cycle", "complete") else spec.k
-    return f"{spec.kind}{value}"
+def _row(kind: str) -> _Kind:
+    if kind not in _KINDS:
+        raise FamilySpecError(f"unknown family kind {kind!r}")
+    return _KINDS[kind]
 
 
-def _parse_int(token: str, what: str) -> int:
+def _values(spec: FamilySpec) -> list:
+    return [getattr(spec, attr) for attr, _ in _KINDS[spec.kind].params]
+
+
+def _parse_int(token: str) -> int:
     try:
         return int(token)
     except ValueError:
-        raise FamilySpecError(f"expected an integer {what}, got {token!r}") from None
-
-
-def _simple_spec(kind: str, value: int) -> FamilySpec:
-    if kind in ("path", "cycle", "complete"):
-        return FamilySpec(kind, n=value)
-    return FamilySpec(kind, k=value)
+        raise FamilySpecError(f"expected an integer parameter, got {token!r}") from None
 
 
 def parse_family_spec(text: str) -> FamilySpec:
@@ -79,144 +67,80 @@ def parse_family_spec(text: str) -> FamilySpec:
     kind, sep, payload = text.partition(":")
     if not sep or not payload:
         raise FamilySpecError(f"malformed family spec {text!r} (expected kind:params)")
-    if kind in COMPOSITE_KINDS:
-        parts = tuple(_parse_nested(tok) for tok in payload.split("+"))
-        spec = FamilySpec(kind, parts=parts)
-    elif kind in SIMPLE_KINDS:
-        spec = _simple_spec(kind, _parse_int(payload, "parameter"))
-    elif kind == "cyclepower":
-        n, k = _split_two(payload, kind)
-        spec = FamilySpec(kind, n=n, k=k)
-    elif kind == "substar":
-        k, t = _split_two(payload, kind)
-        spec = FamilySpec(kind, k=k, t=t)
+    params, tokens = _row(kind).params, payload.split(",")
+    if not params:
+        spec = FamilySpec(kind, parts=tuple(_parse_nested(tok) for tok in payload.split("+")))
+    elif len(tokens) == len(params):
+        spec = FamilySpec(kind, **{a: _parse_int(v) for (a, _), v in zip(params, tokens)})
     else:
-        raise FamilySpecError(f"unknown family kind {kind!r}")
+        raise FamilySpecError(f"expected {kind}:{','.join(a for a, _ in params)}, got {text!r}")
     validate_spec(spec)
     return spec
-
-
-def _split_two(payload: str, kind: str) -> tuple[int, int]:
-    pieces = payload.split(",")
-    if len(pieces) != 2:
-        raise FamilySpecError(f"{kind} takes exactly two comma-separated parameters")
-    return _parse_int(pieces[0], "parameter"), _parse_int(pieces[1], "parameter")
 
 
 def _parse_nested(token: str) -> FamilySpec:
     token = token.strip()
-    if ":" in token:
-        kind, _, payload = token.partition(":")
-    else:
-        kind = token.rstrip("0123456789")
-        payload = token[len(kind):]
-    if kind not in SIMPLE_KINDS:
+    kind = token.partition(":")[0] if ":" in token else token.rstrip("0123456789")
+    payload = token[len(kind):].removeprefix(":")
+    if kind not in _NESTABLE:
         raise FamilySpecError(f"nested spec {token!r} must be a simple kind like path4")
     if not payload:
         raise FamilySpecError(f"nested spec {token!r} is missing its parameter")
-    spec = _simple_spec(kind, _parse_int(payload, "parameter"))
-    validate_spec(spec)
-    return spec
-
-
-_PARAM_RULES = {
-    "path": ("n", 2),
-    "cycle": ("n", 3),
-    "complete": ("n", 1),
-    "star": ("k", 1),
-    "gk": ("k", 1),
-    "fk": ("k", 5),
-    "bk": ("k", 1),
-    "jk": ("k", 1),
-}
+    return parse_family_spec(f"{kind}:{payload}")
 
 
 def validate_spec(spec: FamilySpec) -> None:
-    if spec.kind in _PARAM_RULES:
-        attr, low = _PARAM_RULES[spec.kind]
-        value = getattr(spec, attr)
+    row = _row(spec.kind)
+    for (attr, low), value in zip(row.params, _values(spec)):
         if value is None or value < low:
             raise FamilySpecError(f"{spec.kind} requires {attr} >= {low}, got {value}")
-    elif spec.kind == "cyclepower":
-        if spec.n is None or spec.n < 3:
-            raise FamilySpecError(f"cyclepower requires base n >= 3, got {spec.n}")
-        if spec.k is None or spec.k < 1:
-            raise FamilySpecError(f"cyclepower requires k >= 1, got {spec.k}")
-    elif spec.kind == "substar":
-        if spec.k is None or spec.k < 3:
-            raise FamilySpecError(f"substar requires k >= 3, got {spec.k}")
-        if spec.t is None or spec.t < 1:
-            raise FamilySpecError(f"substar requires t >= 1, got {spec.t}")
-    elif spec.kind == "join":
-        if len(spec.parts) != 2:
-            raise FamilySpecError("join takes exactly two nested specs")
-    elif spec.kind == "corona":
-        if len(spec.parts) != 1:
-            raise FamilySpecError("corona takes exactly one nested spec")
-    elif spec.kind == "union":
-        if len(spec.parts) < 2:
-            raise FamilySpecError("union takes at least two nested specs")
-    else:
-        raise FamilySpecError(f"unknown family kind {spec.kind!r}")
+    for part in spec.parts:
+        if part.kind not in _NESTABLE:
+            raise FamilySpecError(
+                f"only simple one-parameter kinds may nest inside composites, not {part.kind!r}"
+            )
+        validate_spec(part)
+    fewest, most = row.nested
+    if not fewest <= len(spec.parts) <= most:
+        more = " or more" if most > fewest else ""
+        raise FamilySpecError(f"{spec.kind} takes {fewest}{more} nested spec(s), got {len(spec.parts)}")
 
 
 def family(spec: FamilySpec) -> Graph:
-    """Build the graph described by ``spec``."""
+    """Build the graph described by ``spec``; one too large fails before anything is built."""
     validate_spec(spec)
-    builders = {
-        "path": lambda: path_graph(spec.n),
-        "cycle": lambda: cycle_graph(spec.n),
-        "complete": lambda: complete_graph(spec.n),
-        "star": lambda: star_graph(spec.k),
-        "cyclepower": lambda: graph_power(cycle_graph(spec.n), spec.k),
-        "gk": lambda: gk_graph(spec.k),
-        "fk": lambda: fk_graph(spec.k),
-        "bk": lambda: bk_graph(spec.k),
-        "jk": lambda: jk_graph(spec.k),
-        "substar": lambda: subdivided_star(spec.k, spec.t),
-        "join": lambda: graph_join(family(spec.parts[0]), family(spec.parts[1])),
-        "corona": lambda: corona(family(spec.parts[0])),
-        "union": lambda: disjoint_union([family(p) for p in spec.parts]),
-    }
-    G = builders[spec.kind]()
+    _order(spec)
+    G = _KINDS[spec.kind].build(*_values(spec), *map(family, spec.parts))
     return Graph(G.n, G.nbr, label=spec.text(), vertex_labels=G.vertex_labels)
 
 
+def _order(spec: FamilySpec) -> int:
+    n = _KINDS[spec.kind].order(*_values(spec), *map(_order, spec.parts))
+    if n > SOLVER_CAP:
+        raise CapacityError(f"order {n} exceeds SOLVER_CAP = {SOLVER_CAP}")
+    return n
+
+
+def _numbered(kind: str, n: int, edges: list[tuple[int, int]]) -> Graph:
+    return build_graph(n, edges, label=f"{kind}:{n}", vertex_labels=[f"v{i + 1}" for i in range(n)])
+
+
 def path_graph(n: int) -> Graph:
-    return build_graph(
-        n,
-        [(i, i + 1) for i in range(n - 1)],
-        label=f"path:{n}",
-        vertex_labels=[f"v{i + 1}" for i in range(n)],
-    )
+    return _numbered("path", n, [(i, i + 1) for i in range(n - 1)])
 
 
 def cycle_graph(n: int) -> Graph:
-    return build_graph(
-        n,
-        [(i, (i + 1) % n) for i in range(n)],
-        label=f"cycle:{n}",
-        vertex_labels=[f"v{i + 1}" for i in range(n)],
-    )
+    return _numbered("cycle", n, [(i, (i + 1) % n) for i in range(n)])
 
 
 def complete_graph(n: int) -> Graph:
-    return build_graph(
-        n,
-        [(i, j) for i in range(n) for j in range(i + 1, n)],
-        label=f"complete:{n}",
-        vertex_labels=[f"v{i + 1}" for i in range(n)],
-    )
+    return _numbered("complete", n, [(i, j) for i in range(n) for j in range(i + 1, n)])
 
 
 def star_graph(k: int) -> Graph:
     """Star K_{1,k}: hub 0, leaves 1..k."""
-    return build_graph(
-        k + 1,
-        [(0, i) for i in range(1, k + 1)],
-        label=f"star:{k}",
-        vertex_labels=["v"] + [f"u{i}" for i in range(1, k + 1)],
-    )
+    labels = ["v"] + [f"u{i}" for i in range(1, k + 1)]
+    return build_graph(k + 1, [(0, i) for i in range(1, k + 1)], label=f"star:{k}", vertex_labels=labels)
 
 
 def graph_power(G: Graph, k: int) -> Graph:
@@ -225,12 +149,7 @@ def graph_power(G: Graph, k: int) -> Graph:
         raise ValueError("power exponent must be >= 1")
     if k == 1:
         return G
-    edges = [
-        (u, v)
-        for u in range(G.n)
-        for v in range(u + 1, G.n)
-        if distance(G, u, v) <= k
-    ]
+    edges = [(u, v) for u in range(G.n) for v in range(u + 1, G.n) if distance(G, u, v) <= k]
     return build_graph(G.n, edges, label=G.label, vertex_labels=G.vertex_labels)
 
 
@@ -238,25 +157,19 @@ def graph_join(G: Graph, H: Graph) -> Graph:
     """Disjoint union of G and H plus all edges between the two sides."""
     edges = G.edges() + [(u + G.n, v + G.n) for u, v in H.edges()]
     edges += [(u, v + G.n) for u in range(G.n) for v in range(H.n)]
-    labels = [G.vertex_name(v) for v in range(G.n)] + [
-        f"{H.vertex_name(v)}'" for v in range(H.n)
-    ]
+    labels = [G.vertex_name(v) for v in range(G.n)] + [f"{H.vertex_name(v)}'" for v in range(H.n)]
     return build_graph(G.n + H.n, edges, vertex_labels=labels)
 
 
 def corona(G: Graph) -> Graph:
     """Attach one new pendant leaf to every vertex of G."""
     edges = G.edges() + [(v, G.n + v) for v in range(G.n)]
-    labels = [G.vertex_name(v) for v in range(G.n)] + [
-        f"leaf{v + 1}" for v in range(G.n)
-    ]
+    labels = [G.vertex_name(v) for v in range(G.n)] + [f"leaf{v + 1}" for v in range(G.n)]
     return build_graph(2 * G.n, edges, vertex_labels=labels)
 
 
 def disjoint_union(graphs: list[Graph]) -> Graph:
-    edges = []
-    labels = []
-    offset = 0
+    edges, labels, offset = [], [], 0
     for i, G in enumerate(graphs):
         edges += [(u + offset, v + offset) for u, v in G.edges()]
         labels += [f"c{i + 1}.{G.vertex_name(v)}" for v in range(G.n)]
@@ -280,9 +193,7 @@ def gk_graph(k: int) -> Graph:
         for side in (0, 4):
             edges += [(base + side + j, base + side + j + 1) for j in range(3)]
         edges += [(base + a, base + 4 + b) for a in range(4) for b in range(4)]
-        for side, names in ((0, "uvwx"), (4, "uvwx")):
-            col = 1 if side == 0 else 2
-            labels += [f"{c}_{i + 1},{col}" for c in names]
+        labels += [f"{c}_{i + 1},{col}" for col in (1, 2) for c in "uvwx"]
     if k >= 2:
         edges += [(8 * i + 6, 8 * ((i + 1) % k) + 2) for i in range(k)]
     return build_graph(8 * k, edges, label=f"gk:{k}", vertex_labels=labels)
@@ -345,6 +256,34 @@ def subdivided_star(k: int, t: int) -> Graph:
         edges += [(base + j, base + j + 1) for j in range(t)]
         labels += [f"p{i + 1},{j + 1}" for j in range(t + 1)]
     return build_graph(k * (t + 1) + 1, edges, label=f"substar:{k},{t}", vertex_labels=labels)
+
+
+class _Kind(NamedTuple):
+    # ``order`` and ``build`` take a plain kind's parameters in text order,
+    # or a composite's nested orders or graphs.
+    order: Callable[..., int]
+    build: Callable[..., Graph]
+    params: tuple[tuple[str, int], ...] = ()  # (attribute, minimum) in text order
+    nested: tuple[int, float] = (0, 0)  # fewest and most nested specs
+
+
+_KINDS: dict[str, _Kind] = {
+    "path": _Kind(lambda n: n, path_graph, (("n", 2),)),
+    "cycle": _Kind(lambda n: n, cycle_graph, (("n", 3),)),
+    "complete": _Kind(lambda n: n, complete_graph, (("n", 1),)),
+    "star": _Kind(lambda k: k + 1, star_graph, (("k", 1),)),
+    "gk": _Kind(lambda k: 8 * k, gk_graph, (("k", 1),)),
+    "fk": _Kind(lambda k: 2 * k, fk_graph, (("k", 5),)),
+    "bk": _Kind(lambda k: 2 * k + 2, bk_graph, (("k", 1),)),
+    "jk": _Kind(lambda k: 3 * k + 2, jk_graph, (("k", 1),)),
+    "cyclepower": _Kind(lambda n, k: n, lambda n, k: graph_power(cycle_graph(n), k), (("n", 3), ("k", 1))),
+    "substar": _Kind(lambda k, t: k * (t + 1) + 1, subdivided_star, (("k", 3), ("t", 1))),
+    "join": _Kind(lambda a, b: a + b, graph_join, nested=(2, 2)),
+    "corona": _Kind(lambda a: 2 * a, corona, nested=(1, 1)),
+    "union": _Kind(lambda *ns: sum(ns), lambda *gs: disjoint_union(list(gs)), nested=(2, float("inf"))),
+}
+# Only one-parameter kinds nest inside composites.
+_NESTABLE = {kind for kind, row in _KINDS.items() if len(row.params) == 1}
 
 
 def support_vertices(G: Graph) -> VertexSet:

@@ -24,6 +24,7 @@ from . import graphio
 from .families import (
     complete_graph,
     corona,
+    disjoint_union,
     family,
     parse_family_spec,
     path_graph,
@@ -290,8 +291,6 @@ def random_tree(n: int, rng: random.Random) -> Graph:
     """Uniform labeled tree on n vertices via a random parent-code sequence."""
     if n < 2:
         raise ValueError("trees need n >= 2")
-    if n == 2:
-        return build_graph(2, [(0, 1)])
     code = [rng.randrange(n) for _ in range(n - 2)]
     return build_graph(n, _prufer_edges(code, n))
 
@@ -322,7 +321,7 @@ def random_leaf_support_tree(
     """
     max_supports = max_order // 2
     s = rng.randint(2, min(5, max_supports))
-    skeleton = random_tree(s, rng) if s > 2 else build_graph(2, [(0, 1)])
+    skeleton = random_tree(s, rng)
     leaf_counts = [1] * s
     budget = max_order - 2 * s
     for _ in range(rng.randint(0, budget)):
@@ -821,13 +820,7 @@ def _component_additivity_failures(seed: int, instances: int) -> int:
             pieces.append(random_isolate_free_graph(size, rng.uniform(0.4, 0.9), rng))
         if len(pieces) < 2:
             pieces.append(random_isolate_free_graph(2, 1.0, rng))
-        edges = []
-        offset = 0
-        for piece in pieces:
-            edges += [(u + offset, v + offset) for u, v in piece.edges()]
-            offset += piece.n
-        whole = build_graph(offset, edges)
-        if gti(whole) != sum(gti(piece) for piece in pieces):
+        if gti(disjoint_union(pieces)) != sum(gti(piece) for piece in pieces):
             failures += 1
     return failures
 

@@ -37,6 +37,13 @@ class TestFamily:
         code, _, err = run(capsys, "family", "gk:4")
         assert code == 3
 
+    @pytest.mark.parametrize("spec", ["path:100000000", "union:" + "+".join(["complete1"] * 27)])
+    def test_oversized_spec_exit_3(self, capsys, spec):
+        # The order comes from the spec, so nothing is built first.
+        code, out, err = run(capsys, "family", spec)
+        assert (code, out) == (3, "")
+        assert "exceeds SOLVER_CAP" in err
+
 
 class TestInvariant:
     def test_single_value(self, capsys):

@@ -1,8 +1,15 @@
 """Family generators: exact shapes, counts, labels, and spec text round-trips."""
 
+import re
+import tracemalloc
+from itertools import product
+from pathlib import Path
+
 import pytest
 
 from tdgamelab import (
+    SOLVER_CAP,
+    FamilySpec,
     FamilySpecError,
     Graph,
     distance,
@@ -13,6 +20,7 @@ from tdgamelab import (
     parse_family_spec,
 )
 from tdgamelab.families import (
+    _KINDS,
     bk_graph,
     complete_graph,
     cycle_graph,
@@ -24,8 +32,11 @@ from tdgamelab.families import (
     star_graph,
     subdivided_star,
     support_vertices,
+    validate_spec,
 )
 from tdgamelab.graph import CapacityError
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def has_triangle(G: Graph) -> bool:
@@ -77,6 +88,79 @@ class TestSpecText:
     def test_capacity_enforced_through_generator(self):
         with pytest.raises(CapacityError):
             family(parse_family_spec("gk:4"))
+
+    @pytest.mark.parametrize(
+        "text", ["path:200000", "gk:20000", "complete:1000", "union:path100000+path4"]
+    )
+    def test_oversized_spec_fails_before_building(self, text):
+        spec = parse_family_spec(text)
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapacityError):
+                family(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+
+def table_order(spec: FamilySpec) -> int:
+    row = _KINDS[spec.kind]
+    values = [getattr(spec, attr) for attr, _ in row.params]
+    return row.order(*values, *map(table_order, spec.parts))
+
+
+def table_specs(kind: str) -> list[FamilySpec]:
+    """Specs of ``kind`` over a range of parameters or nested-spec counts."""
+    row = _KINDS[kind]
+    if row.params:
+        attrs = [attr for attr, _ in row.params]
+        span = 27 if len(attrs) == 1 else 9
+        ranges = [range(low, low + span) for _, low in row.params]
+        return [FamilySpec(kind, **dict(zip(attrs, values))) for values in product(*ranges)]
+    nested = [
+        FamilySpec(k, **{r.params[0][0]: r.params[0][1]})
+        for k, r in _KINDS.items()
+        if len(r.params) == 1
+    ]
+    counts = range(row.nested[0], min(row.nested[1], 3) + 1)
+    return [FamilySpec(kind, parts=parts) for c in counts for parts in product(nested, repeat=c)]
+
+
+class TestKindTable:
+    @pytest.mark.parametrize("kind", sorted(_KINDS))
+    def test_order_matches_builder_and_text_round_trips(self, kind):
+        built = 0
+        for spec in table_specs(kind):
+            assert parse_family_spec(spec.text()) == spec
+            order = table_order(spec)
+            if order > SOLVER_CAP:
+                with pytest.raises(CapacityError):
+                    family(spec)
+            else:
+                assert family(spec).n == order, spec.text()
+                built += 1
+        assert built > 0
+
+    @pytest.mark.parametrize("kind", sorted(_KINDS))
+    def test_below_each_minimum_rejected(self, kind):
+        row = _KINDS[kind]
+        lowest = {attr: low for attr, low in row.params}
+        bad = [FamilySpec(kind, **{**lowest, attr: low - 1}) for attr, low in row.params]
+        if not row.params:
+            fewest, most = row.nested
+            bad += [FamilySpec(kind, parts=(FamilySpec("path", n=2),) * count)
+                    for count in (fewest - 1, most + 1) if 0 <= count < 4]
+        assert bad
+        for spec in bad:
+            with pytest.raises(FamilySpecError):
+                validate_spec(spec)
+            with pytest.raises(FamilySpecError):
+                parse_family_spec(spec.text())
+
+    def test_readme_lists_every_kind(self):
+        section = README.read_text(encoding="utf-8").split("## Family specs")[1].split("\n## ")[0]
+        assert sorted(re.findall(r"^\| `([a-z]+):", section, re.M)) == sorted(_KINDS)
 
 
 class TestBasicFamilies:
