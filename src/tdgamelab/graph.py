@@ -155,7 +155,7 @@ class Graph:
         return sum(m.bit_count() for m in self.nbr) // 2
 
     def has_edge(self, u: int, v: int) -> bool:
-        return 0 <= u < self.n and bool(self.nbr[u] >> v & 1)
+        return 0 <= u < self.n and 0 <= v < self.n and bool(self.nbr[u] >> v & 1)
 
     def is_isolate_free(self) -> bool:
         return all(m != 0 for m in self.nbr)

@@ -5,26 +5,29 @@ subsets; every prune is exact and there are no special-case shortcuts, so
 the returned values are exact for every graph within SOLVER_CAP.  γt is a
 depth-first search through the sizes k = ⌈n/Δ⌉, ⌈n/Δ⌉ + 1, ... and, within
 each size, the k-subsets in lexicographic order, cut by a degree bound and
-a reach bound on the undominated vertices.  Γt and OOIR share one search over
-OO-irredundant sets.  Every optimum comes with a witness that is re-checked
-against the defining predicate before being returned, and ties are broken
-toward the lexicographically smallest witness.
+a reach bound on the undominated vertices.  Γt and OOIR share one
+depth-first search over OO-irredundant sets in lexicographic order, which
+carries the vertices dominated once and twice from node to node and is cut
+by three prunes: a candidate mask of the later vertices that keep the set
+OO-irredundant (exact, as OO-irredundance is closed under subsets), a size
+bound on the set plus its candidates, and, for Γt, a cover prune once an
+undominated vertex has no neighbour among the candidates.  Every optimum
+comes with a witness that is re-checked against the defining predicate
+before being returned, and ties are broken toward the lexicographically
+smallest witness.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 from .graph import (
     Graph,
     VertexSet,
     bits,
-    exactly_one_neighbor_mask,
     is_minimal_total_dominating,
     is_open_open_irredundant,
     is_total_dominating,
-    neighborhood_mask,
     require_isolate_free,
 )
 
@@ -123,39 +126,104 @@ def _first_smallest_td_set(G: Graph) -> list[int]:
     raise AssertionError("isolate-free graph admits V(G) as a TD-set")
 
 
-def _largest_irredundant(G: Graph, accept: Callable[[int], bool]) -> tuple[int, int]:
-    """Size and mask of the first largest OO-irredundant set that ``accept`` admits.
+def _largest_irredundant(G: Graph, cover: int) -> tuple[int, int]:
+    """Size and mask of the first largest OO-irredundant set that dominates ``cover``.
 
-    Branch-and-bound over subsets in lexicographic order.  OO-irredundance
-    is closed under taking subsets, so any infeasible partial set prunes all
-    of its supersets; the cardinality bound uses the remaining-vertex count.
-    The best set is replaced only on a strict size gain, so among the
-    largest admitted sets the lexicographically smallest one is kept.
+    ``cover = G.full_mask`` gives Γt, as the OO-irredundant TD-sets are the
+    minimal TD-sets, and ``cover = 0`` gives ooir.  A depth-first search
+    adds members in increasing order, so it meets the sets in lexicographic
+    order, and the best set is replaced only on a strict size gain, so the
+    lexicographically smallest of the largest admitted sets is kept.  Each
+    node carries ``once`` and ``twice``, the vertices with at least one and
+    at least two neighbours in the set, updated per added vertex ``v`` as
+    ``twice |= once & nbr[v]`` and ``once |= nbr[v]``; a member's private
+    neighbours are its neighbours in ``once & ~twice``.  Three exact prunes
+    cut the search:
+
+    - candidate mask: a node keeps only the later vertices whose addition
+      leaves the set OO-irredundant.  OO-irredundance is closed under
+      subsets, so a vertex that fails here fails in every superset too.
+      Adding ``v`` can only take the last private neighbour of ``v`` itself
+      or of a member whose private neighbours meet ``nbr[v]``, so a child
+      re-checks only those members, and only the candidates sharing a
+      neighbour with ``v`` for a private neighbour of their own;
+    - size bound: a branch ends once its size plus its candidates is at
+      most the best size, as it holds no strictly larger set;
+    - cover prune (Γt only): a branch ends once a vertex of ``cover``
+      outside ``once`` has no neighbour among the candidates left, as no set
+      in it dominates ``cover``.
     """
-    n = G.n
     nbr = G.nbr
+    # near[v]: the vertices sharing a neighbour with v, the only candidates
+    # whose own private neighbours adding v can take.
+    near = []
+    for v in range(G.n):
+        reach = 0
+        for x in bits(nbr[v]):
+            reach |= nbr[x]
+        near.append(reach)
     best_size = 0
     best_mask = 0
 
-    def feasible(mask: int) -> bool:
-        private_ok = exactly_one_neighbor_mask(G, mask)
-        for v in bits(mask):
-            if nbr[v] & private_ok == 0:
-                return False
-        return True
-
-    def extend(mask: int, size: int, start: int) -> None:
+    def extend(size: int, mask: int, once: int, twice: int, cands: int) -> None:
         nonlocal best_size, best_mask
-        if size > best_size and accept(mask):
+        need = cover & ~once
+        if size > best_size and not need:
             best_size, best_mask = size, mask
-        for v in range(start, n):
-            if size + (n - v) <= best_size:
-                break
-            grown = mask | 1 << v
-            if feasible(grown):
-                extend(grown, size + 1, v + 1)
+        # The candidates from the highest down, and reach[i], the neighbours
+        # of order[:i + 1]: of order[i] and every later candidate.
+        order = []
+        reach = []
+        seen = 0
+        rest = cands
+        while rest:
+            v = rest.bit_length() - 1
+            rest ^= 1 << v
+            seen |= nbr[v]
+            order.append(v)
+            reach.append(seen)
+        while order:
+            if size + len(order) <= best_size:
+                return  # size bound
+            v = order.pop()
+            if need & ~reach.pop():
+                return  # cover prune, for v and every later candidate
+            cands ^= 1 << v
+            nv = nbr[v]
+            grown_twice = twice | once & nv
+            grown_once = once | nv
+            private = grown_once & ~grown_twice
+            rest = cands
+            probe = cands & near[v]
+            while probe:
+                w = probe.bit_length() - 1
+                probe ^= 1 << w
+                if not nbr[w] & ~grown_once:
+                    rest ^= 1 << w  # w would have no private neighbour
+            # v, and each member whose private neighbour v now dominates too.
+            owners = 1 << v
+            lost = once & nv & ~twice
+            while lost:
+                x = lost.bit_length() - 1
+                lost ^= 1 << x
+                owners |= nbr[x] & mask
+            while owners:
+                u = owners.bit_length() - 1
+                owners ^= 1 << u
+                # A candidate adjacent to all of u's private neighbours would
+                # take the last of them.
+                killers = rest
+                own = nbr[u] & private
+                while own and killers:
+                    x = own.bit_length() - 1
+                    own ^= 1 << x
+                    killers &= nbr[x]
+                rest &= ~killers
+            if size + rest.bit_count() >= best_size:  # else the child's size bound cuts it
+                extend(size + 1, mask | 1 << v, grown_once, grown_twice, rest)
 
-    extend(0, 0, 0)
+    # A vertex with no neighbour has no private neighbour.
+    extend(0, 0, 0, 0, sum(1 << v for v in range(G.n) if nbr[v]))
     return best_size, best_mask
 
 
@@ -168,11 +236,14 @@ def upper_gamma_t(G: Graph) -> InvariantValue:
     the lexicographically smallest minimal TD-set of that size.
     """
     require_isolate_free(G)
-    full = G.full_mask
-    size, mask = _largest_irredundant(G, lambda m: neighborhood_mask(G, m) == full)
+    size, mask = _largest_irredundant(G, G.full_mask)
     witness = VertexSet(G.n, mask)
+    # Domination first: ``is_minimal_total_dominating`` rejects a non-TD-set
+    # with ValueError, which would hide a faulty search as a bad input.
     _certify(
-        is_minimal_total_dominating(G, witness) and len(witness) == size,
+        is_total_dominating(G, witness)
+        and is_minimal_total_dominating(G, witness)
+        and len(witness) == size,
         UPPER_GAMMA_T,
     )
     return InvariantValue(UPPER_GAMMA_T, size, witness)
@@ -182,11 +253,11 @@ def ooir(G: Graph) -> InvariantValue:
     """Open-open irredundance number: maximum set where every member has an
     open private neighbor.
 
-    The same subset search as ``upper_gamma_t``, admitting every set; the
-    witness is the lexicographically smallest OO-irredundant set of
-    maximum size.
+    The same subset search as ``upper_gamma_t`` with nothing to cover, so
+    it admits every set and the cover prune never cuts; the witness is the
+    lexicographically smallest OO-irredundant set of maximum size.
     """
-    size, mask = _largest_irredundant(G, lambda m: True)
+    size, mask = _largest_irredundant(G, 0)
     witness = VertexSet(G.n, mask)
     _certify(is_open_open_irredundant(G, witness) and len(witness) == size, OOIR)
     return InvariantValue(OOIR, size, witness)

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from tdgamelab import verify
+from tdgamelab import invariants, verify
 from tdgamelab.cli import main
 from tdgamelab.games import PolicyError
 from tdgamelab.invariants import WitnessError
@@ -111,6 +111,15 @@ class TestInvariant:
         assert code == 4
         assert out == ""
         assert err == "internal error: injected\n"
+
+    def test_non_dominating_ugt_witness_exit_4(self, capsys, monkeypatch):
+        # A search returning {0}, which does not dominate P_4, is an internal
+        # error (exit 4), not a usage error (exit 2).
+        monkeypatch.setattr(invariants, "_largest_irredundant", lambda G, cover: (1, 1))
+        code, out, err = run(capsys, "invariant", "--graph", "path:4", "--which", "ugt")
+        assert code == 4
+        assert out == ""
+        assert err == "internal error: computed witness for upper_gamma_t failed revalidation\n"
 
 
 class TestVerify:

@@ -56,6 +56,10 @@ class TestBuildGraph:
         with pytest.raises(ValueError):
             build_graph(3, [(0, 3)])
 
+    @pytest.mark.parametrize("u, v", [(0, -1), (-1, 0), (0, 3), (3, 0), (-1, -1)])
+    def test_has_edge_out_of_range_is_false(self, u, v):
+        assert not build_graph(3, [(0, 1), (1, 2), (0, 2)]).has_edge(u, v)
+
     def test_capacity_rejected_with_distinct_error(self):
         with pytest.raises(CapacityError):
             build_graph(SOLVER_CAP + 1, [])

@@ -24,10 +24,20 @@ from tdgamelab import (
     parse_family_spec,
     upper_gamma_t,
 )
-from tdgamelab.families import path_graph
+from tdgamelab import invariants
+from tdgamelab.families import disjoint_union, path_graph
+from tdgamelab.graph import Graph
+from tdgamelab.invariants import WitnessError
 from tdgamelab.verify import exhaustive_corpus, random_isolate_free_graph
 
 from conftest import isolate_free_graphs_st
+
+
+def relabeled(G, rng):
+    """G under a random permutation of its vertices drawn from ``rng``."""
+    perm = list(range(G.n))
+    rng.shuffle(perm)
+    return build_graph(G.n, [(perm[u], perm[v]) for u, v in G.edges()])
 
 
 def brute_upper_gamma_t(G):
@@ -152,10 +162,7 @@ class TestGammaT:
         rng = random.Random(0x67A3)
         for n in range(8, 15):
             for _ in range(4):
-                H = random_isolate_free_graph(n, rng.uniform(0.15, 0.6), rng)
-                perm = list(range(n))
-                rng.shuffle(perm)
-                G = build_graph(n, [(perm[u], perm[v]) for u, v in H.edges()])
+                G = relabeled(random_isolate_free_graph(n, rng.uniform(0.15, 0.6), rng), rng)
                 gt = gamma_t(G)
                 assert (gt.value, gt.witness.mask) == brute_gamma_t_witness(G), G.edges()
 
@@ -169,6 +176,13 @@ class TestUpperGammaT:
 
     def test_gk2(self):
         assert upper_gamma_t(family(parse_family_spec("gk:2"))).value == 4
+
+    def test_non_dominating_witness_is_a_witness_error(self, monkeypatch):
+        # {0} does not dominate P_4; the check must report a faulty search,
+        # not reject the set as a bad input.
+        monkeypatch.setattr(invariants, "_largest_irredundant", lambda G, cover: (1, 1))
+        with pytest.raises(WitnessError, match="upper_gamma_t"):
+            upper_gamma_t(path_graph(4))
 
     def test_witness_is_minimal(self):
         result = upper_gamma_t(path_graph(8))
@@ -184,6 +198,93 @@ class TestOoir:
 
     def test_substar_4_3(self):
         assert ooir(family(parse_family_spec("substar:4,3"))).value == 10
+
+
+class TestIrredundantSearch:
+    """Γt and ooir beyond the exhaustive n <= 7 corpus, relabeled so that
+    the lexicographic tie-break lands on different vertices."""
+
+    def test_witnesses_match_descent_on_relabeled_random_graphs_8_to_12(self):
+        rng = random.Random(0x1A7E)
+        for n in range(8, 13):
+            for _ in range(4):
+                G = relabeled(random_isolate_free_graph(n, rng.uniform(0.15, 0.7), rng), rng)
+                ugt, oo = upper_gamma_t(G), ooir(G)
+                assert (ugt.value, ugt.witness.mask) == brute_upper_gamma_t_witness(G), G.edges()
+                assert (oo.value, oo.witness.mask) == brute_ooir_witness(G), G.edges()
+
+    @pytest.mark.parametrize(
+        "spec, ugt, oo",
+        [
+            ("cyclepower:18,3", 6, 6),
+            ("bk:8", 2, 16),
+            ("fk:8", 4, 7),
+            ("cycle:20", 12, 12),
+            ("substar:4,4", 16, 16),
+        ],
+    )
+    def test_frozen_values_under_relabeling(self, spec, ugt, oo):
+        G0 = family(parse_family_spec(spec))
+        for seed in range(3):
+            G = relabeled(G0, random.Random(seed))
+            got_ugt, got_oo = upper_gamma_t(G), ooir(G)
+            assert (got_ugt.value, got_oo.value) == (ugt, oo), seed
+            assert is_minimal_total_dominating(G, got_ugt.witness)
+            assert is_open_open_irredundant(G, got_oo.witness)
+
+    @pytest.mark.parametrize(
+        "spec, solve, value, limit",
+        [
+            # Γt(bk:8) = 2 lies far below ooir = 16, so the cover prune does
+            # the work: 5,315 reads; with the prune over every later vertex
+            # instead of the candidates, 118,799.
+            ("bk:8", upper_gamma_t, 2, 20_000),
+            # ooir(cycle:20) leans on the size bound: 109,941 reads; with
+            # ``<`` for ``<=`` in it, 146,641, and without the bound inside
+            # the loop, 285,480.
+            ("cycle:20", ooir, 12, 130_000),
+        ],
+    )
+    def test_prunes_bound_the_work(self, spec, solve, value, limit):
+        # Reads of the neighbour masks count the search's work
+        # deterministically, so a prune weakened without changing any value
+        # still fails.  A search that re-checks each set from scratch, with
+        # only a size bound on the vertices left, reads 21.8 million masks
+        # for Γt on ten relabelings of bk:8.
+        class CountingMasks(tuple):
+            reads = 0
+
+            def __getitem__(self, v):
+                CountingMasks.reads += 1
+                return tuple.__getitem__(self, v)
+
+        G0 = family(parse_family_spec(spec))
+        graphs = [relabeled(G0, random.Random(seed)) for seed in range(3)]
+        counted = [Graph(G.n, CountingMasks(G.nbr)) for G in graphs]
+        CountingMasks.reads = 0
+        assert [solve(G).value for G in counted] == [value] * 3
+        assert CountingMasks.reads <= limit, CountingMasks.reads
+
+    def test_additive_over_disjoint_unions(self):
+        # The sets of a disjoint union are the unions of sets of its parts,
+        # and the first part's vertices come first, so the first largest set
+        # is the first largest set of each part side by side.
+        rng = random.Random(0xAD)
+        for _ in range(12):
+            parts = [
+                relabeled(random_isolate_free_graph(rng.randint(2, 9), rng.uniform(0.2, 0.7), rng), rng)
+                for _ in range(rng.randint(2, 3))
+            ]
+            whole = disjoint_union(parts)
+            for solve in (upper_gamma_t, ooir):
+                offset, value, mask = 0, 0, 0
+                for part in parts:
+                    result = solve(part)
+                    value += result.value
+                    mask |= result.witness.mask << offset
+                    offset += part.n
+                result = solve(whole)
+                assert (result.value, result.witness.mask) == (value, mask), [p.edges() for p in parts]
 
 
 class TestInducedMatching:
@@ -207,6 +308,10 @@ class TestInducedMatching:
     def test_non_edge_candidates_rejected(self):
         with pytest.raises(ValueError):
             induced_matching_number(path_graph(4), [(0, 3)])
+
+    @pytest.mark.parametrize("edges", [((0, -1),), ((-1, 0),), ((2, 4),), ((0, 1), (3, -1))])
+    def test_out_of_range_edges_are_not_a_matching(self, edges):
+        assert not is_induced_matching(path_graph(4), edges)
 
 
 class TestPerfectMatching:
