@@ -268,11 +268,12 @@ class TestIrredundantSearch:
     def test_additive_over_disjoint_unions(self):
         # The sets of a disjoint union are the unions of sets of its parts,
         # and the first part's vertices come first, so the first largest set
-        # is the first largest set of each part side by side.
+        # is the first largest set of each part side by side.  At most three
+        # parts of at most 8 vertices keep the union within SOLVER_CAP.
         rng = random.Random(0xAD)
         for _ in range(12):
             parts = [
-                relabeled(random_isolate_free_graph(rng.randint(2, 9), rng.uniform(0.2, 0.7), rng), rng)
+                relabeled(random_isolate_free_graph(rng.randint(2, 8), rng.uniform(0.2, 0.7), rng), rng)
                 for _ in range(rng.randint(2, 3))
             ]
             whole = disjoint_union(parts)
