@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
 
-from .graph import Graph, VertexSet, bits, require_isolate_free
+from .graph import Graph, VertexSet, bits, max_degree, near_masks, require_isolate_free
 
 
 class Role(Enum):
@@ -118,18 +118,10 @@ class IndicatedGameSolver:
         self.graph = G
         self._nbr = nbr = G.nbr
         # near[v] = N(N(v)): the vertices that share a neighbour with v,
-        # which are all that a reply to v can newly dominate.  Plain loops,
-        # as a survey builds one solver per small graph.
-        self._near = near = []
-        for m in nbr:
-            reach = 0
-            while m:
-                low = m & -m
-                reach |= nbr[low.bit_length() - 1]
-                m ^= low
-            near.append(reach)
+        # which are all that a reply to v can newly dominate.
+        self._near = near_masks(G)
         self._full = G.full_mask
-        self._delta = _max_degree(G)
+        self._delta = max_degree(G)
         self._memo: dict[int, int] = {self._full: 0}
 
     def value(self, mask: int) -> int:
@@ -226,11 +218,6 @@ def gti(G: Graph, declared: VertexSet | None = None) -> int:
     return solver.value(mask)
 
 
-def _max_degree(G: Graph) -> int:
-    """Most vertices one move can newly dominate; 1 on the order-0 graph."""
-    return max((m.bit_count() for m in G.nbr), default=1)
-
-
 def _declared_mask(G: Graph, declared: VertexSet) -> int:
     if declared.n != G.n:
         raise ValueError("declared set capacity does not match the graph")
@@ -271,7 +258,7 @@ def _move_count_game(G: Graph, alternate: bool) -> int:
     require_isolate_free(G)
     nbr = G.nbr
     full = G.full_mask
-    delta = _max_degree(G)
+    delta = max_degree(G)
     flip = 1 if alternate else 0
     lower: dict[int, int] = {}
     upper: dict[int, int] = {}

@@ -141,10 +141,16 @@ class Graph:
     def vertices(self) -> range:
         return range(self.n)
 
+    def _check_vertex(self, v: int) -> None:
+        if not 0 <= v < self.n:
+            raise ValueError("vertex out of range")
+
     def neighbors(self, v: int) -> VertexSet:
+        self._check_vertex(v)
         return VertexSet(self.n, self.nbr[v])
 
     def degree(self, v: int) -> int:
+        self._check_vertex(v)
         return self.nbr[v].bit_count()
 
     def edges(self) -> list[tuple[int, int]]:
@@ -213,6 +219,28 @@ def neighborhood_mask(G: Graph, mask: int) -> int:
     for v in bits(mask):
         out |= G.nbr[v]
     return out
+
+
+def max_degree(G: Graph) -> int:
+    """Maximum degree Δ, the most vertices one vertex dominates; 1 on the order-0 graph."""
+    return max((m.bit_count() for m in G.nbr), default=1)
+
+
+def near_masks(G: Graph) -> list[int]:
+    """``near[v] = N(N(v))``: the vertices that share a neighbor with v.
+
+    Plain loops, as a survey builds one solver per small graph.
+    """
+    nbr = G.nbr
+    near = []
+    for m in nbr:
+        reach = 0
+        while m:
+            low = m & -m
+            reach |= nbr[low.bit_length() - 1]
+            m ^= low
+        near.append(reach)
+    return near
 
 
 def exactly_one_neighbor_mask(G: Graph, mask: int) -> int:

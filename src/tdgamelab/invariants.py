@@ -28,6 +28,8 @@ from .graph import (
     is_minimal_total_dominating,
     is_open_open_irredundant,
     is_total_dominating,
+    max_degree,
+    near_masks,
     require_isolate_free,
 )
 
@@ -96,7 +98,7 @@ def _first_smallest_td_set(G: Graph) -> list[int]:
     chosen: list[int] = []
     if not n:
         return chosen
-    delta = max(map(int.bit_count, nbr))
+    delta = max_degree(G)
     reach = [0] * (n + 1)
     for v in range(n - 1, -1, -1):
         reach[v] = reach[v + 1] | nbr[v]
@@ -156,12 +158,7 @@ def _largest_irredundant(G: Graph, cover: int) -> tuple[int, int]:
     nbr = G.nbr
     # near[v]: the vertices sharing a neighbour with v, the only candidates
     # whose own private neighbours adding v can take.
-    near = []
-    for v in range(G.n):
-        reach = 0
-        for x in bits(nbr[v]):
-            reach |= nbr[x]
-        near.append(reach)
+    near = near_masks(G)
     best_size = 0
     best_mask = 0
 

@@ -1,10 +1,11 @@
 """Verification harness: reproduction suite, monotonicity checks, and surveys.
 
 This module owns the graph corpora (exhaustive isomorphism-free enumeration
-at small orders, seeded random draws, free-tree enumeration), the
-continuation-principle checker, the invariant-chain survey with CSV/JSON
-sinks, the open-question probes over trees, and the suite that recomputes
-every published value the package freezes as an expected result.
+at small orders, seeded random draws, and free trees, each generated once
+as its centre-rooted level sequence), the continuation-principle checker,
+the invariant-chain survey with CSV/JSON sinks, the open-question probes
+over trees, and the suite that recomputes every published value the
+package freezes as an expected result.
 """
 
 from __future__ import annotations
@@ -363,63 +364,45 @@ def _edges_from_levels(levels: list[int]) -> list[Edge]:
     return edges
 
 
-def _tree_centers(adj: list[list[int]]) -> list[int]:
-    n = len(adj)
-    if n == 1:
-        return [0]
-    degree = [len(adj[v]) for v in range(n)]
-    layer = [v for v in range(n) if degree[v] == 1]
-    alive = [True] * n
-    removed = 0
-    while n - removed > 2:
-        nxt = []
-        for v in layer:
-            alive[v] = False
-            removed += 1
-            for u in adj[v]:
-                if alive[u]:
-                    degree[u] -= 1
-                    if degree[u] == 1:
-                        nxt.append(u)
-        layer = nxt
-    return sorted(v for v in range(n) if alive[v])
+def _centre_rooted(seq: list[int]) -> bool:
+    """True when the level sequence ``seq`` is its free tree's chosen rooting.
 
-
-def _ahu(adj: list[list[int]], v: int, parent: int) -> tuple:
-    return tuple(sorted(_ahu(adj, u, v) for u in adj[v] if u != parent))
-
-
-def _canonical_tree_code(edges: list[Edge], n: int) -> tuple:
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for u, v in edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    centers = _tree_centers(adj)
-    if len(centers) == 1:
-        return ("c", _ahu(adj, centers[0], -1))
-    c1, c2 = centers
-    return ("bc",) + tuple(sorted((_ahu(adj, c1, c2), _ahu(adj, c2, c1))))
+    Wright, Richmond, Odlyzko and McKay ("Constant time generation of free
+    trees", SIAM J. Comput. 1986).  ``seq[0] == 1`` is the root.  A
+    canonical rooted sequence lists the root's subtrees in decreasing
+    order, so its first subtree ``left`` is a tallest one; ``rest`` is the
+    root with its other subtrees.  The root is a centre exactly when
+    ``rest`` is at least as tall as ``left``.  If it is taller, the root is
+    the unique centre.  If they are as tall, the tree is bicentral, and
+    ``left`` and ``rest`` are its two halves either side of the central
+    edge, each rooted at its end of that edge.  Rooting at the other centre
+    swaps them, so keeping only the rooting whose ``left`` is the smaller
+    half, by size and then in list order, keeps one of the two; isomorphic
+    halves give the same sequence both ways.  So every free tree passes on
+    exactly one rooted sequence, and it is rooted at a centre.
+    """
+    n = len(seq)
+    m = next((i for i in range(2, n) if seq[i] == 2), n)
+    left = [s - 2 for s in seq[1:m]]
+    rest = [0] + [s - 1 for s in seq[m:]]
+    height, other = max(left), max(rest)
+    if other > height:
+        return True
+    return other == height and (len(left), left) <= (len(rest), rest)
 
 
 def enumerate_trees(n: int) -> tuple[Graph, ...]:
-    """All non-isomorphic free trees on n vertices, each exactly once."""
+    """All non-isomorphic free trees on n vertices, each exactly once.
+
+    Vertex 0 of each tree is a centre; see ``_centre_rooted``.
+    """
     if not 2 <= n <= TREE_ORDER_CAP:
         raise ValueError(f"tree enumeration supports 2 <= n <= {TREE_ORDER_CAP}")
-    return _trees_cached(n)
-
-
-@lru_cache(maxsize=None)
-def _trees_cached(n: int) -> tuple[Graph, ...]:
-    seen = set()
-    out = []
-    for levels in _rooted_level_sequences(n):
-        edges = _edges_from_levels(levels)
-        code = _canonical_tree_code(edges, n)
-        if code in seen:
-            continue
-        seen.add(code)
-        out.append(build_graph(n, edges, label=f"tree:n={n}:i={len(out)}"))
-    return tuple(out)
+    seqs = filter(_centre_rooted, _rooted_level_sequences(n))
+    return tuple(
+        build_graph(n, _edges_from_levels(seq), label=f"tree:n={n}:i={i}")
+        for i, seq in enumerate(seqs)
+    )
 
 
 # ---------------------------------------------------------------------------

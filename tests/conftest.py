@@ -32,6 +32,13 @@ def isolate_free_graphs_st(draw, min_n=2, max_n=7):
     return build_graph(G.n, G.edges() + extra)
 
 
+def relabeled(G, rng):
+    """G under a random permutation of its vertices drawn from ``rng``."""
+    perm = list(range(G.n))
+    rng.shuffle(perm)
+    return build_graph(G.n, [(perm[u], perm[v]) for u, v in G.edges()])
+
+
 @pytest.fixture(scope="session")
 def small_paths():
     return {n: path_graph(n) for n in range(2, 11)}

@@ -1,6 +1,7 @@
 """Command-line surface: subcommands, formats, and exit codes."""
 
 import dataclasses
+import hashlib
 import json
 
 import pytest
@@ -290,6 +291,15 @@ class TestTrees:
         code, out, _ = run(capsys, "trees", "--max", "5")
         assert code == 0
         assert len(out.strip().splitlines()) == 1 + 1 + 2 + 3
+
+    def test_enumeration_output_frozen(self, capsys):
+        # Pins each tree's labelling and its place in the order: the i-th
+        # graph6 line of order n is the tree labelled ``tree:n=<n>:i=<i>``.
+        code, out, _ = run(capsys, "trees", "--max", "12")
+        assert code == 0
+        assert len(out.splitlines()) == 986
+        digest = hashlib.sha256(out.encode()).hexdigest()
+        assert digest == "59860dccb2745c0509fb128d439a309490fd0e402efaacb6ab0cd0d5bf7d75a9"
 
     def test_probe_summary(self, capsys):
         code, out, _ = run(capsys, "trees", "--probe", "--max", "5")

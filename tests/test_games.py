@@ -26,7 +26,7 @@ from tdgamelab.families import cycle_graph, disjoint_union, path_graph
 from tdgamelab.graph import bipartition
 from tdgamelab.verify import exhaustive_corpus, isolate_free_graphs, random_isolate_free_graph
 
-from conftest import isolate_free_graphs_st
+from conftest import isolate_free_graphs_st, relabeled
 
 
 def brute_gti(G, declared=frozenset()):
@@ -82,12 +82,6 @@ def brute_grundy(G):
         )
 
     return value(frozenset())
-
-
-def relabeled(G, rng):
-    perm = list(range(G.n))
-    rng.shuffle(perm)
-    return build_graph(G.n, [(perm[u], perm[v]) for u, v in G.edges()])
 
 
 class OracleIndicatedGame:
@@ -178,11 +172,9 @@ class TestAgainstPlainRecursions:
         for spec in ["path:13", "path:14", "path:15", "path:16",
                      "cycle:13", "cycle:14", "cycle:15", "cycle:16"]:
             G = family(parse_family_spec(spec))
-            perm = list(range(G.n))
-            rng.shuffle(perm)
-            H = build_graph(G.n, [(perm[u], perm[v]) for u, v in G.edges()])
-            assert gtg(H) == oracle_gtg(H), (spec, perm)
-            assert grundy_t(H) == oracle_grundy(H), (spec, perm)
+            H = relabeled(G, rng)
+            assert gtg(H) == oracle_gtg(H), (spec, H.edges())
+            assert grundy_t(H) == oracle_grundy(H), (spec, H.edges())
 
     def test_values_and_best_moves_on_every_mask_up_to_6(self):
         for graph_id, G in exhaustive_corpus(6):

@@ -22,7 +22,7 @@ from tdgamelab import (
     private_neighborhoods,
 )
 from tdgamelab.families import cycle_graph, path_graph
-from tdgamelab.graph import INFINITE_DISTANCE
+from tdgamelab.graph import INFINITE_DISTANCE, max_degree, near_masks
 
 from conftest import graphs, isolate_free_graphs_st
 
@@ -59,6 +59,13 @@ class TestBuildGraph:
     @pytest.mark.parametrize("u, v", [(0, -1), (-1, 0), (0, 3), (3, 0), (-1, -1)])
     def test_has_edge_out_of_range_is_false(self, u, v):
         assert not build_graph(3, [(0, 1), (1, 2), (0, 2)]).has_edge(u, v)
+
+    @pytest.mark.parametrize("method", ["neighbors", "degree"])
+    @pytest.mark.parametrize("v", [-1, -3, -4, 3, 4])
+    def test_vertex_out_of_range_rejected(self, method, v):
+        # Negative indices must not answer for another vertex.
+        with pytest.raises(ValueError, match="vertex out of range"):
+            getattr(path_graph(3), method)(v)
 
     def test_capacity_rejected_with_distinct_error(self):
         with pytest.raises(CapacityError):
@@ -112,6 +119,14 @@ class TestNeighborhoods:
     def test_middle_pair_of_p4(self):
         G = path_graph(4)
         assert sorted(neighborhood_of_set(G, VertexSet.of(4, [1, 2]))) == [0, 1, 2, 3]
+
+
+    @given(graphs(min_n=0))
+    def test_near_masks_and_max_degree_match_definitions(self, G):
+        for v, near in enumerate(near_masks(G)):
+            expected = {x for w in G.neighbors(v) for x in G.neighbors(w)}
+            assert set(VertexSet(G.n, near)) == expected
+        assert max_degree(G) == max((G.degree(v) for v in range(G.n)), default=1)
 
 
 class TestPrivateNeighborhoods:

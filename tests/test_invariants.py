@@ -30,14 +30,7 @@ from tdgamelab.graph import Graph
 from tdgamelab.invariants import WitnessError
 from tdgamelab.verify import exhaustive_corpus, random_isolate_free_graph
 
-from conftest import isolate_free_graphs_st
-
-
-def relabeled(G, rng):
-    """G under a random permutation of its vertices drawn from ``rng``."""
-    perm = list(range(G.n))
-    rng.shuffle(perm)
-    return build_graph(G.n, [(perm[u], perm[v]) for u, v in G.edges()])
+from conftest import isolate_free_graphs_st, relabeled
 
 
 def brute_upper_gamma_t(G):
@@ -236,12 +229,12 @@ class TestIrredundantSearch:
         "spec, solve, value, limit",
         [
             # Γt(bk:8) = 2 lies far below ooir = 16, so the cover prune does
-            # the work: 5,315 reads; with the prune over every later vertex
-            # instead of the candidates, 118,799.
+            # the work: 5,261 reads; with the prune over every later vertex
+            # instead of the candidates, 118,745.
             ("bk:8", upper_gamma_t, 2, 20_000),
-            # ooir(cycle:20) leans on the size bound: 109,941 reads; with
-            # ``<`` for ``<=`` in it, 146,641, and without the bound inside
-            # the loop, 285,480.
+            # ooir(cycle:20) leans on the size bound: 109,881 reads; with
+            # ``<`` for ``<=`` in it, 146,581, and without the bound inside
+            # the loop, 285,420.
             ("cycle:20", ooir, 12, 130_000),
         ],
     )

@@ -15,7 +15,7 @@ import pytest
 
 import tdgamelab
 from tdgamelab import build_graph, check_continuation, verify
-from tdgamelab.families import cycle_graph, path_graph
+from tdgamelab.families import cycle_graph, family, parse_family_spec, path_graph
 from tdgamelab.graph import CapacityError
 from tdgamelab.graphio import serialize_graph6
 from tdgamelab.invariants import WitnessError
@@ -38,6 +38,8 @@ from tdgamelab.verify import (
     write_rows,
 )
 import random
+
+from conftest import relabeled
 
 nx = pytest.importorskip("networkx")
 
@@ -214,6 +216,17 @@ class TestTreeEnumeration:
                 H.add_nodes_from(range(n))
                 assert nx.is_connected(H)
 
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_pairwise_non_isomorphic(self, n):
+        codes = [tree_code(T.edges(), n) for T in enumerate_trees(n)]
+        assert len(set(codes)) == len(codes)
+
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_vertex_zero_is_a_centre(self, n):
+        for T in enumerate_trees(n):
+            centers, _ = _ecc_centers(T.edges(), n)
+            assert 0 in centers, T.label
+
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
     def test_matches_prufer_dedup_oracle(self, n):
         ours = {tree_code(T.edges(), n) for T in enumerate_trees(n)}
@@ -334,6 +347,28 @@ class TestInvariantTable:
             assert claim.compute() == expected[claim.quantity], claim.claim_id
         row = survey_row("path:4", path_graph(4))
         assert {key: getattr(row, key) for key in INVARIANTS} == expected
+
+    def test_corpus_values_unchanged_under_relabeling(self):
+        rng = random.Random(0x5EED)
+        for graph_id, G in islice(exhaustive_corpus(7), 0, None, 10):
+            H = relabeled(G, rng)
+            for key, solve in INVARIANTS.items():
+                assert int(solve(H)) == int(solve(G)), (graph_id, key, H.edges())
+
+    @pytest.mark.parametrize(
+        "spec, values",
+        [
+            # gt, ugt, gti, gtg, grt, ooir, nui of the subsets-deep graphs
+            ("cyclepower:18,3", (4, 6, 6, 6, 12, 6, 3)),
+            ("bk:8", (2, 2, 2, 2, 18, 16, 8)),
+            ("fk:8", (2, 4, 4, 3, 9, 7, 2)),
+            ("cycle:20", (10, 12, 14, 13, 18, 12, 6)),
+            ("substar:4,4", (10, 16, 16, 14, 18, 16, 8)),
+        ],
+    )
+    def test_family_values_unchanged_under_relabeling(self, spec, values):
+        H = relabeled(family(parse_family_spec(spec)), random.Random(spec))
+        assert tuple(int(solve(H)) for solve in INVARIANTS.values()) == values
 
 
 class TestRandomCorpus:
