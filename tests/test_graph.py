@@ -120,7 +120,6 @@ class TestNeighborhoods:
         G = path_graph(4)
         assert sorted(neighborhood_of_set(G, VertexSet.of(4, [1, 2]))) == [0, 1, 2, 3]
 
-
     @given(graphs(min_n=0))
     def test_near_masks_and_max_degree_match_definitions(self, G):
         for v, near in enumerate(near_masks(G)):
