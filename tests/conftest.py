@@ -39,6 +39,27 @@ def relabeled(G, rng):
     return build_graph(G.n, [(perm[u], perm[v]) for u, v in G.edges()])
 
 
+class CountingMasks(tuple):
+    """Neighbour masks that count every mask read, by index or by iteration.
+
+    ``Graph(G.n, CountingMasks(G.nbr))`` is G with counted masks; reset
+    ``CountingMasks.reads`` after building it, as the build reads them too.
+    The count measures a search's work deterministically, so a prune that
+    is weakened without changing any value still shows.
+    """
+
+    reads = 0
+
+    def __getitem__(self, v):
+        CountingMasks.reads += 1
+        return tuple.__getitem__(self, v)
+
+    def __iter__(self):
+        for m in tuple.__iter__(self):
+            CountingMasks.reads += 1
+            yield m
+
+
 @pytest.fixture(scope="session")
 def small_paths():
     return {n: path_graph(n) for n in range(2, 11)}

@@ -60,6 +60,12 @@ class TestInvariant:
             "gt": 2, "ugt": 2, "gti": 2, "gtg": 2, "grt": 6, "ooir": 4, "nui": 2,
         }
 
+    def test_move_count_games_on_cycle_26(self, capsys):
+        # C_26 is bipartite, so both games run over residual classes.
+        code, out, err = run(capsys, "invariant", "--graph", "cycle:26", "--which", "gtg,grt")
+        assert (code, err) == (0, "")
+        assert out.splitlines() == ["gtg = 17", "grt = 24"]
+
     def test_declared_affects_gti(self, capsys):
         code, out, _ = run(
             capsys, "invariant", "--graph", "path:5", "--which", "gti",

@@ -23,10 +23,11 @@ from tdgamelab import (
     play_game,
 )
 from tdgamelab.families import cycle_graph, disjoint_union, path_graph
-from tdgamelab.graph import bipartition
+from tdgamelab.games import CLASS_SEARCH_MIN_ORDER, _class_search, _components, _mask_search
+from tdgamelab.graph import Graph, bipartition, near_masks
 from tdgamelab.verify import exhaustive_corpus, isolate_free_graphs, random_isolate_free_graph
 
-from conftest import isolate_free_graphs_st, relabeled
+from conftest import CountingMasks, isolate_free_graphs_st, relabeled
 
 
 def brute_gti(G, declared=frozenset()):
@@ -230,6 +231,79 @@ class TestAgainstPlainRecursions:
         G = family(parse_family_spec(spec))
         assert gtg(G) == gtg_value
         assert grundy_t(G) == grundy_value
+
+
+def splits(G):
+    """Whether V falls into more than one component under "shares a neighbour"."""
+    return len(_components(near_masks(G), G.full_mask)) > 1
+
+
+def random_split_graphs(rng, count, low, high):
+    """Relabeled random trees, bipartite graphs and disjoint unions, in turn."""
+    graphs = []
+    for i in range(count):
+        n = rng.randint(low, high)
+        if i % 3 == 0:
+            G = build_graph(n, [(v, rng.randrange(v)) for v in range(1, n)])
+        elif i % 3 == 1:
+            side = rng.randint(1, n - 1)
+            edges = [(u, v) for u in range(side) for v in range(side, n) if rng.random() < 0.35]
+            # A vertex left isolated gets one edge to the other side.
+            for v in range(n):
+                if not any(v in e for e in edges):
+                    edges.append((v, rng.randrange(side, n)) if v < side else (rng.randrange(side), v))
+            G = build_graph(n, edges)
+        else:
+            k = rng.randint(2, n - 2)
+            G = disjoint_union([random_isolate_free_graph(k, 0.5, rng),
+                                random_isolate_free_graph(n - k, 0.5, rng)])
+        graphs.append(relabeled(G, rng))
+    return graphs
+
+
+class TestClassSearch:
+    """The search over residual component classes, against the mask search and the oracles."""
+
+    def test_matches_mask_search_on_every_split_graph_up_to_7(self):
+        split = [(graph_id, G) for graph_id, G in exhaustive_corpus(7) if splits(G)]
+        assert len(split) == 119
+        for graph_id, G in split:
+            for alternate in (True, False):
+                assert _class_search(G, alternate) == _mask_search(G, alternate), (graph_id, alternate)
+
+    def test_seeded_split_graphs_10_to_14(self):
+        for G in random_split_graphs(random.Random(0xC1A55), 24, 10, 14):
+            assert splits(G), G.edges()
+            assert gtg(G) == _class_search(G, True) == oracle_gtg(G), G.edges()
+            assert grundy_t(G) == _class_search(G, False) == oracle_grundy(G), G.edges()
+
+    def test_gate(self):
+        # V splits exactly on the bipartite and the disconnected graphs.
+        for n in (CLASS_SEARCH_MIN_ORDER - 1, CLASS_SEARCH_MIN_ORDER):
+            assert splits(path_graph(n)) and splits(cycle_graph(2 * (n // 2)))
+            assert not splits(cycle_graph(2 * (n // 2) + 1))
+        assert splits(disjoint_union([cycle_graph(3), cycle_graph(5)]))
+
+    def test_closed_forms_on_relabeled_paths_and_cycles(self):
+        # Dorbec and Henning, "Game total domination for cycles and paths"
+        # (Discrete Appl. Math. 2016); the mask search agrees to n = 22.
+        # Odd cycles do not split, so gtg would take the mask search.
+        rng = random.Random(0xD0B)
+        for n in range(2, 27):
+            assert _class_search(relabeled(path_graph(n), rng), True) == 2 * (n + 1) // 3 - (n % 6 == 5), n
+            if n >= 3:
+                assert _class_search(relabeled(cycle_graph(n), rng), True) == (2 * n + 1) // 3 - (n % 6 == 4), n
+
+    @pytest.mark.parametrize("spec, value", [("cycle:18", 12), ("path:19", 13)])
+    def test_classes_bound_the_work(self, spec, value):
+        # The class search reads the neighbour masks only to build the
+        # root's classes: 540 reads on cycle:18 and 558 on path:19 over
+        # three relabelings, where the mask search reads 317,358 and 584,364.
+        G0 = family(parse_family_spec(spec))
+        counted = [Graph(G0.n, CountingMasks(relabeled(G0, random.Random(seed)).nbr)) for seed in range(3)]
+        CountingMasks.reads = 0
+        assert [gtg(G) for G in counted] == [value] * 3
+        assert CountingMasks.reads <= 2_000, CountingMasks.reads
 
 
 class TestIndicatedGame:

@@ -30,7 +30,7 @@ from tdgamelab.graph import Graph
 from tdgamelab.invariants import WitnessError
 from tdgamelab.verify import exhaustive_corpus, random_isolate_free_graph
 
-from conftest import isolate_free_graphs_st, relabeled
+from conftest import CountingMasks, isolate_free_graphs_st, relabeled
 
 
 def brute_upper_gamma_t(G):
@@ -229,12 +229,12 @@ class TestIrredundantSearch:
         "spec, solve, value, limit",
         [
             # Γt(bk:8) = 2 lies far below ooir = 16, so the cover prune does
-            # the work: 5,261 reads; with the prune over every later vertex
-            # instead of the candidates, 118,745.
+            # the work: 5,315 reads; with the prune over every later vertex
+            # instead of the candidates, about 119,000.
             ("bk:8", upper_gamma_t, 2, 20_000),
-            # ooir(cycle:20) leans on the size bound: 109,881 reads; with
-            # ``<`` for ``<=`` in it, 146,581, and without the bound inside
-            # the loop, 285,420.
+            # ooir(cycle:20) leans on the size bound: 109,941 reads; with
+            # ``<`` for ``<=`` in it, 146,641, and without the bound inside
+            # the loop, 285,480.
             ("cycle:20", ooir, 12, 130_000),
         ],
     )
@@ -244,13 +244,6 @@ class TestIrredundantSearch:
         # still fails.  A search that re-checks each set from scratch, with
         # only a size bound on the vertices left, reads 21.8 million masks
         # for Γt on ten relabelings of bk:8.
-        class CountingMasks(tuple):
-            reads = 0
-
-            def __getitem__(self, v):
-                CountingMasks.reads += 1
-                return tuple.__getitem__(self, v)
-
         G0 = family(parse_family_spec(spec))
         graphs = [relabeled(G0, random.Random(seed)) for seed in range(3)]
         counted = [Graph(G.n, CountingMasks(G.nbr)) for G in graphs]
