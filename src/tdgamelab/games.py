@@ -11,8 +11,9 @@ afterward.
 
 The alternating game (γtg) and the Grundy sequence (γgrt) share one
 fail-soft alpha-beta search that keeps proven lower and upper bounds per
-state, because only the root value is wanted.  The indicated game (γti)
-keeps an exact value per mask instead: one ``IndicatedGameSolver`` answers
+state, because only the root value is wanted; on graphs that split they
+search over component classes instead (see below).  The indicated game
+(γti) keeps an exact value per mask: one ``IndicatedGameSolver`` answers
 queries for many masks off the same table, and a table of bounds would
 send those queries back into re-searches.
 
@@ -50,16 +51,17 @@ The class search pays for canonical codes and tuple keys, which only
 sharing repays.  Unless V itself splits, the root is one class and most
 positions stay one large class: on G(22, 0.15) γtg took 1.6 s against
 0.08 s, and γgrt 3.8 s against 5 ms.  V splits exactly when G is
-bipartite or disconnected.  On such graphs of order 6 to 9 the class
-search was 1.5-4x slower.  At order 10, γtg plus γgrt broke even on
-random trees and sparse bipartite graphs, and lost by 2x on dense
-bipartite graphs and on unions of two dense parts, at under 2 ms a graph;
-from order 12 on, trees gain and those two kinds still lose.  On
-relabeled paths, cycles, subdivided stars and coronas of order 18 to 26,
-γtg ran 11-290x faster (``cycle:26``: 7.9 s to 28 ms); these timings
-are from a 2-core Xeon VM under Python 3.11.  Hence the gate:
-the class search runs when n >= ``CLASS_SEARCH_MIN_ORDER`` and V splits,
-and every other graph keeps the mask search.
+bipartite or disconnected.  On such graphs of order 6 to 9, γtg ran
+1.6-3.7x slower with the class search (γtg plus γgrt 1.1-2.7x).  At
+order 10, γtg plus γgrt broke even on random trees and sparse bipartite
+graphs, and lost by 2x on dense bipartite graphs and on unions of two
+dense parts, at under 2 ms a graph; from order 12 on, trees gain and
+those two kinds still lose.  On relabeled paths, cycles, subdivided
+stars and coronas of order 18 to 26, γtg ran 11-290x faster
+(``cycle:26``: 7.9 s to 28 ms); these timings are from a 2-core Xeon VM
+under Python 3.11.  Hence the gate: the class search runs when n >=
+``CLASS_SEARCH_MIN_ORDER`` and V splits, and every other graph keeps the
+mask search.
 """
 
 from __future__ import annotations
@@ -291,21 +293,16 @@ def _move_count_game(G: Graph, alternate: bool) -> int:
 
 
 def _mask_search(G: Graph, alternate: bool) -> int:
-    """Exact move count of a game where every move totally dominates a new vertex.
+    """``_move_count_game`` by fail-soft alpha-beta over the dominated mask.
 
-    With ``alternate`` the minimiser (Dominator) and the maximiser
-    (Staller) take turns and the minimiser starts; without it the
-    maximiser makes every move.  A state is ``mask << 1 | turn`` with
-    turn 1 for the minimiser.
-
-    Fail-soft alpha-beta over the dominated mask, with moves that reach
-    the same mask searched once.  Every state starts inside an admissible
-    window: a move dominates at least one and at most Delta new vertices,
-    so ceil(undominated / Delta) <= value <= undominated.  A search that
-    fails low or high stores only the bound it proved, in separate lower
-    and upper tables, so later visits with other windows reuse it.  The
-    root is searched with a window wider than any value, so its result is
-    exact.
+    A state is ``mask << 1 | turn`` with turn 1 for the minimiser, and
+    moves that reach the same mask are searched once.  Every state
+    starts inside an admissible window: a move dominates at least one
+    and at most Delta new vertices, so ceil(undominated / Delta) <=
+    value <= undominated.  A search that fails low or high stores only
+    the bound it proved, in separate lower and upper tables, so later
+    visits with other windows reuse it.  The root is searched with a
+    window wider than any value, so its result is exact.
     """
     require_isolate_free(G)
     nbr = G.nbr

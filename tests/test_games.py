@@ -23,8 +23,9 @@ from tdgamelab import (
     play_game,
 )
 from tdgamelab.families import cycle_graph, disjoint_union, path_graph
+from tdgamelab import games
 from tdgamelab.games import CLASS_SEARCH_MIN_ORDER, _class_search, _components, _mask_search
-from tdgamelab.graph import Graph, bipartition, near_masks
+from tdgamelab.graph import Graph, bipartition, is_bipartite, is_connected, near_masks
 from tdgamelab.verify import exhaustive_corpus, isolate_free_graphs, random_isolate_free_graph
 
 from conftest import CountingMasks, isolate_free_graphs_st, relabeled
@@ -277,12 +278,20 @@ class TestClassSearch:
             assert gtg(G) == _class_search(G, True) == oracle_gtg(G), G.edges()
             assert grundy_t(G) == _class_search(G, False) == oracle_grundy(G), G.edges()
 
-    def test_gate(self):
-        # V splits exactly on the bipartite and the disconnected graphs.
-        for n in (CLASS_SEARCH_MIN_ORDER - 1, CLASS_SEARCH_MIN_ORDER):
-            assert splits(path_graph(n)) and splits(cycle_graph(2 * (n // 2)))
-            assert not splits(cycle_graph(2 * (n // 2) + 1))
-        assert splits(disjoint_union([cycle_graph(3), cycle_graph(5)]))
+    def test_vertex_set_splits_exactly_on_bipartite_and_disconnected_graphs(self):
+        for graph_id, G in exhaustive_corpus(7):
+            assert splits(G) == (is_bipartite(G) or not is_connected(G)), graph_id
+
+    def test_gate(self, monkeypatch):
+        # The stand-in class search returns 0, so a positive value comes
+        # from the mask search.
+        calls = []
+        monkeypatch.setattr(games, "_class_search", lambda G, alternate: calls.append(G.n) or 0)
+        n = CLASS_SEARCH_MIN_ORDER
+        assert gtg(path_graph(n - 1)) > 0  # too small
+        assert gtg(cycle_graph(n | 1)) > 0  # odd: V does not split
+        assert gtg(path_graph(n)) == 0 and grundy_t(disjoint_union([cycle_graph(3), cycle_graph(n - 3)])) == 0
+        assert calls == [n, n]
 
     def test_closed_forms_on_relabeled_paths_and_cycles(self):
         # Dorbec and Henning, "Game total domination for cycles and paths"
