@@ -9,13 +9,15 @@ Tables therefore key on the dominated mask (plus the player to move for
 the alternating game), are private to one solve, and are discarded
 afterward.
 
-The alternating game (γtg) and the Grundy sequence (γgrt) share one
-fail-soft alpha-beta search that keeps proven lower and upper bounds per
-state, because only the root value is wanted; on graphs that split they
-search over component classes instead (see below).  The indicated game
-(γti) keeps an exact value per mask: one ``IndicatedGameSolver`` answers
-queries for many masks off the same table, and a table of bounds would
-send those queries back into re-searches.
+The alternating game (γtg) and the Grundy sequence (γgrt) run one
+fail-soft alpha-beta search, ``_alphabeta``, that keeps proven lower and
+upper bounds per position, because only the root value is wanted.  The
+mask search runs it over dominated masks; on graphs that split, the class
+search runs it for γtg over component classes (see below).  The
+indicated game (γti) keeps an exact value per mask: one
+``IndicatedGameSolver`` answers queries for many masks off the same
+table, and a table of bounds would send those queries back into
+re-searches.
 
 The indicated game also splits.  A round that indicates v ends with a
 reply x in N(v), which newly dominates only vertices of N(x), and each of
@@ -45,7 +47,7 @@ the relabeling; a better code only shares more.  γgrt, a one-player
 maximum, is the sum of the values of the classes, each 1 plus the best
 sum over its moves.  γtg has no sum rule (Dorbec, Košmrlj and Renault,
 Discrete Math. 2015), but its value is a function of the turn and the
-multiset of classes, which the alpha-beta search keys on.
+multiset of classes, which ``_alphabeta`` keys on.
 
 The class search pays for canonical codes and tuple keys, which only
 sharing repays.  Unless V itself splits, the root is one class and most
@@ -287,37 +289,33 @@ def _move_count_game(G: Graph, alternate: bool) -> int:
     search; every other graph takes the mask search.
     """
     require_isolate_free(G)
-    if G.n >= CLASS_SEARCH_MIN_ORDER and len(_components(near_masks(G), G.full_mask)) > 1:
-        return _class_search(G, alternate)
+    if G.n >= CLASS_SEARCH_MIN_ORDER:
+        parts = _components(near_masks(G), G.full_mask)
+        if len(parts) > 1:
+            return _class_search(G, parts, alternate)
     return _mask_search(G, alternate)
 
 
-def _mask_search(G: Graph, alternate: bool) -> int:
-    """``_move_count_game`` by fail-soft alpha-beta over the dominated mask.
+def _alphabeta(root, count: int, moves: Callable, delta: int, alternate: bool) -> int:
+    """Exact move count from ``root``, which has ``count`` undominated vertices.
 
-    A state is ``mask << 1 | turn`` with turn 1 for the minimiser, and
-    moves that reach the same mask are searched once.  Every state
-    starts inside an admissible window: a move dominates at least one
-    and at most Delta new vertices, so ceil(undominated / Delta) <=
-    value <= undominated.  A search that fails low or high stores only
-    the bound it proved, in separate lower and upper tables, so later
-    visits with other windows reuse it.  The root is searched with a
-    window wider than any value, so its result is exact.
+    ``moves(pos)`` maps each distinct child of a position to its number of
+    undominated vertices.  Turn 1 is the minimiser's; with ``alternate``
+    the turns alternate and the minimiser starts, without it the maximiser
+    makes every move.  Every position starts inside an admissible window:
+    a move dominates at least one and at most ``delta`` new vertices, so
+    ceil(count / delta) <= value <= count.  A search that fails low or
+    high stores only the bound it proved, in per-turn lower and upper
+    tables, so later visits with other windows reuse it.  The root is
+    searched with a window wider than any value, so its result is exact.
     """
-    require_isolate_free(G)
-    nbr = G.nbr
-    full = G.full_mask
-    delta = max_degree(G)
     flip = 1 if alternate else 0
-    lower: dict[int, int] = {}
-    upper: dict[int, int] = {}
+    lower: tuple[dict, dict] = ({}, {})
+    upper: tuple[dict, dict] = ({}, {})
 
-    def search(mask: int, turn: int, alpha: int, beta: int) -> int:
-        undominated = full & ~mask
-        count = undominated.bit_count()
-        key = mask << 1 | turn
-        lo = lower.get(key, -(-count // delta))
-        hi = upper.get(key, count)
+    def search(pos, count: int, turn: int, alpha: int, beta: int) -> int:
+        lo = lower[turn].get(pos, -(-count // delta))
+        hi = upper[turn].get(pos, count)
         if lo >= beta or lo == hi:
             return lo
         if hi <= alpha:
@@ -325,15 +323,15 @@ def _mask_search(G: Graph, alternate: bool) -> int:
         alpha = max(alpha, lo)
         beta = min(beta, hi)
         after = turn ^ flip
-        children = {mask | m for m in nbr if m & undominated}
         a, b = alpha, beta
         if turn:
             # Likely-short lines first: the smallest proven upper bound,
-            # then the move that dominates the most.
-            order = sorted((upper.get(c << 1 | after, count), -c.bit_count(), c) for c in children)
+            # then the move that leaves the fewest undominated vertices.
+            known = upper[after]
+            order = sorted((known.get(child, count), left, child) for child, left in moves(pos).items())
             g = hi + 1
-            for _, _, child in order:
-                sub = 1 + search(child, after, a - 1, b - 1)
+            for _, left, child in order:
+                sub = 1 + search(child, left, after, a - 1, b - 1)
                 if sub < g:
                     g = sub
                     if g <= a:
@@ -341,22 +339,39 @@ def _mask_search(G: Graph, alternate: bool) -> int:
                     b = min(b, g)
         else:
             # Likely-long lines first, by the mirror-image rule.
-            order = sorted((-lower.get(c << 1 | after, 0), c.bit_count(), c) for c in children)
+            known = lower[after]
+            order = sorted((-known.get(child, 0), -left, child) for child, left in moves(pos).items())
             g = lo - 1
-            for _, _, child in order:
-                sub = 1 + search(child, after, a - 1, b - 1)
+            for _, left, child in order:
+                sub = 1 + search(child, -left, after, a - 1, b - 1)
                 if sub > g:
                     g = sub
                     if g >= b:
                         break
                     a = max(a, g)
         if g > alpha:
-            lower[key] = g
+            lower[turn][pos] = g
         if g < beta:
-            upper[key] = g
+            upper[turn][pos] = g
         return g
 
-    return search(0, flip, -1, full.bit_count() + 1)
+    return search(root, count, flip, -1, count + 1)
+
+
+def _mask_search(G: Graph, alternate: bool) -> int:
+    """``_move_count_game`` over the dominated mask; moves that reach the same mask are one child."""
+    nbr = G.nbr
+    full = G.full_mask
+
+    def moves(mask: int) -> dict[int, int]:
+        undominated = full ^ mask
+        children = {}
+        for m in nbr:
+            if m & undominated:
+                children[mask | m] = (undominated & ~m).bit_count()
+        return children
+
+    return _alphabeta(0, G.n, moves, max_degree(G), alternate)
 
 
 def _components(near: Sequence[int], undominated: int) -> list[int]:
@@ -482,11 +497,11 @@ class _ClassTable:
         self._seen[edges] = c
         return c
 
-    def split(self, edges: Sequence[int], near: Sequence[int], undominated: int) -> tuple[int, ...]:
-        """The sorted classes of the residual of ``edges`` on ``undominated``."""
+    def split(self, edges: Sequence[int], parts: Sequence[int]) -> tuple[int, ...]:
+        """The sorted classes of the residuals of ``edges`` on the component masks ``parts``."""
         return tuple(sorted(
             self.intern(tuple(sorted({e & part for e in edges if e & part})))
-            for part in _components(near, undominated)
+            for part in parts
         ))
 
     def moves(self, c: int) -> tuple[tuple[int, ...], ...]:
@@ -494,23 +509,24 @@ class _ClassTable:
         if found is None:
             code, near = self.codes[c], self._near[c]
             full = (1 << self.sizes[c]) - 1
-            found = self._moves[c] = tuple(dict.fromkeys(self.split(code, near, full & ~e) for e in code))
+            found = self._moves[c] = tuple(dict.fromkeys(
+                self.split(code, _components(near, full & ~e)) for e in code
+            ))
         return found
 
 
-def _class_search(G: Graph, alternate: bool) -> int:
+def _class_search(G: Graph, parts: Sequence[int], alternate: bool) -> int:
     """The mask search's value, searched over multisets of component classes.
 
-    A position is the sorted tuple of the classes of its residual's
+    ``parts`` are the components of V(G) under "shares a neighbour".  A
+    position is the sorted tuple of the classes of its residual's
     components (see the module docstring).  Without ``alternate`` the value
     is additive, so each class keeps one value: 1 plus the best sum over
-    its moves, which is at most its size.  With ``alternate`` the mask
-    search's fail-soft alpha-beta runs over (turn, classes), with the same
-    window and the same move order.
+    its moves, which is at most its size.
     """
     table = _ClassTable()
     sizes = table.sizes
-    root = table.split(G.nbr, near_masks(G), G.full_mask)
+    root = table.split(G.nbr, parts)
     if not alternate:
         value: dict[int, int] = {}
 
@@ -532,70 +548,25 @@ def _class_search(G: Graph, alternate: bool) -> int:
 
         return sum(longest(c) for c in root)
 
-    delta = max_degree(G)
-    lower: tuple[dict, dict] = ({}, {})
-    upper: tuple[dict, dict] = ({}, {})
-
-    def search(key: tuple[int, ...], turn: int, alpha: int, beta: int) -> int:
+    def moves(key: tuple[int, ...]) -> dict[tuple[int, ...], int]:
         count = 0
         for c in key:
             count += sizes[c]
-        lo = lower[turn].get(key, -(-count // delta))
-        hi = upper[turn].get(key, count)
-        if lo >= beta or lo == hi:
-            return lo
-        if hi <= alpha:
-            return hi
-        alpha = max(alpha, lo)
-        beta = min(beta, hi)
-        after = turn ^ 1
-        # Each child with the number of vertices its move dominates.
-        children: dict[tuple[int, ...], int] = {}
+        children = {}
         previous = -1
         for i, c in enumerate(key):
             if c == previous:
                 continue
             previous = c
             rest = key[:i] + key[i + 1:]
-            size = sizes[c]
             for left in table.moves(c):
-                shrink = size
+                remaining = count - sizes[c]
                 for x in left:
-                    shrink -= sizes[x]
-                children[tuple(sorted(rest + left))] = shrink
-        a, b = alpha, beta
-        if turn:
-            # Likely-short lines first: the smallest proven upper bound,
-            # then the move that dominates the most.
-            known = upper[after]
-            order = sorted((known.get(ch, count), -d, ch) for ch, d in children.items())
-            g = hi + 1
-            for _, _, child in order:
-                sub = 1 + search(child, after, a - 1, b - 1)
-                if sub < g:
-                    g = sub
-                    if g <= a:
-                        break
-                    b = min(b, g)
-        else:
-            # Likely-long lines first, by the mirror-image rule.
-            known = lower[after]
-            order = sorted((-known.get(ch, 0), d, ch) for ch, d in children.items())
-            g = lo - 1
-            for _, _, child in order:
-                sub = 1 + search(child, after, a - 1, b - 1)
-                if sub > g:
-                    g = sub
-                    if g >= b:
-                        break
-                    a = max(a, g)
-        if g > alpha:
-            lower[turn][key] = g
-        if g < beta:
-            upper[turn][key] = g
-        return g
+                    remaining += sizes[x]
+                children[tuple(sorted(rest + left))] = remaining
+        return children
 
-    return search(root, 1, -1, G.n + 1)
+    return _alphabeta(root, G.n, moves, max_degree(G), True)
 
 
 def best_response_length(G: Graph, declared: VertexSet | None, fixed: Policy) -> int:

@@ -8,6 +8,7 @@ itself.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 from .families import path_graph, support_vertices
 from .games import GameState, Policy, PolicyError, Role
@@ -122,21 +123,8 @@ def dominator_path_policy(n: int) -> Policy:
     """
     if n < 2:
         raise ValueError("paths need order >= 2")
-    expected = path_graph(n)
     script = _path_scripted_opening(n)
-
-    def choose(state: GameState) -> int:
-        if state.graph.n != n or state.graph.nbr != expected.nbr:
-            raise PolicyError(
-                f"path policy for order {n} was invoked on a different graph at "
-                + state.describe()
-            )
-        mask = state.dominated.mask
-        for v in script:
-            if not mask >> v & 1:
-                return v
-        return ((~mask & state.graph.full_mask) & -(~mask & state.graph.full_mask)).bit_length() - 1
-
+    choose = _scripted_chooser(path_graph(n), script, f"path policy for order {n}")
     return Policy(Role.DOMINATOR, f"dominator-path-{n}", choose, data=script)
 
 
@@ -159,17 +147,25 @@ def dominator_leaf_policy(T: Graph) -> Policy:
         leaf = min(u for u in bits(T.nbr[v]) if T.degree(u) == 1)
         script.append(leaf)
     script_t = tuple(script)
+    choose = _scripted_chooser(T, script_t, "leaf policy")
+    return Policy(Role.DOMINATOR, "dominator-leaf", choose, data=script_t)
+
+
+def _scripted_chooser(G: Graph, script: tuple[int, ...], name: str) -> Callable[[GameState], int]:
+    """Indicate the first undominated vertex of ``script``, else the lowest undominated one.
+
+    Played on a graph other than G, the chooser raises PolicyError naming
+    the policy as ``name``.
+    """
 
     def choose(state: GameState) -> int:
-        if state.graph.nbr != T.nbr:
-            raise PolicyError(
-                "leaf policy was invoked on a different graph at " + state.describe()
-            )
+        if state.graph.n != G.n or state.graph.nbr != G.nbr:
+            raise PolicyError(f"{name} was invoked on a different graph at " + state.describe())
         mask = state.dominated.mask
-        for v in script_t:
+        for v in script:
             if not mask >> v & 1:
                 return v
-        undom = ~mask & state.graph.full_mask
-        return (undom & -undom).bit_length() - 1
+        undominated = ~mask & state.graph.full_mask
+        return (undominated & -undominated).bit_length() - 1
 
-    return Policy(Role.DOMINATOR, "dominator-leaf", choose, data=script_t)
+    return choose

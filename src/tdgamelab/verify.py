@@ -611,33 +611,15 @@ class TreeProbeReport:
 
     def summary_lines(self) -> list[str]:
         lines = []
-        if self.equality_counterexamples:
-            lines += [
-                f"upper-total/indicated equality counterexample: {g}"
-                for g in self.equality_counterexamples
-            ]
-        else:
-            lines.append(
-                f"upper-total = indicated on trees: no counterexample found up to n={self.n_max}"
-            )
-        if self.matching_bound_counterexamples:
-            lines += [
-                f"indicated <= 2*matching counterexample: {g}"
-                for g in self.matching_bound_counterexamples
-            ]
-        else:
-            lines.append(
-                f"indicated <= 2*matching on trees: no counterexample found up to n={self.n_max}"
-            )
-        if self.restricted_claim_violations:
-            lines += [
-                f"VIOLATION of the leaf-ended-matching bound: {g}"
-                for g in self.restricted_claim_violations
-            ]
-        else:
-            lines.append(
-                "leaf-ended-matching bound verified on every qualifying tree"
-            )
+        for found, prefix, none_line in (
+            (self.equality_counterexamples, "upper-total/indicated equality counterexample",
+             f"upper-total = indicated on trees: no counterexample found up to n={self.n_max}"),
+            (self.matching_bound_counterexamples, "indicated <= 2*matching counterexample",
+             f"indicated <= 2*matching on trees: no counterexample found up to n={self.n_max}"),
+            (self.restricted_claim_violations, "VIOLATION of the leaf-ended-matching bound",
+             "leaf-ended-matching bound verified on every qualifying tree"),
+        ):
+            lines += [f"{prefix}: {g}" for g in found] if found else [none_line]
         return lines
 
 

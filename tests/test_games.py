@@ -239,6 +239,11 @@ def splits(G):
     return len(_components(near_masks(G), G.full_mask)) > 1
 
 
+def class_search(G, alternate):
+    """``_class_search`` on G's own components, whether or not V splits."""
+    return _class_search(G, _components(near_masks(G), G.full_mask), alternate)
+
+
 def random_split_graphs(rng, count, low, high):
     """Relabeled random trees, bipartite graphs and disjoint unions, in turn."""
     graphs = []
@@ -268,15 +273,16 @@ class TestClassSearch:
     def test_matches_mask_search_on_every_split_graph_up_to_7(self):
         split = [(graph_id, G) for graph_id, G in exhaustive_corpus(7) if splits(G)]
         assert len(split) == 119
+        # The oracles share no code with the alpha-beta that both searches run.
         for graph_id, G in split:
-            for alternate in (True, False):
-                assert _class_search(G, alternate) == _mask_search(G, alternate), (graph_id, alternate)
+            assert class_search(G, True) == _mask_search(G, True) == oracle_gtg(G), graph_id
+            assert class_search(G, False) == _mask_search(G, False) == oracle_grundy(G), graph_id
 
     def test_seeded_split_graphs_10_to_14(self):
         for G in random_split_graphs(random.Random(0xC1A55), 24, 10, 14):
             assert splits(G), G.edges()
-            assert gtg(G) == _class_search(G, True) == oracle_gtg(G), G.edges()
-            assert grundy_t(G) == _class_search(G, False) == oracle_grundy(G), G.edges()
+            assert gtg(G) == class_search(G, True) == oracle_gtg(G), G.edges()
+            assert grundy_t(G) == class_search(G, False) == oracle_grundy(G), G.edges()
 
     def test_vertex_set_splits_exactly_on_bipartite_and_disconnected_graphs(self):
         for graph_id, G in exhaustive_corpus(7):
@@ -286,7 +292,7 @@ class TestClassSearch:
         # The stand-in class search returns 0, so a positive value comes
         # from the mask search.
         calls = []
-        monkeypatch.setattr(games, "_class_search", lambda G, alternate: calls.append(G.n) or 0)
+        monkeypatch.setattr(games, "_class_search", lambda G, parts, alternate: calls.append(G.n) or 0)
         n = CLASS_SEARCH_MIN_ORDER
         assert gtg(path_graph(n - 1)) > 0  # too small
         assert gtg(cycle_graph(n | 1)) > 0  # odd: V does not split
@@ -299,9 +305,9 @@ class TestClassSearch:
         # Odd cycles do not split, so gtg would take the mask search.
         rng = random.Random(0xD0B)
         for n in range(2, 27):
-            assert _class_search(relabeled(path_graph(n), rng), True) == 2 * (n + 1) // 3 - (n % 6 == 5), n
+            assert class_search(relabeled(path_graph(n), rng), True) == 2 * (n + 1) // 3 - (n % 6 == 5), n
             if n >= 3:
-                assert _class_search(relabeled(cycle_graph(n), rng), True) == (2 * n + 1) // 3 - (n % 6 == 4), n
+                assert class_search(relabeled(cycle_graph(n), rng), True) == (2 * n + 1) // 3 - (n % 6 == 4), n
 
     @pytest.mark.parametrize("spec, value", [("cycle:18", 12), ("path:19", 13)])
     def test_classes_bound_the_work(self, spec, value):
@@ -313,6 +319,18 @@ class TestClassSearch:
         CountingMasks.reads = 0
         assert [gtg(G) for G in counted] == [value] * 3
         assert CountingMasks.reads <= 2_000, CountingMasks.reads
+
+    @pytest.mark.parametrize("solve, value, limit", [(gtg, 10, 54_930), (grundy_t, 14, 855)])
+    def test_window_and_move_order_bound_the_mask_search(self, solve, value, limit):
+        # cycle:15 is odd, so V does not split and both games take the mask
+        # search.  The search reads 54,885 and 810 masks; the limits leave n
+        # a solve of slack, and dropping the window or either key of either
+        # move order reads more.
+        G0 = family(parse_family_spec("cycle:15"))
+        counted = [Graph(G0.n, CountingMasks(relabeled(G0, random.Random(seed)).nbr)) for seed in range(3)]
+        CountingMasks.reads = 0
+        assert [solve(G) for G in counted] == [value] * 3
+        assert CountingMasks.reads <= limit, CountingMasks.reads
 
 
 class TestIndicatedGame:

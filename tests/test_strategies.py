@@ -118,6 +118,11 @@ class TestDominatorLeafPolicy:
         with pytest.raises(ValueError):
             dominator_leaf_policy(cycle_graph(5))
 
+    def test_rejects_other_graphs(self):
+        # P_5 has the order of star:4 but other edges.
+        with pytest.raises(PolicyError, match=r"^leaf policy was invoked on a different graph at move 0"):
+            best_response_length(path_graph(5), None, dominator_leaf_policy(star_graph(4)))
+
 
 class TestJointCertification:
     def test_scripts_pin_path_values_without_exact_solver(self):

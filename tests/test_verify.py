@@ -444,6 +444,20 @@ class TestTreeProbes:
         lines = report.summary_lines()
         assert any("no counterexample found up to n=5" in line for line in lines)
 
+    def test_summary_lines_name_each_counterexample(self):
+        report = verify.TreeProbeReport(9, (), ("tree:n=9:i=3",), ("tree:n=8:i=1", "tree:n=9:i=0"), ("tree:n=7:i=2",))
+        assert report.summary_lines() == [
+            "upper-total/indicated equality counterexample: tree:n=9:i=3",
+            "indicated <= 2*matching counterexample: tree:n=8:i=1",
+            "indicated <= 2*matching counterexample: tree:n=9:i=0",
+            "VIOLATION of the leaf-ended-matching bound: tree:n=7:i=2",
+        ]
+        assert verify.TreeProbeReport(9, (), (), (), ()).summary_lines() == [
+            "upper-total = indicated on trees: no counterexample found up to n=9",
+            "indicated <= 2*matching on trees: no counterexample found up to n=9",
+            "leaf-ended-matching bound verified on every qualifying tree",
+        ]
+
     def test_path_rows_have_equality(self):
         report = explore_trees(7)
         for row in report.rows:
