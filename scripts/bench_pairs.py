@@ -1,7 +1,7 @@
 """Paired tdbench runs of two commits, written as one BENCH_<name>.json.
 
     python3 scripts/bench_pairs.py --parent REV --change REV --name NAME \
-        --workload positions:10 --workload survey7:10 --traced positions \
+        --workload positions:10 --workload survey7:10 --traced positions:3 \
         --seed-base 9100 --workdir DIR --claim "what should improve, and where"
 
 Clones this repository twice into ``--workdir``, checks out each commit, and
@@ -9,15 +9,19 @@ runs ``tdbench/run.py`` inside each clone, so both sides are measured with
 their own committed files.  For a workload given as ``NAME:PAIRS`` it runs
 PAIRS pairs, one run after another: pair i (from 1) uses seed
 ``seed_base + 100 * k + i``, where k counts the workloads from 0, and the
-parent runs first in odd pairs and the change in even ones.  Each
-``--traced`` workload gets one more pair with ``--trace 1`` on seed
-``seed_base + 100 * k + 51``.  The run length is ``run_seconds`` from the
-parent's ``BENCHMARK.json``, the same on both sides.
+parent runs first in odd pairs and the change in even ones.  A workload
+given as ``--traced NAME:PAIRS`` gets PAIRS more pairs with ``--trace 1``,
+pair j (from 1) on seed ``seed_base + 100 * k + 50 + j`` with the same
+alternation; a bare ``--traced NAME`` means one pair.  The run length is
+``run_seconds`` from the parent's ``BENCHMARK.json``, the same on both
+sides.
 
 The output keeps the last line of every run (``correct``, ``attempted``,
 ``failed``, ``metrics``) and, per workload and end-to-end metric, each
 side's quartiles and median (inclusive method) and the number of pairs in
-which the change was better, ties counting for neither side.  Stdlib only.
+which the change was better, ties counting for neither side.  Per traced
+workload it also gives each side's median of every per-layer metric.
+Stdlib only.
 """
 
 from __future__ import annotations
@@ -73,6 +77,20 @@ def summarize(pairs: list[dict], end_to_end: list[dict]) -> dict:
     return summary
 
 
+def layer_medians(pairs: list[dict], per_layer: list[dict]) -> dict:
+    """Per side, the median of every per-layer metric over the traced pairs."""
+    return {side: {metric["name"]: statistics.median(pair[side]["metrics"][metric["name"]]["value"]
+                                                     for pair in pairs)
+                   for metric in per_layer}
+            for side in SIDES}
+
+
+def counted(item: str) -> tuple[str, int]:
+    """``NAME:PAIRS`` as (NAME, PAIRS); a bare NAME is one pair."""
+    name, _, pairs = item.partition(":")
+    return name, int(pairs or 1)
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", required=True, help="commit measured as the parent")
@@ -80,17 +98,15 @@ def main() -> int:
     parser.add_argument("--name", required=True, help="writes BENCH_<name>.json at the repository root")
     parser.add_argument("--claim", required=True, help="the claim the runs test, stored in the output")
     parser.add_argument("--workload", action="append", required=True, metavar="NAME:PAIRS")
-    parser.add_argument("--traced", action="append", default=[], metavar="NAME")
+    parser.add_argument("--traced", action="append", default=[], metavar="NAME[:PAIRS]")
     parser.add_argument("--seed-base", type=int, required=True)
     parser.add_argument("--workdir", type=Path, required=True, help="empty directory for the two clones")
     args = parser.parse_args()
 
     commits = {side: git("rev-parse", "--verify", getattr(args, side) + "^{commit}") for side in SIDES}
-    plan = []
-    for k, item in enumerate(args.workload):
-        name, _, pairs = item.partition(":")
-        plan.append((k, name, int(pairs)))
-    unknown = set(args.traced) - {name for _, name, _ in plan}
+    plan = [(k, *counted(item)) for k, item in enumerate(args.workload)]
+    traced_pairs = dict(counted(item) for item in args.traced)
+    unknown = set(traced_pairs) - {name for _, name, _ in plan}
     if unknown:
         parser.error(f"--traced names workloads not given with --workload: {sorted(unknown)}")
     args.workdir.mkdir(parents=True, exist_ok=True)
@@ -114,8 +130,10 @@ def main() -> int:
         pairs = [pair(name, args.seed_base + 100 * k + i, SIDES[(i - 1) % 2], 0) for i in range(1, count + 1)]
         workloads[name] = {"pairs": pairs, "summary": summarize(pairs, spec["end_to_end"]),
                            "failed": sum(p[side]["failed"] for p in pairs for side in SIDES)}
-        if name in args.traced:
-            traced[name] = pair(name, args.seed_base + 100 * k + 51, "parent", 1)
+        if name in traced_pairs:
+            pairs = [pair(name, args.seed_base + 100 * k + 50 + j, SIDES[(j - 1) % 2], 1)
+                     for j in range(1, traced_pairs[name] + 1)]
+            traced[name] = {"pairs": pairs, "medians": layer_medians(pairs, spec["per_layer"])}
 
     result = {
         "claim": args.claim,

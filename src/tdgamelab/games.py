@@ -575,7 +575,8 @@ def best_response_length(G: Graph, declared: VertexSet | None, fixed: Policy) ->
     The fixed side's branching collapses to the policy's single choice; the
     free side is solved exactly against it.  Raises PolicyError when the
     policy returns an illegal move.  Every reachable state consults the
-    policy, so there are no cut-offs here.
+    policy, so there are no cut-offs here.  A reply that the policy gives
+    to several indications of one state is searched once.
     """
     require_isolate_free(G)
     declared = declared if declared is not None else VertexSet(G.n)
@@ -583,35 +584,69 @@ def best_response_length(G: Graph, declared: VertexSet | None, fixed: Policy) ->
     nbr = G.nbr
     full = G.full_mask
     n = G.n
-    # Policies may consult the move count, so the memo keys on both.
+    choose = fixed.chooser
+    # Policies may consult the move count, so the memo keys on both.  The
+    # children are read from it before recursing, and the inline legality
+    # tests hand anything they do not accept to the checks, which decide
+    # and raise.
     memo: dict[int, int] = {}
 
-    def value(mask: int, moves: int) -> int:
-        if mask == full:
-            return 0
-        key = moves << n | mask
-        cached = memo.get(key)
-        if cached is not None:
-            return cached
+    def dominator(mask: int, moves: int) -> int:
         state = GameState(G, declared, VertexSet(n, mask), moves)
-        if fixed.role is Role.DOMINATOR:
-            v = fixed.move(state)
+        v = choose(state)
+        if type(v) is not int or not 0 <= v < n or mask >> v & 1:
             _check_indication(fixed, state, v)
-            best = 0
-            for u in bits(nbr[v]):
-                best = max(best, 1 + value(mask | nbr[u], moves + 1))
-        else:
-            best = -1
-            for v in bits(~mask & full):
-                u = fixed.move(state, v)
-                _check_selection(fixed, state, v, u)
-                sub = 1 + value(mask | nbr[u], moves + 1)
-                if best < 0 or sub < best:
-                    best = sub
-        memo[key] = best
-        return best
+        later = moves + 1
+        base = later << n
+        best = 0
+        replies = nbr[v]
+        while replies:
+            low = replies & -replies
+            replies ^= low
+            child = mask | nbr[low.bit_length() - 1]
+            if child == full:
+                sub = 0
+            else:
+                sub = memo.get(base | child)
+                if sub is None:
+                    sub = dominator(child, later)
+            if sub > best:
+                best = sub
+        memo[moves << n | mask] = best + 1
+        return best + 1
 
-    return value(start, 0)
+    def staller(mask: int, moves: int) -> int:
+        state = GameState(G, declared, VertexSet(n, mask), moves)
+        later = moves + 1
+        base = later << n
+        best = n
+        searched = 0
+        undominated = ~mask & full
+        while undominated:
+            low = undominated & -undominated
+            undominated ^= low
+            v = low.bit_length() - 1
+            u = choose(state, v)
+            if type(u) is not int or not 0 <= u < n or not nbr[v] >> u & 1:
+                _check_selection(fixed, state, v, u)
+            if searched >> u & 1:
+                continue
+            searched |= 1 << u
+            child = mask | nbr[u]
+            if child == full:
+                best = 0
+                continue
+            sub = memo.get(base | child)
+            if sub is None:
+                sub = staller(child, later)
+            if sub < best:
+                best = sub
+        memo[moves << n | mask] = best + 1
+        return best + 1
+
+    if start == full:
+        return 0
+    return (dominator if fixed.role is Role.DOMINATOR else staller)(start, 0)
 
 
 def _check_indication(policy: Policy, state: GameState, v: object) -> None:

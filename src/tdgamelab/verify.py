@@ -427,8 +427,9 @@ def check_continuation(
 ) -> ContinuationReport:
     """Check that declaring more vertices dominated never raises the game value.
 
-    Exhaustive mode visits every pair B <= A of declared sets (3^n ordered
-    pairs) and is cost-guarded to n <= 7; sampled mode draws ``samples``
+    Exhaustive mode decides every pair B <= A of declared sets (3^n ordered
+    pairs), walking the subsets of A only when one of them has a smaller
+    value, and is cost-guarded to n <= 7; sampled mode draws ``samples``
     seeded random pairs, at least one.  Violations are reported with the
     witnessing (A, B).
     """
@@ -443,10 +444,22 @@ def check_continuation(
                 f"exhaustive continuation checks are limited to n <= {EXHAUSTIVE_ORDER_CAP}"
             )
         values = [solver.value(mask) for mask in range(full + 1)]
+        # least[a] is the smallest value over the subsets of a, so only the
+        # sets A with values[A] > least[A] have a violating B to walk for.
+        least = values[:]
+        for a in range(1, full + 1):
+            rest = a
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                if least[a ^ low] < least[a]:
+                    least[a] = least[a ^ low]
+        pairs = 3**G.n
         for a in range(full + 1):
+            if values[a] == least[a]:
+                continue
             b = a
             while True:
-                pairs += 1
                 if values[a] > values[b]:
                     violations.append(_pair(a, b))
                 if b == 0:

@@ -24,8 +24,18 @@ from tdgamelab import (
 )
 from tdgamelab.families import cycle_graph, disjoint_union, path_graph
 from tdgamelab import games
-from tdgamelab.games import CLASS_SEARCH_MIN_ORDER, _class_search, _components, _mask_search
-from tdgamelab.graph import Graph, bipartition, is_bipartite, is_connected, near_masks
+from tdgamelab.games import (
+    CLASS_SEARCH_MIN_ORDER,
+    GameState,
+    _check_indication,
+    _check_selection,
+    _class_search,
+    _components,
+    _declared_mask,
+    _mask_search,
+)
+from tdgamelab.graph import Graph, bipartition, bits, is_bipartite, is_connected, near_masks, require_isolate_free
+from tdgamelab.strategies import dominator_path_policy, staller_partition_policy
 from tdgamelab.verify import exhaustive_corpus, isolate_free_graphs, random_isolate_free_graph
 
 from conftest import CountingMasks, isolate_free_graphs_st, relabeled
@@ -150,6 +160,45 @@ def oracle_grundy(G):
         return memo[mask]
 
     return value(0)
+
+
+def oracle_best_response(G, declared, fixed):
+    """The plain recursion over (move count, mask): one policy call, check and frame per pair."""
+    require_isolate_free(G)
+    declared = declared if declared is not None else VertexSet(G.n)
+    start = _declared_mask(G, declared)
+    nbr = G.nbr
+    full = G.full_mask
+    n = G.n
+    # Policies may consult the move count, so the memo keys on both.
+    memo: dict[int, int] = {}
+
+    def value(mask: int, moves: int) -> int:
+        if mask == full:
+            return 0
+        key = moves << n | mask
+        cached = memo.get(key)
+        if cached is not None:
+            return cached
+        state = GameState(G, declared, VertexSet(n, mask), moves)
+        if fixed.role is Role.DOMINATOR:
+            v = fixed.move(state)
+            _check_indication(fixed, state, v)
+            best = 0
+            for u in bits(nbr[v]):
+                best = max(best, 1 + value(mask | nbr[u], moves + 1))
+        else:
+            best = -1
+            for v in bits(~mask & full):
+                u = fixed.move(state, v)
+                _check_selection(fixed, state, v, u)
+                sub = 1 + value(mask | nbr[u], moves + 1)
+                if best < 0 or sub < best:
+                    best = sub
+        memo[key] = best
+        return best
+
+    return value(start, 0)
 
 
 class TestAgainstPlainRecursions:
@@ -539,3 +588,100 @@ class TestPoliciesAndDeterminism:
         assert first.best_indication(0) == second.best_indication(0)
         v = first.best_indication(0)
         assert first.best_selection(0, v) == second.best_selection(0, v)
+
+
+def lowest(mask):
+    return (mask & -mask).bit_length() - 1
+
+
+def logged(policy, log):
+    """``policy`` with every consultation appended to ``log`` as (move, dominated, indicated)."""
+
+    def chooser(state, *indicated):
+        log.append((state.moves, state.dominated.mask, *indicated))
+        return policy.chooser(state, *indicated)
+
+    return Policy(policy.role, policy.name, chooser)
+
+
+def sample_policies(G):
+    """Policies for the oracle comparison, two of which read the move count."""
+    nbr, full = G.nbr, G.full_mask
+
+    def alternating_staller(state, v):
+        # Smallest neighbour on even moves, largest on odd ones.
+        return lowest(nbr[v]) if state.moves % 2 == 0 else nbr[v].bit_length() - 1
+
+    def alternating_dominator(state):
+        undominated = ~state.dominated.mask & full
+        return lowest(undominated) if state.moves % 2 == 0 else undominated.bit_length() - 1
+
+    def bool_staller(state, v):
+        # The checks accept True as vertex 1, so the inline tests must too.
+        u = lowest(nbr[v])
+        return True if u == 1 else u
+
+    return [
+        optimal_policy(G, Role.DOMINATOR),
+        optimal_policy(G, Role.STALLER),
+        staller_partition_policy(G),
+        Policy(Role.STALLER, "alternating-staller", alternating_staller),
+        Policy(Role.DOMINATOR, "alternating-dominator", alternating_dominator),
+        Policy(Role.STALLER, "bool-staller", bool_staller),
+    ]
+
+
+class TestBestResponse:
+    def test_matches_plain_recursion_on_every_graph_up_to_6(self):
+        # Same value, and the same consultations in the same order, so the
+        # first illegal move found is the same too.
+        for graph_id, G in exhaustive_corpus(6):
+            for declared in (None, VertexSet.of(G.n, [G.n - 1])):
+                for policy in sample_policies(G):
+                    seen, expected = [], []
+                    value = best_response_length(G, declared, logged(policy, seen))
+                    assert value == oracle_best_response(G, declared, logged(policy, expected)), (graph_id, policy.name)
+                    assert seen == expected, (graph_id, policy.name)
+
+    def test_consultations_on_path_20(self):
+        G = path_graph(20)
+        for policy, count in ((staller_partition_policy(G), 139_264), (dominator_path_policy(20), 143)):
+            log = []
+            assert best_response_length(G, None, logged(policy, log)) == 14
+            assert len(log) == count, policy.name
+
+    def test_late_illegal_indication(self):
+        G = path_graph(6)
+        dominator = Policy(
+            Role.DOMINATOR,
+            "late-dominator",
+            lambda s: lowest(s.dominated.mask if s.moves >= 2 else ~s.dominated.mask & s.graph.full_mask),
+        )
+        with pytest.raises(PolicyError) as raised:
+            best_response_length(G, None, dominator)
+        assert str(raised.value) == (
+            "policy 'late-dominator' indicated illegal vertex 0 at move 2, dominated=[0, 1, 2], "
+            "declared=[] on <Graph path:6: n=6, m=5>"
+        )
+
+    def test_late_non_neighbour_selection(self):
+        G = path_graph(6)
+        staller = Policy(
+            Role.STALLER, "stray-staller", lambda s, v: v if s.moves == 1 else lowest(s.graph.nbr[v])
+        )
+        with pytest.raises(PolicyError) as raised:
+            best_response_length(G, None, staller)
+        assert str(raised.value) == (
+            "policy 'stray-staller' selected illegal vertex 1 for indicated 1 at move 1, dominated=[0, 2], "
+            "declared=[] on <Graph path:6: n=6, m=5>"
+        )
+
+    def test_missing_selection(self):
+        G = path_graph(6)
+        staller = Policy(Role.STALLER, "silent-staller", lambda s, v: None)
+        with pytest.raises(PolicyError) as raised:
+            best_response_length(G, None, staller)
+        assert str(raised.value) == (
+            "policy 'silent-staller' selected illegal vertex None for indicated 0 at move 0, dominated=[], "
+            "declared=[] on <Graph path:6: n=6, m=5>"
+        )

@@ -253,9 +253,11 @@ class TestIrredundantSearch:
 
     def test_additive_over_disjoint_unions(self):
         # The sets of a disjoint union are the unions of sets of its parts,
-        # and the first part's vertices come first, so the first largest set
-        # is the first largest set of each part side by side.  At most three
-        # parts of at most 8 vertices keep the union within SOLVER_CAP.
+        # and the first part's vertices come first, so the first smallest or
+        # largest set is the first such set of each part side by side.  The
+        # same holds for induced matchings, whose edges of the first part
+        # sort first.  At most three parts of at most 8 vertices keep the
+        # union within SOLVER_CAP.
         rng = random.Random(0xAD)
         for _ in range(12):
             parts = [
@@ -263,7 +265,7 @@ class TestIrredundantSearch:
                 for _ in range(rng.randint(2, 3))
             ]
             whole = disjoint_union(parts)
-            for solve in (upper_gamma_t, ooir):
+            for solve in (gamma_t, upper_gamma_t, ooir):
                 offset, value, mask = 0, 0, 0
                 for part in parts:
                     result = solve(part)
@@ -272,6 +274,14 @@ class TestIrredundantSearch:
                     offset += part.n
                 result = solve(whole)
                 assert (result.value, result.witness.mask) == (value, mask), [p.edges() for p in parts]
+            offset, value, edges = 0, 0, ()
+            for part in parts:
+                result = induced_matching_number(part)
+                value += result.value
+                edges += tuple((u + offset, v + offset) for u, v in result.witness)
+                offset += part.n
+            result = induced_matching_number(whole)
+            assert (result.value, result.witness) == (value, edges), [p.edges() for p in parts]
 
 
 class TestInducedMatching:

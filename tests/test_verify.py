@@ -16,7 +16,8 @@ import pytest
 import tdgamelab
 from tdgamelab import build_graph, check_continuation, verify
 from tdgamelab.families import cycle_graph, family, parse_family_spec, path_graph
-from tdgamelab.graph import CapacityError
+from tdgamelab.games import IndicatedGameSolver
+from tdgamelab.graph import CapacityError, bits
 from tdgamelab.graphio import serialize_graph6
 from tdgamelab.invariants import WitnessError
 from tdgamelab.verify import (
@@ -239,7 +240,29 @@ class TestTreeEnumeration:
             enumerate_trees(1)
 
 
+def plain_continuation_violations(G):
+    """Every pair B <= A with a larger value at A, walked over all 3^n pairs."""
+    solver = IndicatedGameSolver(G)
+    violations = []
+    for a in range(G.full_mask + 1):
+        b = a
+        while True:
+            if solver.value(a) > solver.value(b):
+                violations.append((tuple(bits(a)), tuple(bits(b))))
+            if b == 0:
+                break
+            b = (b - 1) & a
+    return tuple(violations)
+
+
 class TestContinuationChecker:
+    def test_matches_plain_walk_on_every_graph_up_to_6(self):
+        paw = build_graph(4, [(0, 1), (0, 2), (0, 3), (1, 2)])
+        for graph_id, G in [*exhaustive_corpus(6), ("paw", paw)]:
+            report = check_continuation(G, mode="exhaustive")
+            assert report.pairs_checked == 3**G.n
+            assert report.violations == plain_continuation_violations(G), graph_id
+
     def test_p5_exhaustive_clean(self):
         report = check_continuation(path_graph(5), mode="exhaustive")
         assert report.ok
