@@ -428,39 +428,42 @@ def check_continuation(
     """Check that declaring more vertices dominated never raises the game value.
 
     Exhaustive mode decides every pair B <= A of declared sets (3^n ordered
-    pairs), walking the subsets of A only when one of them has a smaller
-    value, and is cost-guarded to n <= 7; sampled mode draws ``samples``
-    seeded random pairs, at least one.  Violations are reported with the
-    witnessing (A, B).
+    pairs) and is cost-guarded to n <= 7 (``CapacityError`` above it).  It
+    reads the whole value table as the threshold bitmaps of
+    ``_value_levels``: a set A has a violating subset exactly when, for
+    some k, A is in L_k and a subset of A is not, so only the sets of
+    W = OR_k (L_k AND Up(NOT L_k)) are walked, where Up is the superset
+    closure.  For each A in W, in increasing order, the subsets B of A are
+    walked from A down, and (A, B) is a violation when B is not in
+    L_value(A).  Sampled mode draws ``samples`` seeded random pairs, at
+    least one, and reads their values from an ``IndicatedGameSolver``.
+    Violations are reported with the witnessing (A, B).
     """
     require_isolate_free(G)
-    solver = IndicatedGameSolver(G)
     full = G.full_mask
     violations = []
     pairs = 0
     if mode == "exhaustive":
         if G.n > EXHAUSTIVE_ORDER_CAP:
-            raise ValueError(
+            raise CapacityError(
                 f"exhaustive continuation checks are limited to n <= {EXHAUSTIVE_ORDER_CAP}"
             )
-        values = [solver.value(mask) for mask in range(full + 1)]
-        # least[a] is the smallest value over the subsets of a, so only the
-        # sets A with values[A] > least[A] have a violating B to walk for.
-        least = values[:]
-        for a in range(1, full + 1):
-            rest = a
-            while rest:
-                low = rest & -rest
-                rest ^= low
-                if least[a ^ low] < least[a]:
-                    least[a] = least[a ^ low]
+        levels = _value_levels(G)
+        clear = [~_bit_column(i, G.n) for i in range(G.n)]
+        walk = 0
+        for level in levels:
+            # Up(NOT L_k); the bits of ~level past 2**n are dropped by the
+            # final AND with level.
+            up = ~level
+            for i, without_i in enumerate(clear):
+                up |= (up & without_i) << (1 << i)
+            walk |= level & up
         pairs = 3**G.n
-        for a in range(full + 1):
-            if values[a] == least[a]:
-                continue
+        for a in bits(walk):
+            level = levels[sum(above >> a & 1 for above in levels) - 1]
             b = a
             while True:
-                if values[a] > values[b]:
+                if not level >> b & 1:
                     violations.append(_pair(a, b))
                 if b == 0:
                     break
@@ -468,6 +471,7 @@ def check_continuation(
     elif mode == "sampled":
         if samples < 1:
             raise ValueError(f"sampled continuation checks need samples >= 1, not {samples}")
+        solver = IndicatedGameSolver(G)
         rng = random.Random(seed)
         for _ in range(samples):
             a = rng.randrange(full + 1)
@@ -479,6 +483,41 @@ def check_continuation(
         raise ValueError(f"unknown continuation mode {mode!r}")
     name = G.label or f"graph(n={G.n})"
     return ContinuationReport(name, G.n, mode, pairs, tuple(violations))
+
+
+def _value_levels(G: Graph) -> list[int]:
+    """The indicated game's value table over every mask, as threshold bitmaps.
+
+    Entry k - 1 is L_k, a 2**n-bit int whose bit M is set when the value
+    from dominated mask M is at least k; the levels are nested, the first
+    empty one ends the list, and the value of M is the number of levels
+    that hold it.  L_1 is every mask but V.  M is in L_{k+1} when M != V
+    and every undominated v has a reply u in N(v) with M | N(u) in L_k.
+    The masks M with M | N(u) in L_k come from L_k one vertex i of N(u)
+    at a time: keep the masks holding i, then add each of them with i
+    cleared.
+    """
+    n, nbr = G.n, G.nbr
+    cols = [_bit_column(i, n) for i in range(n)]
+    open_masks = (1 << G.full_mask) - 1  # every mask but V, the highest
+    levels = []
+    level = open_masks
+    while level:
+        levels.append(level)
+        replies = []
+        for u in range(n):
+            reply = level
+            for i in bits(nbr[u]):
+                reply &= cols[i]
+                reply |= reply >> (1 << i)
+            replies.append(reply)
+        level = open_masks
+        for v in range(n):
+            answered = cols[v]
+            for u in bits(nbr[v]):
+                answered |= replies[u]
+            level &= answered
+    return levels
 
 
 def _pair(a: int, b: int) -> tuple[tuple[int, ...], tuple[int, ...]]:

@@ -191,6 +191,11 @@ class TestVerify:
         assert (code, out) == (2, "")
         assert "samples >= 1" in err
 
+    def test_continuation_over_order_cap_exit_3(self, capsys):
+        code, out, err = run(capsys, "verify", "continuation", "--graph", "path:9")
+        assert (code, out) == (3, "")
+        assert "exhaustive continuation checks are limited to n <= 7" in err
+
     def test_continuation_reports_violations(self, capsys, tmp_path):
         path = tmp_path / "paw.txt"
         path.write_text("4\n0 1\n0 2\n0 3\n1 2\n")

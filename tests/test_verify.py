@@ -281,6 +281,25 @@ class TestContinuationChecker:
         with pytest.raises(ValueError):
             check_continuation(build_graph(8, [(i, (i + 1) % 8) for i in range(8)]))
 
+    def test_over_order_cap_is_a_capacity_error(self):
+        with pytest.raises(CapacityError, match="limited to n <= 7"):
+            check_continuation(path_graph(8))
+
+    def test_frozen_violations_up_to_7(self):
+        # Per-order violation totals on the unrelabeled corpus, and every
+        # n = 7 violation tuple in order, frozen from the solver-walk checker.
+        totals = {
+            n: sum(len(check_continuation(G).violations) for G in isolate_free_graphs(n))
+            for n in range(2, 8)
+        }
+        assert totals == {2: 0, 3: 0, 4: 1, 5: 20, 6: 444, 7: 11772}
+        text = "".join(
+            f"{G.label} {check_continuation(G).violations}\n" for G in isolate_free_graphs(7)
+        )
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "b04fcc548ca87137d35373b35808547a59a093220e83f39b11ed5374e98249b6"
+        )
+
     @pytest.mark.parametrize("samples", [0, -1])
     def test_sampled_needs_a_sample(self, samples):
         with pytest.raises(ValueError, match="samples >= 1"):
@@ -293,6 +312,31 @@ class TestContinuationChecker:
         report = check_continuation(G, mode="exhaustive")
         assert not report.ok
         assert ((0, 3), (0,)) in report.violations
+
+
+def assert_levels_match_solver(G):
+    levels = verify._value_levels(G)
+    solver = IndicatedGameSolver(G)
+    for mask in range(G.full_mask + 1):
+        assert sum(level >> mask & 1 for level in levels) == solver.value(mask), (G, mask)
+    assert all(level and not level >> G.full_mask & 1 for level in levels)
+    assert all(upper & ~lower == 0 for lower, upper in zip(levels, levels[1:]))
+
+
+class TestValueLevels:
+    def test_every_mask_up_to_7(self):
+        for _, G in exhaustive_corpus(7):
+            assert_levels_match_solver(G)
+
+    def test_relabeled_order_7(self):
+        rng = random.Random(7)
+        for G in isolate_free_graphs(7)[::40]:
+            assert_levels_match_solver(relabeled(G, rng))
+
+    def test_order_2(self):
+        # K2: each selection dominates only the other end, so the empty
+        # mask takes two selections and a one-vertex mask one.
+        assert verify._value_levels(build_graph(2, [(0, 1)])) == [0b0111, 0b0001]
 
 
 class TestSurvey:
