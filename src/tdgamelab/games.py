@@ -1,4 +1,4 @@
-"""Exact minimax engines for the sequential total domination invariants.
+"""Exact engines for the sequential total domination invariants.
 
 All three games run over bitmask states.  The key observation for the
 indicated game is that the dominated mask alone determines the rest of the
@@ -9,61 +9,59 @@ Tables therefore key on the dominated mask (plus the player to move for
 the alternating game), are private to one solve, and are discarded
 afterward.
 
-The alternating game (γtg) and the Grundy sequence (γgrt) run one
-fail-soft alpha-beta search, ``_alphabeta``, that keeps proven lower and
-upper bounds per position, because only the root value is wanted.  The
-mask search runs it over dominated masks; on graphs that split, the class
-search runs it for γtg over component classes (see below).  The
-indicated game (γti) keeps an exact value per mask: one
-``IndicatedGameSolver`` answers queries for many masks off the same
-table, and a table of bounds would send those queries back into
-re-searches.
+The indicated game (γti) and the Grundy sequence (γgrt) keep an exact
+value per mask.  One ``IndicatedGameSolver`` answers queries for many
+masks off the same table, and a table of bounds would send those queries
+back into re-searches.  The alternating game (γtg) runs a fail-soft
+alpha-beta search, ``_alphabeta``, that keeps proven lower and upper
+bounds per position, because only the root value is wanted.  The mask
+search runs it over dominated masks; on graphs that split, the class
+search runs it over component classes (see below).
 
-The indicated game also splits.  A round that indicates v ends with a
-reply x in N(v), which newly dominates only vertices of N(x), and each of
-those shares the neighbour x with v.  So the undominated set U falls into
-components under "shares a neighbour", a round changes only the
-component of its indicated vertex, and the rounds played in one component
-leave the others as they were.  Staller answers inside the component
-Dominator chose and every round counts one, so the value of a position is
-the sum of the values of its components, each played alone: the same
-additivity as over disjoint unions, applied inside one graph.  On a
-bipartite graph no two vertices of different colour share a neighbour, so
-paths, cycles and trees fall into small pieces.  A position that does not
-split is scanned over indications and replies, and the scan stops early
-once the remaining choices cannot change the value.
+Both exact memos split.  A round of the indicated game that indicates v
+ends with a reply x in N(v), which newly dominates only vertices of N(x),
+and each of those shares the neighbour x with v.  A γgrt move plays some w
+and removes N(w) ∩ U from the undominated set U, and each vertex of that
+set shares the neighbour w.  So U falls into components under "shares a
+neighbour", a round or a move changes only one component, and the moves
+played in one component leave the others as they were.  In the indicated
+game Staller answers inside the component Dominator chose and every round
+counts one; a longest sequence is a longest sequence in each component.
+Either way the value of a position is the sum of the values of its
+components, each played alone: the same additivity as over disjoint
+unions, applied inside one graph.  On a bipartite graph no two vertices of
+different colour share a neighbour, so paths, cycles and trees fall into
+small pieces.  A position that does not split is scanned over its moves,
+and the scan stops early once the remaining choices cannot change the
+value.
 
-The move-count games split in a weaker sense.  A move plays some w with
-N(w) ∩ U non-empty and removes that set from U, so a position matters only
-through its residual: the set system {N(w) ∩ U}, up to a relabeling of
-U.  The residual falls into the same "shares a neighbour" components, and
-a move changes only the component of the set it removes.  The class
-search therefore keeps a position as its turn and the sorted tuple of its
-components' classes.  A class is a component's distinct sets, relabeled
-breadth-first from each vertex of least signature, with the least sorted
-code kept, and interned to a small int per solve.  Equal codes are
-isomorphic set systems, so sharing a value between them is exact whatever
-the relabeling; a better code only shares more.  γgrt, a one-player
-maximum, is the sum of the values of the classes, each 1 plus the best
-sum over its moves.  γtg has no sum rule (Dorbec, Košmrlj and Renault,
-Discrete Math. 2015), but its value is a function of the turn and the
-multiset of classes, which ``_alphabeta`` keys on.
+γtg splits in a weaker sense.  Its positions are move-count positions: a
+move plays some w with N(w) ∩ U non-empty and removes that set from U, so
+a position matters only through its residual, the set system
+{N(w) ∩ U}, up to a relabeling of U.  The residual falls into the same
+components, and a move changes only the component of the set it removes.
+The class search therefore keeps a position as its turn and the sorted
+tuple of its components' classes.  A class is a component's distinct sets,
+relabeled breadth-first from each vertex of least signature, with the
+least sorted code kept, and interned to a small int per solve.  Equal codes
+are isomorphic set systems, so sharing a value between them is exact
+whatever the relabeling; a better code only shares more.  γtg has no sum
+rule (Dorbec, Košmrlj and Renault, Discrete Math. 2015), but its value is
+a function of the turn and the multiset of classes, which ``_alphabeta``
+keys on.
 
 The class search pays for canonical codes and tuple keys, which only
 sharing repays.  Unless V itself splits, the root is one class and most
 positions stay one large class: on G(22, 0.15) γtg took 1.6 s against
-0.08 s, and γgrt 3.8 s against 5 ms.  V splits exactly when G is
-bipartite or disconnected.  On such graphs of order 6 to 9, γtg ran
-1.6-3.7x slower with the class search (γtg plus γgrt 1.1-2.7x).  At
-order 10, γtg plus γgrt broke even on random trees and sparse bipartite
-graphs, and lost by 2x on dense bipartite graphs and on unions of two
-dense parts, at under 2 ms a graph; from order 12 on, trees gain and
-those two kinds still lose.  On relabeled paths, cycles, subdivided
-stars and coronas of order 18 to 26, γtg ran 11-290x faster
-(``cycle:26``: 7.9 s to 28 ms); these timings are from a 2-core Xeon VM
-under Python 3.11.  Hence the gate: the class search runs when n >=
-``CLASS_SEARCH_MIN_ORDER`` and V splits, and every other graph keeps the
-mask search.
+0.08 s.  V splits exactly when G is bipartite or disconnected.  On such
+graphs of order 10 (random trees, sparse and dense bipartite graphs, and
+unions of two dense parts) the class search took a median 1.5-2.5x as
+long as the mask search, but under 1 ms a graph, and trees break even
+near order 14.  On relabeled paths, cycles, subdivided stars and coronas
+of order 18 to 26 it ran 11-290x faster (``cycle:26``: 7.9 s to 28 ms).
+These timings are from a 2-core Xeon VM under Python 3.11.  Hence the
+gate: γtg takes the class search when n >= ``CLASS_SEARCH_MIN_ORDER`` and
+V splits, and every other graph keeps the mask search.
 """
 
 from __future__ import annotations
@@ -72,7 +70,16 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Sequence
 
-from .graph import Graph, VertexSet, bits, max_degree, near_masks, require_isolate_free
+from .graph import (
+    Graph,
+    VertexSet,
+    bits,
+    components,
+    lowest_component,
+    max_degree,
+    near_masks,
+    require_isolate_free,
+)
 
 
 class Role(Enum):
@@ -166,19 +173,9 @@ class IndicatedGameSolver:
             return cached
         full = self._full
         undominated = ~mask & full
-        # Grow the lowest undominated vertex's component; ``outside`` ends
-        # as the undominated vertices not in it.
-        near = self._near
-        frontier = undominated & -undominated
-        outside = undominated ^ frontier
-        while frontier and outside:
-            v = (frontier & -frontier).bit_length() - 1
-            frontier &= frontier - 1
-            grown = near[v] & outside
-            outside ^= grown
-            frontier |= grown
-        if outside:
-            best = self.value(full ^ undominated ^ outside) + self.value(full ^ outside)
+        part = lowest_component(self._near, undominated)
+        if part != undominated:
+            best = self.value(full ^ part) + self.value(mask | part)
             memo[mask] = best
             return best
         nbr = self._nbr
@@ -264,52 +261,36 @@ def gtg(G: Graph) -> int:
 
     Players alternate, every move must totally dominate a new vertex,
     Dominator minimises and Staller maximises the total number of moves.
-    """
-    return _move_count_game(G, alternate=True)
-
-
-def grundy_t(G: Graph) -> int:
-    """Grundy total domination number: longest total dominating sequence."""
-    return _move_count_game(G, alternate=False)
-
-
-# The least order at which a graph whose vertex set splits takes the class
-# search; below it the mask search is faster (see the module docstring).
-CLASS_SEARCH_MIN_ORDER = 10
-
-
-def _move_count_game(G: Graph, alternate: bool) -> int:
-    """Exact move count of a game where every move totally dominates a new vertex.
-
-    With ``alternate`` the minimiser (Dominator) and the maximiser
-    (Staller) take turns and the minimiser starts; without it the
-    maximiser makes every move.  Graphs of order at least
-    ``CLASS_SEARCH_MIN_ORDER`` whose vertex set splits under "shares a
-    neighbour" (the bipartite and the disconnected ones) take the class
-    search; every other graph takes the mask search.
+    Graphs of order at least ``CLASS_SEARCH_MIN_ORDER`` whose vertex set
+    splits under "shares a neighbour" (the bipartite and the disconnected
+    ones) take the class search; every other graph takes the mask search.
     """
     require_isolate_free(G)
     if G.n >= CLASS_SEARCH_MIN_ORDER:
-        parts = _components(near_masks(G), G.full_mask)
+        parts = components(near_masks(G), G.full_mask)
         if len(parts) > 1:
-            return _class_search(G, parts, alternate)
-    return _mask_search(G, alternate)
+            return _class_search(G, parts)
+    return _mask_search(G)
 
 
-def _alphabeta(root, count: int, moves: Callable, delta: int, alternate: bool) -> int:
-    """Exact move count from ``root``, which has ``count`` undominated vertices.
+# The least order at which γtg takes the class search on a graph whose
+# vertex set splits (see the module docstring).
+CLASS_SEARCH_MIN_ORDER = 10
+
+
+def _alphabeta(root, count: int, moves: Callable, delta: int) -> int:
+    """Exact γtg move count from ``root``, which has ``count`` undominated vertices.
 
     ``moves(pos)`` maps each distinct child of a position to its number of
-    undominated vertices.  Turn 1 is the minimiser's; with ``alternate``
-    the turns alternate and the minimiser starts, without it the maximiser
-    makes every move.  Every position starts inside an admissible window:
-    a move dominates at least one and at most ``delta`` new vertices, so
-    ceil(count / delta) <= value <= count.  A search that fails low or
-    high stores only the bound it proved, in per-turn lower and upper
-    tables, so later visits with other windows reuse it.  The root is
-    searched with a window wider than any value, so its result is exact.
+    undominated vertices.  The minimiser (turn 1) and the maximiser (turn
+    0) alternate, and the minimiser starts.  Every position starts inside
+    an admissible window: a move dominates at least one and at most
+    ``delta`` new vertices, so ceil(count / delta) <= value <= count.  A
+    search that fails low or high stores only the bound it proved, in
+    per-turn lower and upper tables, so later visits with other windows
+    reuse it.  The root is searched with a window wider than any value, so
+    its result is exact.
     """
-    flip = 1 if alternate else 0
     lower: tuple[dict, dict] = ({}, {})
     upper: tuple[dict, dict] = ({}, {})
 
@@ -322,7 +303,7 @@ def _alphabeta(root, count: int, moves: Callable, delta: int, alternate: bool) -
             return hi
         alpha = max(alpha, lo)
         beta = min(beta, hi)
-        after = turn ^ flip
+        after = turn ^ 1
         a, b = alpha, beta
         if turn:
             # Likely-short lines first: the smallest proven upper bound,
@@ -355,11 +336,11 @@ def _alphabeta(root, count: int, moves: Callable, delta: int, alternate: bool) -
             upper[turn][pos] = g
         return g
 
-    return search(root, count, flip, -1, count + 1)
+    return search(root, count, 1, -1, count + 1)
 
 
-def _mask_search(G: Graph, alternate: bool) -> int:
-    """``_move_count_game`` over the dominated mask; moves that reach the same mask are one child."""
+def _mask_moves(G: Graph) -> Callable[[int], dict[int, int]]:
+    """Each distinct child of a dominated mask, mapped to its number of undominated vertices."""
     nbr = G.nbr
     full = G.full_mask
 
@@ -371,30 +352,57 @@ def _mask_search(G: Graph, alternate: bool) -> int:
                 children[mask | m] = (undominated & ~m).bit_count()
         return children
 
-    return _alphabeta(0, G.n, moves, max_degree(G), alternate)
+    return moves
 
 
-def _components(near: Sequence[int], undominated: int) -> list[int]:
-    """The masks of the components of ``undominated`` under "shares a neighbour".
+def _mask_search(G: Graph) -> int:
+    """γtg over the dominated mask; moves that reach the same mask are one child."""
+    return _alphabeta(0, G.n, _mask_moves(G), max_degree(G))
 
-    ``near[v]`` holds the vertices that share a neighbour with v, so a
-    component grows from its lowest vertex through ``near`` until it stops.
+
+def grundy_t(G: Graph) -> int:
+    """Grundy total domination number: longest total dominating sequence."""
+    return _longest_sequence(G, 0)
+
+
+def _longest_sequence(G: Graph, start: int) -> int:
+    """The most further moves from the dominated mask ``start``, each dominating a new vertex.
+
+    An exact memo per mask.  When U splits (see the module docstring), the
+    value is that of the lowest vertex's component alone plus that of the
+    rest.  Otherwise it is 1 plus the best child, scanned from the most
+    undominated vertices left down: a child with ``left`` of them is worth
+    at most ``left``, so the scan stops at the first ``left`` below the best.
     """
-    parts = []
-    rest = undominated
-    while rest:
-        frontier = rest & -rest
-        part = frontier
-        rest ^= frontier
-        while frontier:
-            v = (frontier & -frontier).bit_length() - 1
-            frontier &= frontier - 1
-            grown = near[v] & rest
-            rest ^= grown
-            part |= grown
-            frontier |= grown
-        parts.append(part)
-    return parts
+    require_isolate_free(G)
+    moves = _mask_moves(G)
+    near = near_masks(G)
+    full = G.full_mask
+    memo = {full: 0}
+
+    def value(mask: int) -> int:
+        found = memo.get(mask)
+        if found is not None:
+            return found
+        undominated = full ^ mask
+        part = lowest_component(near, undominated)
+        if part != undominated:
+            best = value(full ^ part) + value(mask | part)
+        else:
+            children = moves(mask)
+            best = 0
+            for child in sorted(children, key=children.__getitem__, reverse=True):
+                if children[child] < best:
+                    break
+                sub = memo.get(child)
+                if sub is None:
+                    sub = value(child)
+                if sub >= best:
+                    best = sub + 1
+        memo[mask] = best
+        return best
+
+    return value(start)
 
 
 def _canonical_code(edges: tuple[int, ...]) -> tuple[int, ...]:
@@ -510,43 +518,21 @@ class _ClassTable:
             code, near = self.codes[c], self._near[c]
             full = (1 << self.sizes[c]) - 1
             found = self._moves[c] = tuple(dict.fromkeys(
-                self.split(code, _components(near, full & ~e)) for e in code
+                self.split(code, components(near, full & ~e)) for e in code
             ))
         return found
 
 
-def _class_search(G: Graph, parts: Sequence[int], alternate: bool) -> int:
+def _class_search(G: Graph, parts: Sequence[int]) -> int:
     """The mask search's value, searched over multisets of component classes.
 
     ``parts`` are the components of V(G) under "shares a neighbour".  A
     position is the sorted tuple of the classes of its residual's
-    components (see the module docstring).  Without ``alternate`` the value
-    is additive, so each class keeps one value: 1 plus the best sum over
-    its moves, which is at most its size.
+    components (see the module docstring).
     """
     table = _ClassTable()
     sizes = table.sizes
     root = table.split(G.nbr, parts)
-    if not alternate:
-        value: dict[int, int] = {}
-
-        def longest(c: int) -> int:
-            found = value.get(c)
-            if found is None:
-                cap = sizes[c] - 1
-                best = 0
-                for after in table.moves(c):
-                    total = 0
-                    for x in after:
-                        total += longest(x)
-                    if total > best:
-                        best = total
-                        if best >= cap:
-                            break
-                found = value[c] = best + 1
-            return found
-
-        return sum(longest(c) for c in root)
 
     def moves(key: tuple[int, ...]) -> dict[tuple[int, ...], int]:
         count = 0
@@ -566,7 +552,7 @@ def _class_search(G: Graph, parts: Sequence[int], alternate: bool) -> int:
                 children[tuple(sorted(rest + left))] = remaining
         return children
 
-    return _alphabeta(root, G.n, moves, max_degree(G), True)
+    return _alphabeta(root, G.n, moves, max_degree(G))
 
 
 def best_response_length(G: Graph, declared: VertexSet | None, fixed: Policy) -> int:

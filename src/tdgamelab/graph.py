@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 # Masks over 0..SOLVER_CAP-1 fit a single machine word on every target the
 # solvers care about; every constructor enforces the bound.
@@ -338,23 +338,35 @@ def distance(G: Graph, u: int, v: int) -> int | float:
     return INFINITE_DISTANCE
 
 
+def lowest_component(links: Sequence[int], mask: int) -> int:
+    """The component of ``mask``'s lowest vertex, where v is joined to ``links[v] & mask``.
+
+    The growth stops as soon as it holds all of ``mask``.
+    """
+    frontier = mask & -mask
+    rest = mask ^ frontier
+    while frontier and rest:
+        v = (frontier & -frontier).bit_length() - 1
+        frontier &= frontier - 1
+        grown = links[v] & rest
+        rest ^= grown
+        frontier |= grown
+    return mask ^ rest
+
+
+def components(links: Sequence[int], mask: int) -> list[int]:
+    """The masks of the components of ``mask`` under ``links``, ordered by smallest member."""
+    parts = []
+    while mask:
+        part = lowest_component(links, mask)
+        parts.append(part)
+        mask ^= part
+    return parts
+
+
 def connected_components(G: Graph) -> list[VertexSet]:
     """Vertex sets of the connected components, ordered by smallest member."""
-    remaining = G.full_mask
-    comps = []
-    while remaining:
-        start = (remaining & -remaining).bit_length() - 1
-        comp = 1 << start
-        frontier = comp
-        while frontier:
-            grown = 0
-            for v in bits(frontier):
-                grown |= G.nbr[v]
-            frontier = grown & ~comp
-            comp |= grown
-        comps.append(VertexSet(G.n, comp))
-        remaining &= ~comp
-    return comps
+    return [VertexSet(G.n, part) for part in components(G.nbr, G.full_mask)]
 
 
 def is_connected(G: Graph) -> bool:

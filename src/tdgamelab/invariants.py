@@ -260,16 +260,24 @@ def ooir(G: Graph) -> InvariantValue:
     return InvariantValue(OOIR, size, witness)
 
 
-def is_induced_matching(G: Graph, edges: tuple[Edge, ...]) -> bool:
-    """True when ``edges`` induce a 1-regular subgraph of G."""
+def _matched_vertices(G: Graph, edges: tuple[Edge, ...]) -> int | None:
+    """The mask of the ends of ``edges`` when they form a matching of G, else None."""
     seen = 0
     for u, v in edges:
         if not G.has_edge(u, v):
-            return False
+            return None
         pair = 1 << u | 1 << v
         if seen & pair:
-            return False
+            return None
         seen |= pair
+    return seen
+
+
+def is_induced_matching(G: Graph, edges: tuple[Edge, ...]) -> bool:
+    """True when ``edges`` induce a 1-regular subgraph of G."""
+    seen = _matched_vertices(G, edges)
+    if seen is None:
+        return False
     for u, v in edges:
         # No edge of G may leave {u, v} toward another matched vertex.
         if (G.nbr[u] | G.nbr[v]) & seen & ~(1 << u | 1 << v):
@@ -325,15 +333,7 @@ def induced_matching_number(
 
 
 def is_perfect_matching(G: Graph, edges: tuple[Edge, ...]) -> bool:
-    seen = 0
-    for u, v in edges:
-        if not G.has_edge(u, v):
-            return False
-        pair = 1 << u | 1 << v
-        if seen & pair:
-            return False
-        seen |= pair
-    return seen == G.full_mask
+    return _matched_vertices(G, edges) == G.full_mask
 
 
 def has_perfect_matching(G: Graph) -> InvariantValue:

@@ -311,20 +311,20 @@ def _prufer_edges(code: list[int], n: int) -> list[Edge]:
     return edges
 
 
-def random_leaf_support_tree(
-    rng: random.Random, max_order: int = 12
-) -> tuple[Graph, int]:
+LEAF_SUPPORT_MAX_ORDER = 12
+
+
+def random_leaf_support_tree(rng: random.Random) -> tuple[Graph, int]:
     """Random tree in which every vertex is a leaf or a support vertex.
 
-    Builds a skeleton tree on s >= 2 vertices and hangs at least one leaf on
-    each of them, so the supports are exactly the skeleton vertices and the
-    tree has diameter at least 3.  Returns the tree and s.
+    Builds a skeleton tree on 2 <= s <= 5 vertices and hangs at least one
+    leaf on each of them, so the supports are exactly the skeleton vertices
+    and the tree has diameter at least 3.  Returns the tree and s.
     """
-    max_supports = max_order // 2
-    s = rng.randint(2, min(5, max_supports))
+    s = rng.randint(2, 5)
     skeleton = random_tree(s, rng)
     leaf_counts = [1] * s
-    budget = max_order - 2 * s
+    budget = LEAF_SUPPORT_MAX_ORDER - 2 * s
     for _ in range(rng.randint(0, budget)):
         leaf_counts[rng.randrange(s)] += 1
     edges = list(skeleton.edges())

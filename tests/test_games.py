@@ -30,11 +30,20 @@ from tdgamelab.games import (
     _check_indication,
     _check_selection,
     _class_search,
-    _components,
     _declared_mask,
+    _longest_sequence,
     _mask_search,
 )
-from tdgamelab.graph import Graph, bipartition, bits, is_bipartite, is_connected, near_masks, require_isolate_free
+from tdgamelab.graph import (
+    Graph,
+    bipartition,
+    bits,
+    components,
+    is_bipartite,
+    is_connected,
+    near_masks,
+    require_isolate_free,
+)
 from tdgamelab.strategies import dominator_path_policy, staller_partition_policy
 from tdgamelab.verify import exhaustive_corpus, isolate_free_graphs, random_isolate_free_graph
 
@@ -148,8 +157,8 @@ def oracle_gtg(G):
     return value(0, True)
 
 
-def oracle_grundy(G):
-    """Plain memo recursion for the longest total dominating sequence."""
+def oracle_grundy(G, start=0):
+    """Plain memo recursion for the longest total dominating sequence from the dominated mask ``start``."""
     nbr, full, memo = G.nbr, G.full_mask, {}
 
     def value(mask):
@@ -159,7 +168,7 @@ def oracle_grundy(G):
             memo[mask] = max(1 + value(mask | nbr[u]) for u in range(G.n) if nbr[u] & ~mask)
         return memo[mask]
 
-    return value(0)
+    return value(start)
 
 
 def oracle_best_response(G, declared, fixed):
@@ -285,12 +294,12 @@ class TestAgainstPlainRecursions:
 
 def splits(G):
     """Whether V falls into more than one component under "shares a neighbour"."""
-    return len(_components(near_masks(G), G.full_mask)) > 1
+    return len(components(near_masks(G), G.full_mask)) > 1
 
 
-def class_search(G, alternate):
-    """``_class_search`` on G's own components, whether or not V splits."""
-    return _class_search(G, _components(near_masks(G), G.full_mask), alternate)
+def class_search(G):
+    """``_class_search`` for γtg on G's own components, whether or not V splits."""
+    return _class_search(G, components(near_masks(G), G.full_mask))
 
 
 def random_split_graphs(rng, count, low, high):
@@ -324,14 +333,14 @@ class TestClassSearch:
         assert len(split) == 119
         # The oracles share no code with the alpha-beta that both searches run.
         for graph_id, G in split:
-            assert class_search(G, True) == _mask_search(G, True) == oracle_gtg(G), graph_id
-            assert class_search(G, False) == _mask_search(G, False) == oracle_grundy(G), graph_id
+            assert class_search(G) == _mask_search(G) == oracle_gtg(G), graph_id
+            assert grundy_t(G) == oracle_grundy(G), graph_id
 
     def test_seeded_split_graphs_10_to_14(self):
         for G in random_split_graphs(random.Random(0xC1A55), 24, 10, 14):
             assert splits(G), G.edges()
-            assert gtg(G) == class_search(G, True) == oracle_gtg(G), G.edges()
-            assert grundy_t(G) == class_search(G, False) == oracle_grundy(G), G.edges()
+            assert gtg(G) == class_search(G) == oracle_gtg(G), G.edges()
+            assert grundy_t(G) == oracle_grundy(G), G.edges()
 
     def test_vertex_set_splits_exactly_on_bipartite_and_disconnected_graphs(self):
         for graph_id, G in exhaustive_corpus(7):
@@ -341,22 +350,28 @@ class TestClassSearch:
         # The stand-in class search returns 0, so a positive value comes
         # from the mask search.
         calls = []
-        monkeypatch.setattr(games, "_class_search", lambda G, parts, alternate: calls.append(G.n) or 0)
+        monkeypatch.setattr(games, "_class_search", lambda G, parts: calls.append(G.n) or 0)
         n = CLASS_SEARCH_MIN_ORDER
         assert gtg(path_graph(n - 1)) > 0  # too small
         assert gtg(cycle_graph(n | 1)) > 0  # odd: V does not split
-        assert gtg(path_graph(n)) == 0 and grundy_t(disjoint_union([cycle_graph(3), cycle_graph(n - 3)])) == 0
+        assert gtg(path_graph(n)) == 0 and gtg(disjoint_union([cycle_graph(3), cycle_graph(n - 3)])) == 0
         assert calls == [n, n]
 
     def test_closed_forms_on_relabeled_paths_and_cycles(self):
-        # Dorbec and Henning, "Game total domination for cycles and paths"
-        # (Discrete Appl. Math. 2016); the mask search agrees to n = 22.
-        # Odd cycles do not split, so gtg would take the mask search.
+        # γtg: Dorbec and Henning, "Game total domination for cycles and
+        # paths" (Discrete Appl. Math. 2016); the mask search agrees to n =
+        # 22.  Odd cycles do not split, so gtg would take the mask search.
+        # γgrt: a longest total dominating sequence of P_n has 2⌊n/2⌋
+        # vertices and one of C_n has 2⌊(n-1)/2⌋.
         rng = random.Random(0xD0B)
         for n in range(2, 27):
-            assert class_search(relabeled(path_graph(n), rng), True) == 2 * (n + 1) // 3 - (n % 6 == 5), n
+            P = relabeled(path_graph(n), rng)
+            assert class_search(P) == 2 * (n + 1) // 3 - (n % 6 == 5), n
+            assert grundy_t(P) == 2 * (n // 2), n
             if n >= 3:
-                assert class_search(relabeled(cycle_graph(n), rng), True) == (2 * n + 1) // 3 - (n % 6 == 4), n
+                C = relabeled(cycle_graph(n), rng)
+                assert class_search(C) == (2 * n + 1) // 3 - (n % 6 == 4), n
+                assert grundy_t(C) == 2 * ((n - 1) // 2), n
 
     @pytest.mark.parametrize("spec, value", [("cycle:18", 12), ("path:19", 13)])
     def test_classes_bound_the_work(self, spec, value):
@@ -371,14 +386,37 @@ class TestClassSearch:
 
     @pytest.mark.parametrize("solve, value, limit", [(gtg, 10, 54_930), (grundy_t, 14, 855)])
     def test_window_and_move_order_bound_the_mask_search(self, solve, value, limit):
-        # cycle:15 is odd, so V does not split and both games take the mask
-        # search.  The search reads 54,885 and 810 masks; the limits leave n
-        # a solve of slack, and dropping the window or either key of either
-        # move order reads more.
+        # cycle:15 is odd, so V does not split: gtg takes the mask search,
+        # bounded by its alpha-beta window and move orders, and grundy_t
+        # scans its memo's unsplit positions most undominated first and
+        # stops once no child left can beat the best.  They read 54,885 and
+        # 810 masks; the limits leave 45 reads of slack, and dropping the
+        # window, the scan's stop or a key of either move order reads more
+        # (grundy_t without its stop reads 9,000).
         G0 = family(parse_family_spec("cycle:15"))
         counted = [Graph(G0.n, CountingMasks(relabeled(G0, random.Random(seed)).nbr)) for seed in range(3)]
         CountingMasks.reads = 0
         assert [solve(G) for G in counted] == [value] * 3
+        assert CountingMasks.reads <= limit, CountingMasks.reads
+
+
+class TestGrundyMemo:
+    """γgrt's split memo from positions other than the root, and the work its split saves."""
+
+    def test_every_mask_up_to_6(self):
+        for graph_id, G in exhaustive_corpus(6):
+            for mask in range(G.full_mask):
+                assert _longest_sequence(G, mask) == oracle_grundy(G, mask), (graph_id, mask)
+
+    @pytest.mark.parametrize("spec, value, limit", [("cycle:18", 16, 1_125), ("path:19", 18, 1_300)])
+    def test_split_bounds_the_work(self, spec, value, limit):
+        # Even cycles and paths split after a move or two.  The memo reads
+        # 1,080 and 1,248 masks over three relabelings, and 7,938 and 3,300
+        # with the split turned off.
+        G0 = family(parse_family_spec(spec))
+        counted = [Graph(G0.n, CountingMasks(relabeled(G0, random.Random(seed)).nbr)) for seed in range(3)]
+        CountingMasks.reads = 0
+        assert [grundy_t(G) for G in counted] == [value] * 3
         assert CountingMasks.reads <= limit, CountingMasks.reads
 
 

@@ -254,6 +254,16 @@ class TestStructure:
         comps = connected_components(G)
         assert [sorted(c) for c in comps] == [[0, 1], [2, 3], [4]]
 
+    @settings(max_examples=80)
+    @given(graphs(min_n=0, max_n=9))
+    def test_components_match_networkx(self, G):
+        nx = pytest.importorskip("networkx")
+        H = nx.Graph()
+        H.add_nodes_from(range(G.n))
+        H.add_edges_from(G.edges())
+        expected = sorted(sorted(c) for c in nx.connected_components(H))
+        assert [sorted(c) for c in connected_components(G)] == expected
+
     def test_bipartite(self):
         assert is_bipartite(cycle_graph(6))
         assert not is_bipartite(cycle_graph(5))
