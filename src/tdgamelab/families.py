@@ -111,7 +111,7 @@ def family(spec: FamilySpec) -> Graph:
     validate_spec(spec)
     _order(spec)
     G = _KINDS[spec.kind].build(*_values(spec), *map(family, spec.parts))
-    return Graph(G.n, G.nbr, label=spec.text(), vertex_labels=G.vertex_labels)
+    return Graph(G.n, G.nbr, label=spec.text())
 
 
 def _order(spec: FamilySpec) -> int:
@@ -122,7 +122,7 @@ def _order(spec: FamilySpec) -> int:
 
 
 def _numbered(kind: str, n: int, edges: list[tuple[int, int]]) -> Graph:
-    return build_graph(n, edges, label=f"{kind}:{n}", vertex_labels=[f"v{i + 1}" for i in range(n)])
+    return build_graph(n, edges, label=f"{kind}:{n}")
 
 
 def path_graph(n: int) -> Graph:
@@ -139,8 +139,7 @@ def complete_graph(n: int) -> Graph:
 
 def star_graph(k: int) -> Graph:
     """Star K_{1,k}: hub 0, leaves 1..k."""
-    labels = ["v"] + [f"u{i}" for i in range(1, k + 1)]
-    return build_graph(k + 1, [(0, i) for i in range(1, k + 1)], label=f"star:{k}", vertex_labels=labels)
+    return build_graph(k + 1, [(0, i) for i in range(1, k + 1)], label=f"star:{k}")
 
 
 def graph_power(G: Graph, k: int) -> Graph:
@@ -150,31 +149,28 @@ def graph_power(G: Graph, k: int) -> Graph:
     if k == 1:
         return G
     edges = [(u, v) for u in range(G.n) for v in range(u + 1, G.n) if distance(G, u, v) <= k]
-    return build_graph(G.n, edges, label=G.label, vertex_labels=G.vertex_labels)
+    return build_graph(G.n, edges, label=G.label)
 
 
 def graph_join(G: Graph, H: Graph) -> Graph:
     """Disjoint union of G and H plus all edges between the two sides."""
     edges = G.edges() + [(u + G.n, v + G.n) for u, v in H.edges()]
     edges += [(u, v + G.n) for u in range(G.n) for v in range(H.n)]
-    labels = [G.vertex_name(v) for v in range(G.n)] + [f"{H.vertex_name(v)}'" for v in range(H.n)]
-    return build_graph(G.n + H.n, edges, vertex_labels=labels)
+    return build_graph(G.n + H.n, edges)
 
 
 def corona(G: Graph) -> Graph:
     """Attach one new pendant leaf to every vertex of G."""
     edges = G.edges() + [(v, G.n + v) for v in range(G.n)]
-    labels = [G.vertex_name(v) for v in range(G.n)] + [f"leaf{v + 1}" for v in range(G.n)]
-    return build_graph(2 * G.n, edges, vertex_labels=labels)
+    return build_graph(2 * G.n, edges)
 
 
 def disjoint_union(graphs: list[Graph]) -> Graph:
-    edges, labels, offset = [], [], 0
-    for i, G in enumerate(graphs):
+    edges, offset = [], 0
+    for G in graphs:
         edges += [(u + offset, v + offset) for u, v in G.edges()]
-        labels += [f"c{i + 1}.{G.vertex_name(v)}" for v in range(G.n)]
         offset += G.n
-    return build_graph(offset, edges, vertex_labels=labels)
+    return build_graph(offset, edges)
 
 
 def gk_graph(k: int) -> Graph:
@@ -187,16 +183,14 @@ def gk_graph(k: int) -> Graph:
     i+1 (indices mod k); the k = 1 instance is a single unlinked block.
     """
     edges = []
-    labels = []
     for i in range(k):
         base = 8 * i
         for side in (0, 4):
             edges += [(base + side + j, base + side + j + 1) for j in range(3)]
         edges += [(base + a, base + 4 + b) for a in range(4) for b in range(4)]
-        labels += [f"{c}_{i + 1},{col}" for col in (1, 2) for c in "uvwx"]
     if k >= 2:
         edges += [(8 * i + 6, 8 * ((i + 1) % k) + 2) for i in range(k)]
-    return build_graph(8 * k, edges, label=f"gk:{k}", vertex_labels=labels)
+    return build_graph(8 * k, edges, label=f"gk:{k}")
 
 
 def fk_graph(k: int) -> Graph:
@@ -208,8 +202,7 @@ def fk_graph(k: int) -> Graph:
     edges = [(i, j) for i in range(k) for j in range(i + 1, k)]
     edges += [(k + i, k + j) for i in range(k) for j in range(i + 1, k)]
     edges += [(i, k + i) for i in range(k - 1)]
-    labels = [f"u{i + 1}" for i in range(k)] + [f"v{i + 1}" for i in range(k)]
-    return build_graph(2 * k, edges, label=f"fk:{k}", vertex_labels=labels)
+    return build_graph(2 * k, edges, label=f"fk:{k}")
 
 
 def bk_graph(k: int) -> Graph:
@@ -219,12 +212,10 @@ def bk_graph(k: int) -> Graph:
     i occupies vertices 2+2i and 3+2i.
     """
     edges = [(0, 1)]
-    labels = ["v", "u"]
     for i in range(k):
         a, b = 2 + 2 * i, 3 + 2 * i
         edges += [(0, a), (0, b), (a, b)]
-        labels += [f"w{i + 1},1", f"w{i + 1},2"]
-    return build_graph(2 * k + 2, edges, label=f"bk:{k}", vertex_labels=labels)
+    return build_graph(2 * k + 2, edges, label=f"bk:{k}")
 
 
 def jk_graph(k: int) -> Graph:
@@ -234,12 +225,10 @@ def jk_graph(k: int) -> Graph:
     2+3i, 3+3i, 4+3i with 3+3i the vertex antipodal to the hub.
     """
     edges = [(0, 1)]
-    labels = ["v", "u"]
     for i in range(k):
         a, m, b = 2 + 3 * i, 3 + 3 * i, 4 + 3 * i
         edges += [(0, a), (a, m), (m, b), (b, 0)]
-        labels += [f"a{i + 1}", f"v{i + 1}", f"b{i + 1}"]
-    return build_graph(3 * k + 2, edges, label=f"jk:{k}", vertex_labels=labels)
+    return build_graph(3 * k + 2, edges, label=f"jk:{k}")
 
 
 def subdivided_star(k: int, t: int) -> Graph:
@@ -249,13 +238,11 @@ def subdivided_star(k: int, t: int) -> Graph:
     walking outward, so the last vertex of each branch is a leaf.
     """
     edges = []
-    labels = ["v"]
     for i in range(k):
         base = 1 + i * (t + 1)
         edges.append((0, base))
         edges += [(base + j, base + j + 1) for j in range(t)]
-        labels += [f"p{i + 1},{j + 1}" for j in range(t + 1)]
-    return build_graph(k * (t + 1) + 1, edges, label=f"substar:{k},{t}", vertex_labels=labels)
+    return build_graph(k * (t + 1) + 1, edges, label=f"substar:{k},{t}")
 
 
 class _Kind(NamedTuple):

@@ -9,8 +9,11 @@ Tables therefore key on the dominated mask (plus the player to move for
 the alternating game), are private to one solve, and are discarded
 afterward.
 
-The indicated game (γti) and the Grundy sequence (γgrt) keep an exact
-value per mask.  One ``IndicatedGameSolver`` answers queries for many
+The indicated game (γti) and the Grundy sequence (γgrt) run on one
+engine, ``_SplitMemo``: an exact value per mask, where a position whose
+undominated vertices fall into components is the sum of its components'
+values (see its docstring).  Each game adds only the scan of a position
+that does not split.  One ``IndicatedGameSolver`` answers queries for many
 masks off the same table, and a table of bounds would send those queries
 back into re-searches.  The alternating game (γtg) runs a fail-soft
 alpha-beta search, ``_alphabeta``, that keeps proven lower and upper
@@ -18,37 +21,20 @@ bounds per position, because only the root value is wanted.  The mask
 search runs it over dominated masks; on graphs that split, the class
 search runs it over component classes (see below).
 
-Both exact memos split.  A round of the indicated game that indicates v
-ends with a reply x in N(v), which newly dominates only vertices of N(x),
-and each of those shares the neighbour x with v.  A γgrt move plays some w
-and removes N(w) ∩ U from the undominated set U, and each vertex of that
-set shares the neighbour w.  So U falls into components under "shares a
-neighbour", a round or a move changes only one component, and the moves
-played in one component leave the others as they were.  In the indicated
-game Staller answers inside the component Dominator chose and every round
-counts one; a longest sequence is a longest sequence in each component.
-Either way the value of a position is the sum of the values of its
-components, each played alone: the same additivity as over disjoint
-unions, applied inside one graph.  On a bipartite graph no two vertices of
-different colour share a neighbour, so paths, cycles and trees fall into
-small pieces.  A position that does not split is scanned over its moves,
-and the scan stops early once the remaining choices cannot change the
-value.
-
 γtg splits in a weaker sense.  Its positions are move-count positions: a
 move plays some w with N(w) ∩ U non-empty and removes that set from U, so
 a position matters only through its residual, the set system
-{N(w) ∩ U}, up to a relabeling of U.  The residual falls into the same
-components, and a move changes only the component of the set it removes.
-The class search therefore keeps a position as its turn and the sorted
-tuple of its components' classes.  A class is a component's distinct sets,
-relabeled breadth-first from each vertex of least signature, with the
-least sorted code kept, and interned to a small int per solve.  Equal codes
-are isomorphic set systems, so sharing a value between them is exact
-whatever the relabeling; a better code only shares more.  γtg has no sum
-rule (Dorbec, Košmrlj and Renault, Discrete Math. 2015), but its value is
-a function of the turn and the multiset of classes, which ``_alphabeta``
-keys on.
+{N(w) ∩ U}, up to a relabeling of U.  The residual falls into the
+components of ``_SplitMemo``, and a move changes only the component of
+the set it removes.  The class search therefore keeps a position as its
+turn and the sorted tuple of its components' classes.  A class is a
+component's distinct sets, relabeled breadth-first from each vertex of
+least signature, with the least sorted code kept, and interned to a small
+int per solve.  Equal codes are isomorphic set systems, so sharing a
+value between them is exact whatever the relabeling; a better code only
+shares more.  γtg has no sum rule (Dorbec, Košmrlj and Renault, Discrete
+Math. 2015), but its value is a function of the turn and the multiset of
+classes, which ``_alphabeta`` keys on.
 
 The class search pays for canonical codes and tuple keys, which only
 sharing repays.  Unless V itself splits, the root is one class and most
@@ -105,10 +91,6 @@ class GameState:
     dominated: VertexSet
     moves: int
 
-    @property
-    def finished(self) -> bool:
-        return self.dominated.mask == self.graph.full_mask
-
     def describe(self) -> str:
         return (
             f"move {self.moves}, dominated={sorted(self.dominated)}, "
@@ -138,32 +120,40 @@ class Policy:
         return self.chooser(state, indicated)
 
 
-class IndicatedGameSolver:
-    """Minimax value of the indicated game from any dominated mask.
+class _SplitMemo:
+    """An exact value per dominated mask, split over the components of a position.
 
-    ``value(M)`` is the number of further selections under optimal play
-    when the vertices of M are already totally dominated, i.e. the game
-    value of the partially total dominated graph.  One instance answers
-    queries for every mask of the same graph off a shared memo table.
+    ``value(M)`` is the value of the position whose dominated mask is M.
+    A round of the indicated game that indicates v ends with a reply x in
+    N(v), which newly dominates only vertices of N(x), and each of those
+    shares the neighbour x with v.  A γgrt move plays some w and removes
+    N(w) ∩ U from the undominated set U, and each vertex of that set shares
+    the neighbour w.  So U falls into components under "shares a
+    neighbour", a round or a move changes only one component, and the
+    moves played in one component leave the others as they were.  In the
+    indicated game Staller answers inside the component Dominator chose and
+    every round counts one; a longest sequence is a longest sequence in
+    each component.  Either way the value of a position is the sum of the
+    values of its components, each played alone: the same additivity as
+    over disjoint unions, applied inside one graph.  On a bipartite graph no
+    two vertices of different colour share a neighbour, so paths, cycles
+    and trees fall into small pieces.
 
-    When the undominated vertices fall into more than one component under
-    "shares a neighbour" (see the module docstring), the value is the
-    value of the lowest vertex's component K played alone plus the value
-    of the rest, each read through the same memo: value(V - K) +
-    value(M | K).  The split changes no value, so ``best_indication`` and
-    ``best_selection``, which compare the values of the positions after
-    each move, keep their smallest-index choices.
+    So when U splits, the value is that of the lowest vertex's component K
+    played alone plus that of the rest, value(V - K) + value(M | K), each
+    read through the same memo.  A position that does not split goes to the
+    subclass's ``_scan(mask, undominated)``, which scans its moves and may
+    stop once the remaining choices cannot change the value.  Every
+    recursion goes through ``self.value``.
     """
 
     def __init__(self, G: Graph):
         require_isolate_free(G)
-        self.graph = G
-        self._nbr = nbr = G.nbr
+        self._nbr = G.nbr
         # near[v] = N(N(v)): the vertices that share a neighbour with v,
         # which are all that a reply to v can newly dominate.
         self._near = near_masks(G)
         self._full = G.full_mask
-        self._delta = max_degree(G)
         self._memo: dict[int, int] = {self._full: 0}
 
     def value(self, mask: int) -> int:
@@ -176,10 +166,35 @@ class IndicatedGameSolver:
         part = lowest_component(self._near, undominated)
         if part != undominated:
             best = self.value(full ^ part) + self.value(mask | part)
-            memo[mask] = best
-            return best
+        else:
+            best = self._scan(mask, undominated)
+        memo[mask] = best
+        return best
+
+    def _scan(self, mask: int, undominated: int) -> int:
+        raise NotImplementedError
+
+
+class IndicatedGameSolver(_SplitMemo):
+    """Minimax value of the indicated game from any dominated mask.
+
+    ``value(M)`` is the number of further selections under optimal play
+    when the vertices of M are already totally dominated, i.e. the game
+    value of the partially total dominated graph.  One instance answers
+    queries for every mask of the same graph off a shared memo table.  The
+    split (see ``_SplitMemo``) changes no value, so ``best_indication`` and
+    ``best_selection``, which compare the values of the positions after
+    each move, keep their smallest-index choices.
+    """
+
+    def __init__(self, G: Graph):
+        super().__init__(G)
+        self._delta = max_degree(G)
+
+    def _scan(self, mask: int, undominated: int) -> int:
+        memo = self._memo
         nbr = self._nbr
-        best = full.bit_count() + 1
+        best = self._full.bit_count() + 1
         # Each selection dominates at most Delta new vertices.
         floor = -(-undominated.bit_count() // self._delta)
         rest = undominated
@@ -206,7 +221,6 @@ class IndicatedGameSolver:
                 best = worst + 1
                 if best <= floor:
                     break
-        memo[mask] = best
         return best
 
     def best_indication(self, mask: int) -> int:
@@ -362,47 +376,35 @@ def _mask_search(G: Graph) -> int:
 
 def grundy_t(G: Graph) -> int:
     """Grundy total domination number: longest total dominating sequence."""
-    return _longest_sequence(G, 0)
+    return _LongestSequence(G).value(0)
 
 
-def _longest_sequence(G: Graph, start: int) -> int:
-    """The most further moves from the dominated mask ``start``, each dominating a new vertex.
+class _LongestSequence(_SplitMemo):
+    """The most further moves from a dominated mask, each dominating a new vertex.
 
-    An exact memo per mask.  When U splits (see the module docstring), the
-    value is that of the lowest vertex's component alone plus that of the
-    rest.  Otherwise it is 1 plus the best child, scanned from the most
-    undominated vertices left down: a child with ``left`` of them is worth
-    at most ``left``, so the scan stops at the first ``left`` below the best.
+    A position that does not split is worth 1 plus its best child, scanned
+    from the most undominated vertices left down: a child with ``left`` of
+    them is worth at most ``left``, so the scan stops at the first ``left``
+    below the best.
     """
-    require_isolate_free(G)
-    moves = _mask_moves(G)
-    near = near_masks(G)
-    full = G.full_mask
-    memo = {full: 0}
 
-    def value(mask: int) -> int:
-        found = memo.get(mask)
-        if found is not None:
-            return found
-        undominated = full ^ mask
-        part = lowest_component(near, undominated)
-        if part != undominated:
-            best = value(full ^ part) + value(mask | part)
-        else:
-            children = moves(mask)
-            best = 0
-            for child in sorted(children, key=children.__getitem__, reverse=True):
-                if children[child] < best:
-                    break
-                sub = memo.get(child)
-                if sub is None:
-                    sub = value(child)
-                if sub >= best:
-                    best = sub + 1
-        memo[mask] = best
+    def __init__(self, G: Graph):
+        super().__init__(G)
+        self._moves = _mask_moves(G)
+
+    def _scan(self, mask: int, undominated: int) -> int:
+        memo = self._memo
+        children = self._moves(mask)
+        best = 0
+        for child in sorted(children, key=children.__getitem__, reverse=True):
+            if children[child] < best:
+                break
+            sub = memo.get(child)
+            if sub is None:
+                sub = self.value(child)
+            if sub >= best:
+                best = sub + 1
         return best
-
-    return value(start)
 
 
 def _canonical_code(edges: tuple[int, ...]) -> tuple[int, ...]:

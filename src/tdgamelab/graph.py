@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 # Masks over 0..SOLVER_CAP-1 fit a single machine word on every target the
@@ -114,7 +114,6 @@ class Graph:
     n: int
     nbr: tuple[int, ...]
     label: str | None = None
-    vertex_labels: tuple[str, ...] | None = field(default=None, compare=False)
 
     def __post_init__(self):
         if self.n > SOLVER_CAP:
@@ -131,8 +130,6 @@ class Graph:
             for u in bits(m):
                 if not self.nbr[u] >> v & 1:
                     raise ValueError(f"asymmetric adjacency between {u} and {v}")
-        if self.vertex_labels is not None and len(self.vertex_labels) != self.n:
-            raise ValueError("vertex_labels length does not match order")
 
     @property
     def full_mask(self) -> int:
@@ -166,11 +163,6 @@ class Graph:
     def is_isolate_free(self) -> bool:
         return all(m != 0 for m in self.nbr)
 
-    def vertex_name(self, v: int) -> str:
-        if self.vertex_labels is not None:
-            return self.vertex_labels[v]
-        return str(v)
-
     def __repr__(self) -> str:
         name = self.label or f"graph(n={self.n})"
         return f"<Graph {name}: n={self.n}, m={self.edge_count()}>"
@@ -180,7 +172,6 @@ def build_graph(
     n: int,
     edges: Iterable[tuple[int, int]],
     label: str | None = None,
-    vertex_labels: Iterable[str] | None = None,
 ) -> Graph:
     """Build a simple graph from an edge list.
 
@@ -199,8 +190,7 @@ def build_graph(
             raise ValueError(f"self-loop at vertex {u}")
         nbr[u] |= 1 << v
         nbr[v] |= 1 << u
-    labels = tuple(vertex_labels) if vertex_labels is not None else None
-    return Graph(n, tuple(nbr), label=label, vertex_labels=labels)
+    return Graph(n, tuple(nbr), label=label)
 
 
 def require_isolate_free(G: Graph) -> None:

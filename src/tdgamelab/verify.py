@@ -229,18 +229,20 @@ def exhaustive_corpus(n_max: int) -> Iterator[tuple[str, Graph]]:
 # Random corpora
 
 
-def random_isolate_free_graph(
-    n: int, p: float, rng: random.Random, max_retries: int = 1000
-) -> Graph:
+# How many G(n, p) draws ``random_isolate_free_graph`` makes before it gives up.
+MAX_DRAWS = 1000
+
+
+def random_isolate_free_graph(n: int, p: float, rng: random.Random) -> Graph:
     """One draw of G(n, p) conditioned on having no isolated vertex.
 
     Draws containing isolates are discarded and redrawn, up to
-    ``max_retries`` attempts.
+    ``MAX_DRAWS`` attempts.
     """
     _check_random_order(n)
     if not 0.0 <= p <= 1.0:
         raise ValueError("edge probability must lie in [0, 1]")
-    for _ in range(max_retries):
+    for _ in range(MAX_DRAWS):
         edges = [
             (u, v)
             for u in range(n)
@@ -250,7 +252,7 @@ def random_isolate_free_graph(
         G = build_graph(n, edges)
         if G.is_isolate_free():
             return G
-    raise ValueError(f"no isolate-free G({n}, {p}) draw within {max_retries} retries")
+    raise ValueError(f"no isolate-free G({n}, {p}) draw within {MAX_DRAWS} retries")
 
 
 def _check_random_order(n: int) -> None:

@@ -304,15 +304,3 @@ class TestPaperFamilies:
         assert sorted(leaves(G)) == [2, 4, 6]
         assert sorted(support_vertices(G)) == [1, 3, 5]
 
-
-class TestVertexLabels:
-    def test_gk_role_labels(self):
-        G = gk_graph(2)
-        assert G.vertex_name(0) == "u_1,1"
-        assert G.vertex_name(6) == "w_1,2"
-        assert G.vertex_name(10) == "w_2,1"
-
-    def test_bk_role_labels(self):
-        G = bk_graph(2)
-        assert G.vertex_name(0) == "v"
-        assert G.vertex_name(1) == "u"

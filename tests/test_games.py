@@ -31,7 +31,7 @@ from tdgamelab.games import (
     _check_selection,
     _class_search,
     _declared_mask,
-    _longest_sequence,
+    _LongestSequence,
     _mask_search,
 )
 from tdgamelab.graph import (
@@ -325,6 +325,14 @@ def random_split_graphs(rng, count, low, high):
     return graphs
 
 
+def counted_relabelings(spec):
+    """Three seeded relabelings of ``spec`` with counted neighbour masks, the count reset."""
+    G0 = family(parse_family_spec(spec))
+    counted = [Graph(G0.n, CountingMasks(relabeled(G0, random.Random(seed)).nbr)) for seed in range(3)]
+    CountingMasks.reads = 0
+    return counted
+
+
 class TestClassSearch:
     """The search over residual component classes, against the mask search and the oracles."""
 
@@ -378,9 +386,7 @@ class TestClassSearch:
         # The class search reads the neighbour masks only to build the
         # root's classes: 540 reads on cycle:18 and 558 on path:19 over
         # three relabelings, where the mask search reads 317,358 and 584,364.
-        G0 = family(parse_family_spec(spec))
-        counted = [Graph(G0.n, CountingMasks(relabeled(G0, random.Random(seed)).nbr)) for seed in range(3)]
-        CountingMasks.reads = 0
+        counted = counted_relabelings(spec)
         assert [gtg(G) for G in counted] == [value] * 3
         assert CountingMasks.reads <= 2_000, CountingMasks.reads
 
@@ -393,9 +399,7 @@ class TestClassSearch:
         # 810 masks; the limits leave 45 reads of slack, and dropping the
         # window, the scan's stop or a key of either move order reads more
         # (grundy_t without its stop reads 9,000).
-        G0 = family(parse_family_spec("cycle:15"))
-        counted = [Graph(G0.n, CountingMasks(relabeled(G0, random.Random(seed)).nbr)) for seed in range(3)]
-        CountingMasks.reads = 0
+        counted = counted_relabelings("cycle:15")
         assert [solve(G) for G in counted] == [value] * 3
         assert CountingMasks.reads <= limit, CountingMasks.reads
 
@@ -405,17 +409,16 @@ class TestGrundyMemo:
 
     def test_every_mask_up_to_6(self):
         for graph_id, G in exhaustive_corpus(6):
+            solver = _LongestSequence(G)
             for mask in range(G.full_mask):
-                assert _longest_sequence(G, mask) == oracle_grundy(G, mask), (graph_id, mask)
+                assert solver.value(mask) == oracle_grundy(G, mask), (graph_id, mask)
 
     @pytest.mark.parametrize("spec, value, limit", [("cycle:18", 16, 1_125), ("path:19", 18, 1_300)])
     def test_split_bounds_the_work(self, spec, value, limit):
         # Even cycles and paths split after a move or two.  The memo reads
         # 1,080 and 1,248 masks over three relabelings, and 7,938 and 3,300
         # with the split turned off.
-        G0 = family(parse_family_spec(spec))
-        counted = [Graph(G0.n, CountingMasks(relabeled(G0, random.Random(seed)).nbr)) for seed in range(3)]
-        CountingMasks.reads = 0
+        counted = counted_relabelings(spec)
         assert [grundy_t(G) for G in counted] == [value] * 3
         assert CountingMasks.reads <= limit, CountingMasks.reads
 
@@ -461,6 +464,15 @@ class TestIndicatedGame:
         G = build_graph(4, [(0, 1), (0, 2), (0, 3), (1, 2)])
         assert gti(G, VertexSet.of(4, [0])) == 1
         assert gti(G, VertexSet.of(4, [0, 3])) == 2
+
+    @pytest.mark.parametrize("spec, value, limit", [("cycle:18", 12, 3_200), ("path:19", 12, 2_300)])
+    def test_split_bounds_the_work(self, spec, value, limit):
+        # Even cycles and paths split after a round or two.  The solver
+        # reads 3,111 and 2,211 masks over three relabelings, and 676,961
+        # and 1,623,949 with the split turned off.
+        counted = counted_relabelings(spec)
+        assert [gti(G) for G in counted] == [value] * 3
+        assert CountingMasks.reads <= limit, CountingMasks.reads
 
     def test_monotone_on_neighborhood_union_masks(self):
         # On masks of the form N(X) -- every position reachable in play --
@@ -550,6 +562,18 @@ class TestChains:
             assert gt <= gtg(G) <= grt_v
 
 
+BIPARTITE_UP_TO_7 = 1 + 1 + 4 + 6 + 22 + 53  # bipartite isolate-free graphs, n = 2..7
+
+
+def bipartite_sides(n_max):
+    """Each bipartite graph of the corpus up to ``n_max``, with its two colour-class masks."""
+    for graph_id, G in exhaustive_corpus(n_max):
+        sides = bipartition(G)
+        if sides is not None:
+            a, b = (side.mask for side in sides)
+            yield graph_id, G, a, b
+
+
 class TestComponentAdditivity:
     def test_union_of_families(self):
         parts = [path_graph(4), cycle_graph(3)]
@@ -566,20 +590,23 @@ class TestComponentAdditivity:
         whole = disjoint_union([A, B])
         assert gti(whole) == gti(A) + gti(B)
 
-    # The identities below are what the solver's split rests on: a position
-    # is the sum of its parts when no two of them share a neighbour.  They
-    # use the plain recursion alone, so they hold whatever the solver does.
+    # The identities below are what the split memo rests on: a position is
+    # the sum of its parts when no two of them share a neighbour.  They use
+    # the plain recursions alone, so they hold whatever the solvers do.
     def test_colour_classes_split_every_bipartite_graph_up_to_7(self):
         checked = 0
-        for graph_id, G in exhaustive_corpus(7):
-            sides = bipartition(G)
-            if sides is None:
-                continue
+        for graph_id, G, a, b in bipartite_sides(7):
             oracle = OracleIndicatedGame(G)
-            a, b = (side.mask for side in sides)
             assert oracle.value(0) == oracle.value(a) + oracle.value(b), graph_id
             checked += 1
-        assert checked == 1 + 1 + 4 + 6 + 22 + 53  # bipartite isolate-free graphs, n = 2..7
+        assert checked == BIPARTITE_UP_TO_7
+
+    def test_colour_classes_split_grundy_on_every_bipartite_graph_up_to_7(self):
+        checked = 0
+        for graph_id, G, a, b in bipartite_sides(7):
+            assert oracle_grundy(G, 0) == oracle_grundy(G, a) + oracle_grundy(G, b), graph_id
+            checked += 1
+        assert checked == BIPARTITE_UP_TO_7
 
     @settings(max_examples=30, deadline=None)
     @given(isolate_free_graphs_st(max_n=5), isolate_free_graphs_st(max_n=5))

@@ -188,16 +188,22 @@ def orbit_marking_graphs(n):
     return tuple(graphs)
 
 
-def test_runtime_imports_no_numpy():
-    # The runtime is stdlib-only; a fresh interpreter shows what the import pulls in.
+def test_runtime_imports_stdlib_only():
+    # The runtime is stdlib-only; a fresh interpreter shows what the import
+    # pulls in: every new top-level module is tdgamelab or the stdlib's.
     src = str(Path(tdgamelab.__file__).resolve().parents[1])
-    code = "import sys, tdgamelab; print('numpy' in sys.modules)"
+    code = (
+        "import sys; before = set(sys.modules); import tdgamelab, tdgamelab.cli; "
+        "print(' '.join(sorted({name.partition('.')[0] for name in set(sys.modules) - before})))"
+    )
     env = {**os.environ, "PYTHONPATH": src}
     result = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
     )
     assert result.returncode == 0, result.stderr
-    assert result.stdout.strip() == "False"
+    new = set(result.stdout.split())
+    assert "tdgamelab" in new
+    assert new - {"tdgamelab"} <= sys.stdlib_module_names, sorted(new - sys.stdlib_module_names)
 
 
 class TestTreeEnumeration:
@@ -479,7 +485,7 @@ class TestRandomCorpus:
     def test_retry_bound(self):
         rng = random.Random(0)
         with pytest.raises(ValueError):
-            random_isolate_free_graph(6, 0.0, rng, max_retries=5)
+            random_isolate_free_graph(6, 0.0, rng)
 
     def test_leaf_support_trees(self):
         rng = random.Random(9)
