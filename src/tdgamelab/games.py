@@ -232,6 +232,8 @@ class IndicatedGameSolver(_SplitMemo):
             worst = 0
             for u in bits(self._nbr[v]):
                 worst = max(worst, self.value(mask | self._nbr[u]))
+                if worst + 1 > target:
+                    break  # v is not optimal; its other replies cannot help it
             if worst + 1 == target:
                 return v
         raise AssertionError("no indication achieves the minimax value")

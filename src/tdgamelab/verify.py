@@ -80,8 +80,9 @@ def isolate_free_graphs(n: int) -> tuple[Graph, ...]:
     m - 1 vertices shifted up one label, each with a new vertex 0 joined to
     some set, kept when no relabeling gives a smaller mask (see
     ``_smallest_mask_extensions``).  Only the last level drops graphs with
-    an isolated vertex.  Nothing is kept between calls, so ``cache_clear()``
-    leaves the next call fully cold.
+    an isolated vertex.  Only the constant per-order bit columns of
+    ``_columns`` outlive a call, so after ``cache_clear()`` the next call
+    still generates every graph.
     """
     _check_exhaustive_order(n)
     level: list[tuple[int, ...]] = [()]
@@ -114,7 +115,7 @@ def _smallest_mask_extensions(h: tuple[int, ...], isolate_free: bool) -> list[tu
     """
     n = len(h) + 1
     base = (0,) + tuple(a << 1 for a in h)  # G's neighbourhoods, vertex 0 aside
-    has = (0,) + tuple(_bit_column(i, n - 1) for i in range(n - 1))  # has[v]: the s joining v
+    has = (0,) + _columns(n - 1)  # has[v]: the s joining v
     allowed = (1 << (1 << (n - 1))) - 1
     if isolate_free:
         allowed &= ~1
@@ -179,13 +180,27 @@ def _smallest_mask_extensions(h: tuple[int, ...], isolate_free: bool) -> list[tu
     return [_joined(h, s) for s in bits(alive)]
 
 
-def _bit_column(i: int, m: int) -> int:
-    """The bitmap over s in range(2**m) of the s with bit i set."""
-    run = ((1 << (1 << i)) - 1) << (1 << i)  # 2**i values without bit i, then 2**i with it
-    column = 0
-    for start in range(0, 1 << m, 2 << i):
-        column |= run << start
-    return column
+@lru_cache(maxsize=None)
+def _columns(m: int) -> tuple[int, ...]:
+    """Column i is the bitmap over s in range(2**m) of the s with bit i set.
+
+    Every caller keeps m <= EXHAUSTIVE_ORDER_CAP, so few orders are cached.
+    """
+    columns = []
+    for i in range(m):
+        column = ((1 << (1 << i)) - 1) << (1 << i)  # 2**i values without bit i, then 2**i with it
+        width = 2 << i
+        while width < 1 << m:
+            column |= column << width
+            width <<= 1
+        columns.append(column)
+    return tuple(columns)
+
+
+@lru_cache(maxsize=None)
+def _members(n: int) -> tuple[tuple[int, ...], ...]:
+    """Entry m is ``tuple(bits(m))`` for m in range(2**n); only exhaustive checks build it."""
+    return tuple(tuple(bits(m)) for m in range(1 << n))
 
 
 def _joined(h: tuple[int, ...], s: int) -> tuple[int, ...]:
@@ -437,9 +452,12 @@ def check_continuation(
     W = OR_k (L_k AND Up(NOT L_k)) are walked, where Up is the superset
     closure.  For each A in W, in increasing order, the subsets B of A are
     walked from A down, and (A, B) is a violation when B is not in
-    L_value(A).  Sampled mode draws ``samples`` seeded random pairs, at
-    least one, and reads their values from an ``IndicatedGameSolver``.
-    Violations are reported with the witnessing (A, B).
+    L_value(A).  The closure's bit columns and the violations' vertex
+    tuples are the per-order tables ``_columns(n)`` and ``_members(n)``.
+    Sampled mode, at n up to 26, builds no such table: it draws
+    ``samples`` seeded random pairs, at least one, and reads their values
+    from an ``IndicatedGameSolver``.  Violations are reported with the
+    witnessing (A, B).
     """
     require_isolate_free(G)
     full = G.full_mask
@@ -451,14 +469,15 @@ def check_continuation(
                 f"exhaustive continuation checks are limited to n <= {EXHAUSTIVE_ORDER_CAP}"
             )
         levels = _value_levels(G)
-        clear = [~_bit_column(i, G.n) for i in range(G.n)]
+        columns = _columns(G.n)
+        members = _members(G.n)
         walk = 0
         for level in levels:
             # Up(NOT L_k); the bits of ~level past 2**n are dropped by the
             # final AND with level.
             up = ~level
-            for i, without_i in enumerate(clear):
-                up |= (up & without_i) << (1 << i)
+            for i, column in enumerate(columns):
+                up |= (up << (1 << i)) & column
             walk |= level & up
         pairs = 3**G.n
         for a in bits(walk):
@@ -466,7 +485,7 @@ def check_continuation(
             b = a
             while True:
                 if not level >> b & 1:
-                    violations.append(_pair(a, b))
+                    violations.append((members[a], members[b]))
                 if b == 0:
                     break
                 b = (b - 1) & a
@@ -480,7 +499,7 @@ def check_continuation(
             b = a & rng.randrange(full + 1)
             pairs += 1
             if solver.value(a) > solver.value(b):
-                violations.append(_pair(a, b))
+                violations.append((tuple(bits(a)), tuple(bits(b))))
     else:
         raise ValueError(f"unknown continuation mode {mode!r}")
     name = G.label or f"graph(n={G.n})"
@@ -496,11 +515,11 @@ def _value_levels(G: Graph) -> list[int]:
     that hold it.  L_1 is every mask but V.  M is in L_{k+1} when M != V
     and every undominated v has a reply u in N(v) with M | N(u) in L_k.
     The masks M with M | N(u) in L_k come from L_k one vertex i of N(u)
-    at a time: keep the masks holding i, then add each of them with i
-    cleared.
+    at a time: keep the masks holding i (column i of the per-order table
+    ``_columns(n)``), then add each of them with i cleared.
     """
     n, nbr = G.n, G.nbr
-    cols = [_bit_column(i, n) for i in range(n)]
+    cols = _columns(n)
     open_masks = (1 << G.full_mask) - 1  # every mask but V, the highest
     levels = []
     level = open_masks
@@ -509,21 +528,23 @@ def _value_levels(G: Graph) -> list[int]:
         replies = []
         for u in range(n):
             reply = level
-            for i in bits(nbr[u]):
-                reply &= cols[i]
-                reply |= reply >> (1 << i)
+            rest = nbr[u]
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                reply &= cols[low.bit_length() - 1]
+                reply |= reply >> low
             replies.append(reply)
         level = open_masks
         for v in range(n):
             answered = cols[v]
-            for u in bits(nbr[v]):
-                answered |= replies[u]
+            rest = nbr[v]
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                answered |= replies[low.bit_length() - 1]
             level &= answered
     return levels
-
-
-def _pair(a: int, b: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    return tuple(bits(a)), tuple(bits(b))
 
 
 # ---------------------------------------------------------------------------

@@ -337,6 +337,38 @@ class TestValueLevels:
             assert_levels_match_solver(relabeled(G, rng))
 
 
+class TestOrderTables:
+    def test_columns_match_definition(self):
+        for m in range(verify.EXHAUSTIVE_ORDER_CAP + 1):
+            columns = verify._columns(m)
+            assert len(columns) == m
+            for i, column in enumerate(columns):
+                assert column >> (1 << m) == 0
+                assert all(column >> s & 1 == s >> i & 1 for s in range(1 << m)), (m, i)
+
+    def test_members_match_bits(self):
+        for n in range(verify.EXHAUSTIVE_ORDER_CAP + 1):
+            assert verify._members(n) == tuple(tuple(bits(m)) for m in range(1 << n))
+
+    def test_caches_stay_bounded(self):
+        # Sampled checks run far above the cap and must build no 2**n table,
+        # so after them only the exhaustive orders are cached.
+        tables = (verify._columns, verify._members)
+        for table in tables:
+            table.cache_clear()
+        orders = range(2, verify.EXHAUSTIVE_ORDER_CAP + 1)
+        for n in orders:
+            check_continuation(path_graph(n))
+        for G in (path_graph(17), cycle_graph(26)):
+            check_continuation(G, mode="sampled", samples=50, seed=3)
+        for table in tables:
+            cached = table.cache_info()
+            assert cached.currsize == len(orders)
+            for n in orders:
+                table(n)
+            assert table.cache_info().misses == cached.misses  # exactly those orders
+
+
 class TestSurvey:
     def test_empty_corpus(self):
         assert list(survey([])) == []
