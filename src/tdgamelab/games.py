@@ -54,7 +54,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .graph import (
     Graph,
@@ -77,13 +77,16 @@ class PolicyError(RuntimeError):
     """A policy returned an illegal move; carries the offending state."""
 
 
-@dataclass(frozen=True)
-class GameState:
+class GameState(NamedTuple):
     """Snapshot handed to policies: dominated mask plus declared set and move count.
 
     ``dominated`` is the union of the declared set and the open neighborhood
     of everything played so far; the game is over exactly when it equals
-    the whole vertex set.
+    the whole vertex set.  ``best_response_length`` builds one snapshot per
+    state it consults the policy in (16,383 for the Staller partition
+    policy on ``path:20``), so a snapshot is a named tuple: building one is
+    a single allocation.  Snapshots are immutable and never reused, so a
+    policy may keep the ones it is handed.
     """
 
     graph: Graph

@@ -45,12 +45,13 @@ def bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VertexSet:
     """Fixed-capacity set of vertex indices backed by a bitmask.
 
     Set algebra (``|``, ``&``, ``-``, ``<=``) is exact; operands must share
-    the same capacity ``n``.
+    the same capacity ``n``.  Slotted, so an instance carries no ``__dict__``:
+    game searches build one per policy snapshot.
     """
 
     n: int

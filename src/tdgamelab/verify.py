@@ -198,6 +198,20 @@ def _columns(m: int) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
+def _downsets(n: int) -> tuple[int, ...]:
+    """Entry a is the 2**n-bit bitmap of the subsets of a, for a in range(2**n).
+
+    Built by doubling: the subsets of a | 2**t, for a < 2**t, are those of a
+    and those of a with bit t set, that is the bitmap shifted by 2**t.
+    Only exhaustive checks build it.
+    """
+    down = [1]
+    for t in range(n):
+        down += [d | d << (1 << t) for d in down]
+    return tuple(down)
+
+
+@lru_cache(maxsize=None)
 def _members(n: int) -> tuple[tuple[int, ...], ...]:
     """Entry m is ``tuple(bits(m))`` for m in range(2**n); only exhaustive checks build it."""
     return tuple(tuple(bits(m)) for m in range(1 << n))
@@ -450,10 +464,12 @@ def check_continuation(
     ``_value_levels``: a set A has a violating subset exactly when, for
     some k, A is in L_k and a subset of A is not, so only the sets of
     W = OR_k (L_k AND Up(NOT L_k)) are walked, where Up is the superset
-    closure.  For each A in W, in increasing order, the subsets B of A are
-    walked from A down, and (A, B) is a violation when B is not in
-    L_value(A).  The closure's bit columns and the violations' vertex
-    tuples are the per-order tables ``_columns(n)`` and ``_members(n)``.
+    closure.  For each A in W, in increasing order, the violations are the
+    subsets B of A that are not in L_value(A), read as the bits of
+    Down(A) AND NOT L_value(A) from the highest down.  The closure's bit
+    columns, the subset bitmaps Down(A) and the violations' vertex tuples
+    are the per-order tables ``_columns(n)``, ``_downsets(n)`` and
+    ``_members(n)``.
     Sampled mode, at n up to 26, builds no such table: it draws
     ``samples`` seeded random pairs, at least one, and reads their values
     from an ``IndicatedGameSolver``.  Violations are reported with the
@@ -471,6 +487,7 @@ def check_continuation(
         levels = _value_levels(G)
         columns = _columns(G.n)
         members = _members(G.n)
+        down = _downsets(G.n)
         walk = 0
         for level in levels:
             # Up(NOT L_k); the bits of ~level past 2**n are dropped by the
@@ -482,13 +499,11 @@ def check_continuation(
         pairs = 3**G.n
         for a in bits(walk):
             level = levels[sum(above >> a & 1 for above in levels) - 1]
-            b = a
-            while True:
-                if not level >> b & 1:
-                    violations.append((members[a], members[b]))
-                if b == 0:
-                    break
-                b = (b - 1) & a
+            bad = down[a] & ~level
+            while bad:
+                b = bad.bit_length() - 1
+                bad ^= 1 << b
+                violations.append((members[a], members[b]))
     elif mode == "sampled":
         if samples < 1:
             raise ValueError(f"sampled continuation checks need samples >= 1, not {samples}")

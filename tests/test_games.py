@@ -750,3 +750,52 @@ class TestBestResponse:
             "policy 'silent-staller' selected illegal vertex None for indicated 0 at move 0, dominated=[], "
             "declared=[] on <Graph path:6: n=6, m=5>"
         )
+
+
+class TestGameState:
+    def snapshot(self):
+        G = path_graph(6)
+        return GameState(G, VertexSet.of(6, [5]), VertexSet.of(6, [0, 2, 4, 5]), 2)
+
+    def test_positional_and_keyword_construction(self):
+        state = self.snapshot()
+        assert state == GameState(
+            graph=state.graph, declared=state.declared, dominated=state.dominated, moves=state.moves
+        )
+        assert GameState._fields == ("graph", "declared", "dominated", "moves")
+
+    def test_fields_are_read_only(self):
+        state = self.snapshot()
+        for name in GameState._fields:
+            with pytest.raises(AttributeError):
+                setattr(state, name, None)
+        for name in ("n", "mask"):
+            with pytest.raises(AttributeError):
+                setattr(state.dominated, name, 0)
+
+    def test_equal_snapshots_hash_equal(self):
+        first, second = self.snapshot(), self.snapshot()
+        assert first is not second and first == second and hash(first) == hash(second)
+        assert first.dominated == VertexSet(6, 0b110101)
+        assert hash(first.dominated) == hash(VertexSet(6, 0b110101))
+        assert first != first._replace(moves=3)
+
+    def test_describe(self):
+        assert self.snapshot().describe() == (
+            "move 2, dominated=[0, 2, 4, 5], declared=[5] on <Graph path:6: n=6, m=5>"
+        )
+
+    def test_policies_may_keep_their_snapshots(self):
+        # Each consulted state gets a snapshot of its own that never changes
+        # after it is handed over.
+        G = path_graph(8)
+        kept = []
+
+        def keeper(state, v):
+            kept.append((state, state.dominated.mask, state.moves))
+            return lowest(G.nbr[v])
+
+        assert best_response_length(G, None, Policy(Role.STALLER, "keeper", keeper)) > 0
+        assert kept
+        for state, mask, moves in kept:
+            assert state == GameState(G, VertexSet(8), VertexSet(8, mask), moves)

@@ -346,6 +346,14 @@ class TestOrderTables:
                 assert column >> (1 << m) == 0
                 assert all(column >> s & 1 == s >> i & 1 for s in range(1 << m)), (m, i)
 
+    def test_downsets_match_definition(self):
+        for n in range(verify.EXHAUSTIVE_ORDER_CAP + 1):
+            down = verify._downsets(n)
+            assert len(down) == 1 << n
+            for a, subsets in enumerate(down):
+                assert subsets >> (1 << n) == 0
+                assert all(subsets >> b & 1 == (b & ~a == 0) for b in range(1 << n)), (n, a)
+
     def test_members_match_bits(self):
         for n in range(verify.EXHAUSTIVE_ORDER_CAP + 1):
             assert verify._members(n) == tuple(tuple(bits(m)) for m in range(1 << n))
@@ -353,7 +361,7 @@ class TestOrderTables:
     def test_caches_stay_bounded(self):
         # Sampled checks run far above the cap and must build no 2**n table,
         # so after them only the exhaustive orders are cached.
-        tables = (verify._columns, verify._members)
+        tables = (verify._columns, verify._downsets, verify._members)
         for table in tables:
             table.cache_clear()
         orders = range(2, verify.EXHAUSTIVE_ORDER_CAP + 1)
