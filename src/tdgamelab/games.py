@@ -83,10 +83,10 @@ class GameState(NamedTuple):
     ``dominated`` is the union of the declared set and the open neighborhood
     of everything played so far; the game is over exactly when it equals
     the whole vertex set.  ``best_response_length`` builds one snapshot per
-    state it consults the policy in (16,383 for the Staller partition
-    policy on ``path:20``), so a snapshot is a named tuple: building one is
-    a single allocation.  Snapshots are immutable and never reused, so a
-    policy may keep the ones it is handed.
+    consulted state (16,383 for the Staller partition policy on
+    ``path:20``), so a snapshot is a named tuple: building one is a single
+    allocation.  Snapshots are immutable and never reused, so a policy may
+    keep the ones it is handed.
     """
 
     graph: Graph
