@@ -11,10 +11,10 @@ carries the vertices dominated once and twice from node to node and is cut
 by three prunes: a candidate mask of the later vertices that keep the set
 OO-irredundant (exact, as OO-irredundance is closed under subsets), a size
 bound on the set plus its candidates, and, for Γt, a cover prune once an
-undominated vertex has no neighbour among the candidates.  Every optimum
-comes with a witness that is re-checked against the defining predicate
-before being returned, and ties are broken toward the lexicographically
-smallest witness.
+undominated vertex has no neighbour among the candidates, read as one
+cover limit per node.  Every optimum comes with a witness that is re-checked
+against the defining predicate before being returned, and ties are broken
+toward the lexicographically smallest witness.
 """
 
 from __future__ import annotations
@@ -151,40 +151,37 @@ def _largest_irredundant(G: Graph, cover: int) -> tuple[int, int]:
       neighbour with ``v`` for a private neighbour of their own;
     - size bound: a branch ends once its size plus its candidates is at
       most the best size, as it holds no strictly larger set;
-    - cover prune (Γt only): a branch ends once a vertex of ``cover``
-      outside ``once`` has no neighbour among the candidates left, as no set
-      in it dominates ``cover``.
+    - cover prune (Γt only): a node walks its candidates from the lowest up
+      and stops past its limit, the least over the vertices of ``cover``
+      outside ``once`` of their highest candidate neighbour, as past it one
+      of them has no neighbour left among the candidates.
     """
-    nbr = G.nbr
+    n, nbr = G.n, G.nbr
     # near[v]: the vertices sharing a neighbour with v, the only candidates
     # whose own private neighbours adding v can take.
     near = near_masks(G)
-    best_size = 0
-    best_mask = 0
+    best_size = best_mask = 0
 
     def extend(size: int, mask: int, once: int, twice: int, cands: int) -> None:
         nonlocal best_size, best_mask
         need = cover & ~once
         if size > best_size and not need:
             best_size, best_mask = size, mask
-        # The candidates from the highest down, and reach[i], the neighbours
-        # of order[:i + 1]: of order[i] and every later candidate.
-        order = []
-        reach = []
-        seen = 0
-        rest = cands
-        while rest:
-            v = rest.bit_length() - 1
-            rest ^= 1 << v
-            seen |= nbr[v]
-            order.append(v)
-            reach.append(seen)
-        while order:
-            if size + len(order) <= best_size:
+        limit = n
+        while need and limit >= 0:  # at -1 a vertex of need has no candidate neighbour
+            w = need.bit_length() - 1
+            need ^= 1 << w
+            top = (nbr[w] & cands).bit_length() - 1
+            if top < limit:
+                limit = top
+        left = cands.bit_count()
+        while cands:
+            if size + left <= best_size:
                 return  # size bound
-            v = order.pop()
-            if need & ~reach.pop():
+            v = (cands & -cands).bit_length() - 1
+            if v > limit:
                 return  # cover prune, for v and every later candidate
+            left -= 1
             cands ^= 1 << v
             nv = nbr[v]
             grown_twice = twice | once & nv
@@ -220,7 +217,7 @@ def _largest_irredundant(G: Graph, cover: int) -> tuple[int, int]:
                 extend(size + 1, mask | 1 << v, grown_once, grown_twice, rest)
 
     # A vertex with no neighbour has no private neighbour.
-    extend(0, 0, 0, 0, sum(1 << v for v in range(G.n) if nbr[v]))
+    extend(0, 0, 0, 0, sum(1 << v for v in range(n) if nbr[v]))
     return best_size, best_mask
 
 
@@ -285,6 +282,19 @@ def is_induced_matching(G: Graph, edges: tuple[Edge, ...]) -> bool:
     return True
 
 
+def _conflict_masks(G: Graph, edges: list[Edge]) -> list[int]:
+    """Per edge (a, b), the mask of ``edges`` with an end in N[a] ∪ N[b], itself included."""
+    ends = [0] * G.n  # ends[x]: the edges with an end at x
+    for i, (a, b) in enumerate(edges):
+        ends[a] |= 1 << i
+        ends[b] |= 1 << i
+    touch = ends[:]  # touch[x]: the edges with an end in N[x]
+    for x, y in G.edges():
+        touch[x] |= ends[y]
+        touch[y] |= ends[x]
+    return [touch[a] | touch[b] for a, b in edges]
+
+
 def induced_matching_number(
     G: Graph, candidate_edges: list[Edge] | None = None
 ) -> InvariantValue:
@@ -293,21 +303,17 @@ def induced_matching_number(
     ``candidate_edges`` optionally restricts the search to a subset of the
     edge set (used e.g. to probe matchings built from pendant edges only);
     the value is then the maximum over induced matchings inside that subset.
+    The search adds edges in index order and drops from the candidates the
+    edges with an end in the closed neighbourhood of an added edge's end.
     """
-    edges = sorted(tuple(sorted(e)) for e in candidate_edges) if candidate_edges is not None else G.edges()
-    for u, v in edges:
-        if not G.has_edge(u, v):
-            raise ValueError(f"candidate edge ({u}, {v}) is not an edge of the graph")
-    m = len(edges)
-    conflict = [0] * m
-    for i in range(m):
-        a, b = edges[i]
-        cover_i = G.nbr[a] | G.nbr[b] | 1 << a | 1 << b
-        for j in range(i + 1, m):
-            c, d = edges[j]
-            if cover_i & (1 << c | 1 << d):
-                conflict[i] |= 1 << j
-                conflict[j] |= 1 << i
+    if candidate_edges is None:
+        edges = G.edges()
+    else:
+        edges = sorted({tuple(sorted(e)) for e in candidate_edges})
+        for u, v in edges:
+            if not G.has_edge(u, v):
+                raise ValueError(f"candidate edge ({u}, {v}) is not an edge of the graph")
+    conflict = _conflict_masks(G, edges)
 
     best_size = 0
     best: tuple[int, ...] = ()
@@ -323,7 +329,7 @@ def induced_matching_number(
             cand &= cand - 1
             extend(chosen + (i,), cand & ~conflict[i])
 
-    extend((), (1 << m) - 1)
+    extend((), (1 << len(edges)) - 1)
     witness = tuple(edges[i] for i in best)
     _certify(
         is_induced_matching(G, witness) and len(witness) == best_size,

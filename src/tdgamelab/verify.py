@@ -476,9 +476,7 @@ def check_continuation(
     witnessing (A, B).
     """
     require_isolate_free(G)
-    full = G.full_mask
     violations = []
-    pairs = 0
     if mode == "exhaustive":
         if G.n > EXHAUSTIVE_ORDER_CAP:
             raise CapacityError(
@@ -508,17 +506,27 @@ def check_continuation(
         if samples < 1:
             raise ValueError(f"sampled continuation checks need samples >= 1, not {samples}")
         solver = IndicatedGameSolver(G)
-        rng = random.Random(seed)
+        pairs = samples
+        draws = _random_masks(seed, G.n)
         for _ in range(samples):
-            a = rng.randrange(full + 1)
-            b = a & rng.randrange(full + 1)
-            pairs += 1
+            a = next(draws)
+            b = a & next(draws)
             if solver.value(a) > solver.value(b):
                 violations.append((tuple(bits(a)), tuple(bits(b))))
     else:
         raise ValueError(f"unknown continuation mode {mode!r}")
     name = G.label or f"graph(n={G.n})"
     return ContinuationReport(name, G.n, mode, pairs, tuple(violations))
+
+
+def _random_masks(seed: int, n: int) -> Iterator[int]:
+    """``random.Random(seed).randrange(2**n)``'s draws, from the calls it makes in
+    CPython 3.10-3.13: ``getrandbits(n + 1)``, drawn again while above ``full``."""
+    draw, full = random.Random(seed).getrandbits, (1 << n) - 1
+    while True:
+        mask = draw(n + 1)
+        if mask <= full:
+            yield mask
 
 
 def _value_levels(G: Graph) -> list[int]:
@@ -725,21 +733,14 @@ def explore_trees(n_max: int) -> TreeProbeReport:
     """
     if not 2 <= n_max <= TREE_ORDER_CAP:
         raise ValueError(f"tree probing supports 2 <= n_max <= {TREE_ORDER_CAP}")
-    rows = []
-    equality_bad = []
-    matching_bad = []
-    restricted_bad = []
+    rows, equality_bad, matching_bad, restricted_bad = [], [], [], []
     for n in range(2, n_max + 1):
         for index, T in enumerate(enumerate_trees(n)):
             ugt_val = upper_gamma_t(T).value
             gti_val = gti(T)
             nui_val = induced_matching_number(T).value
-            pendant_edges = [
-                (u, v) for u, v in T.edges() if T.degree(u) == 1 or T.degree(v) == 1
-            ]
-            leaf_max = (
-                induced_matching_number(T, pendant_edges).value if pendant_edges else 0
-            )
+            pendant = [(u, v) for u, v in T.edges() if T.degree(u) == 1 or T.degree(v) == 1]
+            leaf_max = induced_matching_number(T, pendant).value
             row = TreeProbeRow(
                 n=n,
                 index=index,
@@ -759,11 +760,7 @@ def explore_trees(n_max: int) -> TreeProbeReport:
                 if row.leaf_matching_attains_max:
                     restricted_bad.append(ident)
     return TreeProbeReport(
-        n_max,
-        tuple(rows),
-        tuple(equality_bad),
-        tuple(matching_bad),
-        tuple(restricted_bad),
+        n_max, tuple(rows), tuple(equality_bad), tuple(matching_bad), tuple(restricted_bad)
     )
 
 
@@ -842,20 +839,16 @@ def _count_chain_violations(n: int) -> int:
 
 
 def _count_grundy_matching_mismatches(n: int) -> int:
-    bad = 0
-    for T in enumerate_trees(n):
-        if (grundy_t(T) == n) != bool(has_perfect_matching(T).value):
-            bad += 1
-    return bad
+    return sum(
+        (grundy_t(T) == n) != bool(has_perfect_matching(T).value) for T in enumerate_trees(n)
+    )
 
 
 def _sampled_continuation_violations(seed: int, graphs: int, samples: int) -> int:
     rng = random.Random(seed)
     total = 0
     for _ in range(graphs):
-        n = rng.randint(3, 7)
-        p = rng.uniform(0.3, 0.7)
-        G = random_isolate_free_graph(n, p, rng)
+        G = random_isolate_free_graph(rng.randint(3, 7), rng.uniform(0.3, 0.7), rng)
         report = check_continuation(G, mode="sampled", samples=samples, seed=rng.randrange(2**30))
         total += len(report.violations)
     return total

@@ -104,6 +104,41 @@ def brute_induced_matching(G):
     return best
 
 
+def brute_induced_matching_witness(G):
+    """Size and edges of the first largest induced matching, by edge index.
+
+    Walks every induced matching of G, one size at a time, as the increasing
+    tuples of edge indices that ``is_induced_matching`` accepts.
+    """
+    edges = G.edges()
+    level, first = [()], ()
+    while level:
+        first = min(level)
+        level = [
+            chosen + (j,)
+            for chosen in level
+            for j in range(chosen[-1] + 1 if chosen else 0, len(edges))
+            if is_induced_matching(G, tuple(edges[i] for i in chosen + (j,)))
+        ]
+    return len(first), tuple(edges[i] for i in first)
+
+
+def pairwise_conflicts(G, edges):
+    """Entry i: the other edges with an end in N[a] ∪ N[b], for edges[i] = (a, b),
+    found by testing every pair of edges."""
+    m = len(edges)
+    conflict = [0] * m
+    for i in range(m):
+        a, b = edges[i]
+        cover_i = G.nbr[a] | G.nbr[b] | 1 << a | 1 << b
+        for j in range(i + 1, m):
+            c, d = edges[j]
+            if cover_i & (1 << c | 1 << d):
+                conflict[i] |= 1 << j
+                conflict[j] |= 1 << i
+    return conflict
+
+
 def brute_has_perfect_matching(G):
     if G.n % 2:
         return False
@@ -229,13 +264,17 @@ class TestIrredundantSearch:
         "spec, solve, value, limit",
         [
             # Γt(bk:8) = 2 lies far below ooir = 16, so the cover prune does
-            # the work: 5,315 reads; with the prune over every later vertex
-            # instead of the candidates, about 119,000.
+            # the work: 4,678 reads; with its limit taken over every vertex
+            # from the lowest candidate on instead of the candidates, 136,884.
             ("bk:8", upper_gamma_t, 2, 20_000),
-            # ooir(cycle:20) leans on the size bound: 109,941 reads; with
-            # ``<`` for ``<=`` in it, 146,641, and without the bound inside
-            # the loop, 285,480.
-            ("cycle:20", ooir, 12, 130_000),
+            # ooir(cycle:20) leans on the size bound: 61,143 reads; with
+            # ``<`` for ``<=`` in it, 97,843, without the bound inside the
+            # loop, 236,682, and with per-node lists of the candidates and
+            # the unions of their neighbourhoods, 109,941.
+            ("cycle:20", ooir, 12, 75_000),
+            # ooir(cyclepower:18,3): 51,792 reads; with the per-node lists,
+            # 59,778.
+            ("cyclepower:18,3", ooir, 6, 56_000),
         ],
     )
     def test_prunes_bound_the_work(self, spec, solve, value, limit):
@@ -301,6 +340,40 @@ class TestInducedMatching:
         pendant = [(u, v) for u, v in G.edges() if G.degree(u) == 1 or G.degree(v) == 1]
         assert induced_matching_number(G, pendant).value == 3
         assert induced_matching_number(G, [G.edges()[0]]).value == 1
+
+    def test_witnesses_match_brute_force_on_dense_relabeled_graphs_8_to_16(self):
+        # Dense graphs, where most pairs of edges conflict, so the conflict
+        # table does most of the work.
+        rng = random.Random(0x1D)
+        for n in range(8, 17):
+            for _ in range(3):
+                G = relabeled(random_isolate_free_graph(n, rng.uniform(0.5, 0.8), rng), rng)
+                result = induced_matching_number(G)
+                assert (result.value, result.witness) == brute_induced_matching_witness(G), G.edges()
+
+    def test_conflict_masks_match_pairwise_loop(self):
+        # The table also sets bit i in entry i; the search has taken edge i
+        # out of its candidates before it reads that entry.
+        rng = random.Random(0xC0)
+        for _ in range(40):
+            G = random_isolate_free_graph(rng.randint(2, 16), rng.uniform(0.1, 0.8), rng)
+            for edges in (G.edges(), [e for e in G.edges() if rng.random() < 0.5]):
+                expected = [mask | 1 << i for i, mask in enumerate(pairwise_conflicts(G, edges))]
+                assert invariants._conflict_masks(G, edges) == expected, G.edges()
+
+    def test_duplicate_and_reversed_candidates(self):
+        rng = random.Random(0xD0)
+        for _ in range(30):
+            G = random_isolate_free_graph(rng.randint(4, 12), rng.uniform(0.2, 0.8), rng)
+            edges = [e for e in G.edges() if rng.random() < 0.6] or G.edges()[:1]
+            messy = [
+                (v, u) if rng.random() < 0.5 else (u, v)
+                for u, v in edges
+                for _ in range(rng.randint(1, 3))
+            ]
+            rng.shuffle(messy)
+            expected, got = induced_matching_number(G, edges), induced_matching_number(G, messy)
+            assert (got.value, got.witness) == (expected.value, expected.witness), messy
 
     def test_non_edge_candidates_rejected(self):
         with pytest.raises(ValueError):

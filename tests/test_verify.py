@@ -283,6 +283,15 @@ class TestContinuationChecker:
         second = check_continuation(G, mode="sampled", samples=200, seed=11)
         assert first == second
 
+    def test_random_masks_are_randrange_draws(self):
+        # The sampled pairs, and so every pinned sampled report, are those
+        # that ``randrange(2**n)`` draws from the same seed.
+        for n in range(27):
+            for seed in range(40):
+                rng = random.Random(seed)
+                expected = [rng.randrange(2**n) for _ in range(30)]
+                assert list(islice(verify._random_masks(seed, n), 30)) == expected, (n, seed)
+
     def test_cost_guard(self):
         with pytest.raises(CapacityError, match="limited to n <= 7"):
             check_continuation(build_graph(8, [(i, (i + 1) % 8) for i in range(8)]))
