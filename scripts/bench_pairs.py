@@ -18,8 +18,9 @@ sides.
 
 The output keeps the last line of every run (``correct``, ``attempted``,
 ``failed``, ``metrics``) and, per workload and end-to-end metric, each
-side's quartiles and median (inclusive method) and the number of pairs in
-which the change was better, ties counting for neither side.  Per traced
+side's quartiles and median (inclusive method), the number of pairs in
+which the change was better, ties counting for neither side, and two
+verdicts (see ``verdict``): ``gain`` and ``within_bound``.  Per traced
 workload it also gives each side's median of every per-layer metric.
 Stdlib only.
 """
@@ -65,16 +66,33 @@ def quartiles(values: list[float]) -> dict:
 
 
 def summarize(pairs: list[dict], end_to_end: list[dict]) -> dict:
-    """Per end-to-end metric: each side's quartiles and the pairs the change won."""
+    """Per end-to-end metric: each side's quartiles, the pairs the change won and the verdicts."""
     summary = {}
     for metric in end_to_end:
         name = metric["name"]
         values = {side: [pair[side]["metrics"][name]["value"] for pair in pairs] for side in SIDES}
         sign = 1 if metric["better"] == "lower" else -1
         better = sum(sign * (c - p) < 0 for p, c in zip(values["parent"], values["change"]))
-        summary[name] = {**{side: quartiles(values[side]) for side in SIDES},
-                         "change_better_pairs": better, "pairs": len(pairs)}
+        entry = {**{side: quartiles(values[side]) for side in SIDES},
+                 "change_better_pairs": better, "pairs": len(pairs)}
+        summary[name] = {**entry, **verdict(metric, entry)}
     return summary
+
+
+def verdict(metric: dict, entry: dict) -> dict:
+    """Whether one summary entry shows a gain, and whether it stays within the metric's bound.
+
+    ``gain``: the change was better in at least nine tenths of the pairs,
+    and its median beats the parent's by more than the parent's q3 - q1.
+    ``within_bound``: the change's median is worse than the parent's by
+    at most the relative ``bound`` that ``BENCHMARK.json`` fixes.
+    """
+    parent, change = entry["parent"], entry["change"]
+    sign = 1 if metric["better"] == "lower" else -1
+    gap = sign * (parent["median"] - change["median"])  # > 0 when the change is better
+    return {"gain": 10 * entry["change_better_pairs"] >= 9 * entry["pairs"]
+                    and gap > parent["q3"] - parent["q1"],
+            "within_bound": -gap <= metric["bound"] * parent["median"]}
 
 
 def layer_medians(pairs: list[dict], per_layer: list[dict]) -> dict:

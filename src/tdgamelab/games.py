@@ -63,7 +63,6 @@ from .graph import (
     components,
     lowest_component,
     max_degree,
-    near_masks,
     require_isolate_free,
 )
 
@@ -155,7 +154,7 @@ class _SplitMemo:
         self._nbr = G.nbr
         # near[v] = N(N(v)): the vertices that share a neighbour with v,
         # which are all that a reply to v can newly dominate.
-        self._near = near_masks(G)
+        self._near = G.near
         self._full = G.full_mask
         self._memo: dict[int, int] = {self._full: 0}
 
@@ -286,7 +285,7 @@ def gtg(G: Graph) -> int:
     """
     require_isolate_free(G)
     if G.n >= CLASS_SEARCH_MIN_ORDER:
-        parts = components(near_masks(G), G.full_mask)
+        parts = components(G.near, G.full_mask)
         if len(parts) > 1:
             return _class_search(G, parts)
     return _mask_search(G)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
 # Masks over 0..SOLVER_CAP-1 fit a single machine word on every target the
@@ -117,20 +118,33 @@ class Graph:
     label: str | None = None
 
     def __post_init__(self):
-        if self.n > SOLVER_CAP:
-            raise CapacityError(f"order {self.n} exceeds SOLVER_CAP = {SOLVER_CAP}")
-        if len(self.nbr) != self.n:
+        n, nbr = self.n, self.nbr
+        if n > SOLVER_CAP:
+            raise CapacityError(f"order {n} exceeds SOLVER_CAP = {SOLVER_CAP}")
+        if len(nbr) != n:
             raise ValueError("adjacency length does not match order")
-        full = (1 << self.n) - 1
-        for v, m in enumerate(self.nbr):
+        full = (1 << n) - 1
+        for v, m in enumerate(nbr):
             if m & ~full:
-                raise ValueError(f"neighborhood of {v} mentions vertices >= {self.n}")
+                raise ValueError(f"neighborhood of {v} mentions vertices >= {n}")
             if m >> v & 1:
                 raise ValueError(f"self-loop at vertex {v}")
-        for v, m in enumerate(self.nbr):
-            for u in bits(m):
-                if not self.nbr[u] >> v & 1:
+        for v, m in enumerate(nbr):
+            bit = 1 << v
+            while m:
+                low = m & -m
+                u = low.bit_length() - 1
+                if not nbr[u] & bit:
                     raise ValueError(f"asymmetric adjacency between {u} and {v}")
+                m ^= low
+
+    @cached_property
+    def near(self) -> tuple[int, ...]:
+        """``near[v] = N(N(v))``, built on first read and kept on the graph (see ``near_masks``).
+
+        Every solver of one graph reads this one tuple.
+        """
+        return near_masks(self)
 
     @property
     def full_mask(self) -> int:
@@ -153,7 +167,14 @@ class Graph:
 
     def edges(self) -> list[tuple[int, int]]:
         """Edge list with u < v, sorted lexicographically."""
-        return [(u, v) for u in range(self.n) for v in bits(self.nbr[u]) if u < v]
+        out = []
+        for u, m in enumerate(self.nbr):
+            m &= -2 << u  # the neighbours above u
+            while m:
+                low = m & -m
+                out.append((u, low.bit_length() - 1))
+                m ^= low
+        return out
 
     def edge_count(self) -> int:
         return sum(m.bit_count() for m in self.nbr) // 2
@@ -217,10 +238,10 @@ def max_degree(G: Graph) -> int:
     return max((m.bit_count() for m in G.nbr), default=1)
 
 
-def near_masks(G: Graph) -> list[int]:
+def near_masks(G: Graph) -> tuple[int, ...]:
     """``near[v] = N(N(v))``: the vertices that share a neighbor with v.
 
-    Plain loops, as a survey builds one solver per small graph.
+    Solvers read ``G.near``, which calls this once per graph.
     """
     nbr = G.nbr
     near = []
@@ -231,7 +252,7 @@ def near_masks(G: Graph) -> list[int]:
             reach |= nbr[low.bit_length() - 1]
             m ^= low
         near.append(reach)
-    return near
+    return tuple(near)
 
 
 def exactly_one_neighbor_mask(G: Graph, mask: int) -> int:

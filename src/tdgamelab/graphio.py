@@ -83,38 +83,48 @@ def parse_graph6(text: str) -> Graph:
         raise GraphTextError(
             f"graph6 length mismatch: got {len(data)} bytes, expected {expected_len} for order {n}"
         )
-    bits = []
+    stream = 0
     for byte in data[1:]:
         if not 63 <= byte <= 126:
             raise GraphTextError(f"invalid graph6 data byte {byte}")
-        value = byte - 63
-        bits.extend((value >> shift) & 1 for shift in range(5, -1, -1))
-    if any(bits[nbits:]):
+        stream = stream << 6 | byte - 63
+    pad = 6 * (expected_len - 1) - nbits
+    if stream & ((1 << pad) - 1):
         raise GraphTextError("graph6 padding bits are not zero")
-    edges = []
-    idx = 0
-    for v in range(1, n):
-        for u in range(v):
-            if bits[idx]:
-                edges.append((u, v))
-            idx += 1
-    return build_graph(n, edges)
+    stream >>= pad
+    # The stream holds column v = 1, ..., n-1 in turn, each the bits of the
+    # pairs (0, v), ..., (v-1, v) from the top down, so the lowest v bits
+    # are the last column with (v-1, v) lowest.
+    nbr = [0] * n
+    for v in range(n - 1, 0, -1):
+        column = stream & ((1 << v) - 1)
+        stream >>= v
+        below = 0
+        while column:
+            low = column & -column
+            u = v - low.bit_length()
+            below |= 1 << u
+            nbr[u] |= 1 << v
+            column ^= low
+        nbr[v] |= below
+    return Graph(n, tuple(nbr))
 
 
 def serialize_graph6(G: Graph) -> str:
-    n = G.n
+    n, nbr = G.n, G.nbr
+    stream = 0
+    for v in range(1, n):  # column v as parse_graph6 reads it: (0, v) highest
+        below = nbr[v] & ((1 << v) - 1)
+        stream <<= v
+        while below:
+            low = below & -below
+            stream |= 1 << v - low.bit_length()
+            below ^= low
+    nbits = n * (n - 1) // 2
+    nbytes = (nbits + 5) // 6
+    stream <<= 6 * nbytes - nbits
     out = [n + 63]
-    bitstream = []
-    for v in range(1, n):
-        for u in range(v):
-            bitstream.append(1 if G.nbr[u] >> v & 1 else 0)
-    for i in range(0, len(bitstream), 6):
-        chunk = bitstream[i : i + 6]
-        chunk += [0] * (6 - len(chunk))
-        value = 0
-        for bit in chunk:
-            value = value << 1 | bit
-        out.append(value + 63)
+    out += [(stream >> shift & 63) + 63 for shift in range(6 * nbytes - 6, -1, -6)]
     return bytes(out).decode("ascii")
 
 

@@ -29,7 +29,6 @@ from .graph import (
     is_open_open_irredundant,
     is_total_dominating,
     max_degree,
-    near_masks,
     require_isolate_free,
 )
 
@@ -159,7 +158,7 @@ def _largest_irredundant(G: Graph, cover: int) -> tuple[int, int]:
     n, nbr = G.n, G.nbr
     # near[v]: the vertices sharing a neighbour with v, the only candidates
     # whose own private neighbours adding v can take.
-    near = near_masks(G)
+    near = G.near
     best_size = best_mask = 0
 
     def extend(size: int, mask: int, once: int, twice: int, cands: int) -> None:
@@ -288,10 +287,14 @@ def _conflict_masks(G: Graph, edges: list[Edge]) -> list[int]:
     for i, (a, b) in enumerate(edges):
         ends[a] |= 1 << i
         ends[b] |= 1 << i
-    touch = ends[:]  # touch[x]: the edges with an end in N[x]
-    for x, y in G.edges():
-        touch[x] |= ends[y]
-        touch[y] |= ends[x]
+    touch = []  # touch[x]: the edges with an end in N[x]
+    for x, m in enumerate(G.nbr):
+        reach = ends[x]
+        while m:
+            low = m & -m
+            reach |= ends[low.bit_length() - 1]
+            m ^= low
+        touch.append(reach)
     return [touch[a] | touch[b] for a, b in edges]
 
 

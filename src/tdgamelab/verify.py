@@ -114,7 +114,8 @@ def _smallest_mask_extensions(h: tuple[int, ...], isolate_free: bool) -> list[tu
     the mask.
     """
     n = len(h) + 1
-    base = (0,) + tuple(a << 1 for a in h)  # G's neighbourhoods, vertex 0 aside
+    shifted = tuple(a << 1 for a in h)
+    base = (0,) + shifted  # G's neighbourhoods, vertex 0 aside
     has = (0,) + _columns(n - 1)  # has[v]: the s joining v
     allowed = (1 << (1 << (n - 1))) - 1
     if isolate_free:
@@ -159,25 +160,41 @@ def _smallest_mask_extensions(h: tuple[int, ...], isolate_free: bool) -> list[tu
             return
         if eq:
             ties_of_zero.append((k, eq, tuple(place), unplaced & ~1))
-        for v in bits(ties):
+        rest = ties
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            v = low.bit_length() - 1
             u = prev_twin[v]
             while u and not ties >> u & 1:
                 u = prev_twin[u]
             sub = scope & has[u] & ~has[v] if u else scope
             if sub & ~rejected:
                 place[k] = v
-                walk(k - 1, unplaced & ~(1 << v), sub)
+                walk(k - 1, unplaced ^ low, sub)
 
     walk(n - 1, (1 << n) - 1, allowed)
     alive = allowed & ~rejected
+    # G's adjacency for each s still standing, built once for its tie
+    # checks and for the result.
+    joined = {}
+    rest = alive
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        s = low.bit_length() - 1
+        joined[s] = (s << 1, *[a | s >> i & 1 for i, a in enumerate(shifted)])
     for k, eq, placed, unplaced in ties_of_zero:
-        for s in bits(eq & alive):
-            adj = _joined(h, s)
+        eq &= alive
+        while eq:
+            low = eq & -eq
+            eq ^= low
+            adj = joined[low.bit_length() - 1]
             cols = [adj[v] for v in placed]
             cols[k] = adj[0]
             if _smaller_below(adj, cols, k - 1, unplaced):
-                alive &= ~(1 << s)
-    return [_joined(h, s) for s in bits(alive)]
+                alive ^= low
+    return [adj for s, adj in joined.items() if alive >> s & 1]
 
 
 @lru_cache(maxsize=None)
@@ -217,11 +234,6 @@ def _members(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(bits(m)) for m in range(1 << n))
 
 
-def _joined(h: tuple[int, ...], s: int) -> tuple[int, ...]:
-    """h shifted up one label, with a new vertex 0 joined to ``s << 1``."""
-    return (s << 1,) + tuple(a << 1 | s >> i & 1 for i, a in enumerate(h))
-
-
 def _smaller_below(adj: tuple[int, ...], cols: list[int], k: int, unplaced: int) -> bool:
     """Whether labels k..0 can be filled to beat the identity's mask.
 
@@ -237,9 +249,11 @@ def _smaller_below(adj: tuple[int, ...], cols: list[int], k: int, unplaced: int)
         else:
             ties &= ~cols[j]
     if k:
-        for v in bits(ties):
-            cols[k] = adj[v]
-            if _smaller_below(adj, cols, k - 1, unplaced & ~(1 << v)):
+        while ties:
+            low = ties & -ties
+            ties ^= low
+            cols[k] = adj[low.bit_length() - 1]
+            if _smaller_below(adj, cols, k - 1, unplaced ^ low):
                 return True
     return False
 
@@ -627,7 +641,7 @@ def survey_row(graph_id: str, G: Graph) -> SurveyRow:
         bipartite=is_bipartite(G),
     )
     failed = tuple(label for label, check in _CHAIN_CHECKS if not check(row))
-    return replace(row, violations=failed)
+    return replace(row, violations=failed) if failed else row
 
 
 def survey(corpus: Iterable[tuple[str, Graph]]) -> Iterator[SurveyRow]:

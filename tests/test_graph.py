@@ -21,8 +21,11 @@ from tdgamelab import (
     neighborhood_of_set,
     private_neighborhoods,
 )
+from tdgamelab import graph as graph_module
 from tdgamelab.families import cycle_graph, path_graph
+from tdgamelab.games import grundy_t, gtg, gti
 from tdgamelab.graph import INFINITE_DISTANCE, max_degree, near_masks
+from tdgamelab.invariants import ooir, upper_gamma_t
 
 from conftest import graphs, isolate_free_graphs_st
 
@@ -122,10 +125,21 @@ class TestNeighborhoods:
 
     @given(graphs(min_n=0))
     def test_near_masks_and_max_degree_match_definitions(self, G):
-        for v, near in enumerate(near_masks(G)):
+        # G.near is the cached near_masks(G): the same tuple on every read.
+        assert type(G.near) is tuple and G.near == near_masks(G) and G.near is G.near
+        for v, near in enumerate(G.near):
             expected = {x for w in G.neighbors(v) for x in G.neighbors(w)}
             assert set(VertexSet(G.n, near)) == expected
         assert max_degree(G) == max((G.degree(v) for v in range(G.n)), default=1)
+
+    def test_solvers_compute_near_once_per_graph(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(graph_module, "near_masks", lambda G: calls.append(G) or near_masks(G))
+        G = cycle_graph(10)  # bipartite and of order 10, so gtg reads G.near too
+        for solve in (gti, grundy_t, upper_gamma_t, ooir, gtg):
+            solve(G)
+        assert calls == [G]
+        assert G == cycle_graph(10) and hash(G) == hash(cycle_graph(10))
 
 
 class TestPrivateNeighborhoods:

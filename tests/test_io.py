@@ -1,9 +1,12 @@
 """Edgelist and graph6 codecs, cross-checked against the networkx reference."""
 
+import random
+from itertools import combinations
+
 import pytest
 from hypothesis import given, settings
 
-from tdgamelab import CapacityError, GraphTextError, build_graph, parse_graph, serialize_graph
+from tdgamelab import SOLVER_CAP, CapacityError, GraphTextError, build_graph, parse_graph, serialize_graph
 from tdgamelab.families import path_graph
 from tdgamelab.graphio import (
     iter_graph6_lines,
@@ -74,13 +77,20 @@ class TestGraph6:
             parse_graph6("B\x20")
 
     def test_nonzero_padding_rejected(self):
-        # P_3 needs 3 data bits in one byte; set the lowest padding bit.
-        good = serialize_graph6(path_graph(3))
-        value = ord(good[-1]) - 63
-        bad = good[:-1] + chr((value | 1) + 63)
-        assert bad != good
-        with pytest.raises(GraphTextError):
-            parse_graph6(bad)
+        # n(n-1)/2 data bits leave 0, 2, 3 or 5 padding bits in the last
+        # byte; setting any one of them must be rejected.
+        widths = set()
+        for n in range(SOLVER_CAP + 1):
+            good = serialize_graph6(build_graph(n, combinations(range(n), 2)))
+            width = -(n * (n - 1) // 2) % 6
+            widths.add(width)
+            for bit in range(width):
+                value = ord(good[-1]) - 63
+                bad = good[:-1] + chr((value | 1 << bit) + 63)
+                assert bad != good
+                with pytest.raises(GraphTextError, match="padding bits are not zero"):
+                    parse_graph6(bad)
+        assert widths == {0, 2, 3, 5}
 
     def test_non_ascii_rejected(self):
         # A lossy encoding would turn "é" into "?", a valid data byte.
@@ -124,6 +134,20 @@ class TestGraph6:
         assert ours == theirs
         back = parse_graph6(theirs)
         assert back.nbr == G.nbr
+
+    @pytest.mark.parametrize("n", range(SOLVER_CAP + 1))
+    def test_every_order_matches_networkx(self, n):
+        # The empty graph, the complete graph and one seeded random graph.
+        rng = random.Random(n)
+        cases = [
+            build_graph(n, []),
+            build_graph(n, combinations(range(n), 2)),
+            build_graph(n, [e for e in combinations(range(n), 2) if rng.random() < 0.5]),
+        ]
+        for G in cases:
+            ours = serialize_graph6(G)
+            assert ours == nx.to_graph6_bytes(to_nx(G), header=False).strip().decode()
+            assert parse_graph6(ours) == G
 
     def test_enumeration_interop(self):
         # A whole exhaustive corpus survives a graph6 file round-trip.

@@ -17,7 +17,7 @@ import tdgamelab
 from tdgamelab import build_graph, check_continuation, verify
 from tdgamelab.families import cycle_graph, family, parse_family_spec, path_graph
 from tdgamelab.games import IndicatedGameSolver
-from tdgamelab.graph import CapacityError, bits
+from tdgamelab.graph import CapacityError, Graph, bits
 from tdgamelab.graphio import serialize_graph6
 from tdgamelab.invariants import WitnessError
 from tdgamelab.verify import (
@@ -155,6 +155,21 @@ class TestExhaustiveEnumeration:
         assert text.count("\n") == 1043
         assert hashlib.sha256(text.encode()).hexdigest() == (
             "03e4f39971e1e7a4cc15c676d12025647af5cc3f2fd00a335d4aca39f66e3b05"
+        )
+
+    def test_one_order_past_the_cap(self):
+        # The generator itself has no order cap.  Extending every graph on 7
+        # vertices, isolates included, gives the isolate-free graphs on 8;
+        # ties are commonest here, so this pins the tie checks.
+        level = [()]
+        for _ in range(7):
+            level = [G for H in level for G in verify._smallest_mask_extensions(H, False)]
+        assert len(level) == 1044  # OEIS A000088
+        extended = [G for H in level for G in verify._smallest_mask_extensions(H, True)]
+        assert len(extended) == 11302  # OEIS A002494
+        text = "".join(serialize_graph6(Graph(8, nbr)) + "\n" for nbr in extended)
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "d364ac22f85c7bc95fc13c271b9eda78788d01d21c5e8bfc81ce2917700a22eb"
         )
 
     def test_cache_clear_rebuilds_equal_graphs(self):
