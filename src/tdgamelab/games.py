@@ -112,14 +112,6 @@ class Policy:
     role: Role
     name: str
     chooser: Callable
-    data: object = None
-
-    def move(self, state: GameState, indicated: int | None = None) -> int:
-        if self.role is Role.DOMINATOR:
-            return self.chooser(state)
-        if indicated is None:
-            raise ValueError("staller policies need the indicated vertex")
-        return self.chooser(state, indicated)
 
 
 class _SplitMemo:
@@ -482,17 +474,12 @@ class _ClassTable:
 
     def __init__(self):
         self._ids: dict[tuple[int, ...], int] = {}
-        self._seen: dict[tuple[int, ...], int] = {}
         self.codes: list[tuple[int, ...]] = []
         self.sizes: list[int] = []
-        self._near: list[list[int]] = []
         self._moves: list[tuple[tuple[int, ...], ...] | None] = []
 
     def intern(self, edges: tuple[int, ...]) -> int:
         """The class of a connected residual given by its distinct sorted edges."""
-        c = self._seen.get(edges)
-        if c is not None:
-            return c
         code = _canonical_code(edges)
         c = self._ids.get(code)
         if c is None:
@@ -500,15 +487,9 @@ class _ClassTable:
             span = 0
             for e in code:
                 span |= e
-            near = [0] * span.bit_length()
-            for e in code:
-                for v in bits(e):
-                    near[v] |= e
             self.codes.append(code)
             self.sizes.append(span.bit_length())
-            self._near.append(near)
             self._moves.append(None)
-        self._seen[edges] = c
         return c
 
     def split(self, edges: Sequence[int], parts: Sequence[int]) -> tuple[int, ...]:
@@ -521,8 +502,12 @@ class _ClassTable:
     def moves(self, c: int) -> tuple[tuple[int, ...], ...]:
         found = self._moves[c]
         if found is None:
-            code, near = self.codes[c], self._near[c]
-            full = (1 << self.sizes[c]) - 1
+            code, size = self.codes[c], self.sizes[c]
+            near = [0] * size  # near[v]: the union of the edges holding v
+            for e in code:
+                for v in bits(e):
+                    near[v] |= e
+            full = (1 << size) - 1
             found = self._moves[c] = tuple(dict.fromkeys(
                 self.split(code, components(near, full & ~e)) for e in code
             ))
@@ -690,9 +675,9 @@ def play_game(
     rounds: list[tuple[int, int]] = []
     while mask != G.full_mask:
         state = GameState(G, declared, VertexSet(G.n, mask), len(rounds))
-        v = dominator.move(state)
+        v = dominator.chooser(state)
         _check_indication(dominator, state, v)
-        u = staller.move(state, v)
+        u = staller.chooser(state, v)
         _check_selection(staller, state, v, u)
         if played >> u & 1:
             raise AssertionError(

@@ -9,7 +9,6 @@ dominated regions, game masks) as a machine-word integer.  Graphs beyond
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Sequence
@@ -149,9 +148,6 @@ class Graph:
     @property
     def full_mask(self) -> int:
         return (1 << self.n) - 1
-
-    def vertices(self) -> range:
-        return range(self.n)
 
     def _check_vertex(self, v: int) -> None:
         if not 0 <= v < self.n:
@@ -335,19 +331,15 @@ def distance(G: Graph, u: int, v: int) -> int | float:
     """Shortest-path hop count; INFINITE_DISTANCE when disconnected."""
     if not (0 <= u < G.n and 0 <= v < G.n):
         raise ValueError("vertex out of range")
-    if u == v:
-        return 0
-    seen = 1 << u
-    frontier = deque([(u, 0)])
-    while frontier:
-        w, d = frontier.popleft()
-        fresh = G.nbr[w] & ~seen
-        if fresh >> v & 1:
-            return d + 1
-        seen |= fresh
-        for x in bits(fresh):
-            frontier.append((x, d + 1))
-    return INFINITE_DISTANCE
+    seen = frontier = 1 << u
+    hops = 0
+    while not seen >> v & 1:
+        frontier = neighborhood_mask(G, frontier) & ~seen
+        if not frontier:
+            return INFINITE_DISTANCE
+        seen |= frontier
+        hops += 1
+    return hops
 
 
 def lowest_component(links: Sequence[int], mask: int) -> int:
@@ -386,23 +378,22 @@ def is_connected(G: Graph) -> bool:
 
 
 def bipartition(G: Graph) -> tuple[VertexSet, VertexSet] | None:
-    """A 2-coloring as a pair of sides, or None when an odd cycle exists."""
-    color = [-1] * G.n
-    for start in range(G.n):
-        if color[start] != -1:
-            continue
-        color[start] = 0
-        queue = deque([start])
-        while queue:
-            w = queue.popleft()
-            for x in bits(G.nbr[w]):
-                if color[x] == -1:
-                    color[x] = 1 - color[w]
-                    queue.append(x)
-                elif color[x] == color[w]:
-                    return None
-    side0 = _mask_of((v for v in range(G.n) if color[v] == 0), G.n)
-    return VertexSet(G.n, side0), VertexSet(G.n, ~side0 & G.full_mask)
+    """A 2-coloring as a pair of sides, or None when an odd cycle exists.
+
+    Each component's lowest vertex is on side 0.  Vertices that share a
+    neighbor get the same color, and in a connected bipartite graph each
+    color class is connected under "shares a neighbor" (``G.near``).  So
+    side 0 of a component C is its lowest vertex's component under that
+    relation, and that reaches all of C, with |C| >= 2, only through an odd
+    cycle.
+    """
+    side0 = 0
+    for part in components(G.nbr, G.full_mask):
+        side = lowest_component(G.near, part)
+        if side == part and part & (part - 1):
+            return None
+        side0 |= side
+    return VertexSet(G.n, side0), VertexSet(G.n, G.full_mask ^ side0)
 
 
 def is_bipartite(G: Graph) -> bool:

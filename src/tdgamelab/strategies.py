@@ -3,105 +3,40 @@
 Each policy is certified by playing it against an exactly-solved opponent
 via ``games.best_response_length``; none of them consults the exact solver
 itself.
+
+Staller's partition policy is the paper's proof that γti ≥ Γt.  Take a
+minimal TD-set S with |S| = Γt.  Staller answers every indicated vertex
+with a neighbour of it inside S, so the set D of selected vertices stays
+inside S.  Every v in S has an open private neighbour: a vertex whose only
+neighbour in S is v, which is dominated only once v is in D.  So the game
+cannot end before D = S.  No answer repeats, as an indicated vertex is
+undominated and so has no neighbour in D; from no declared set the game
+therefore lasts exactly |S| rounds, whatever Dominator indicates.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable
 
 from .families import path_graph, support_vertices
 from .games import GameState, Policy, PolicyError, Role
-from .graph import (
-    Graph,
-    VertexSet,
-    bits,
-    is_connected,
-    is_minimal_total_dominating,
-    private_neighborhoods,
-    require_isolate_free,
-)
+from .graph import Graph, bits, is_connected, require_isolate_free
 from .invariants import upper_gamma_t
 
 
-@dataclass(frozen=True)
-class PartitionWitness:
-    """A minimal TD-set S with a partition of V assigning every vertex an owner.
-
-    Part i contains the open private neighborhood of the i-th member and is
-    contained in that member's open neighborhood, so selecting the owner of
-    any indicated vertex is always a legal reply.
-    """
-
-    base_set: VertexSet
-    order: tuple[int, ...]
-    parts: tuple[VertexSet, ...]
-    owner: tuple[int, ...]
-
-    def validate(self, G: Graph) -> None:
-        union = 0
-        for i, part in enumerate(self.parts):
-            if union & part.mask:
-                raise PolicyError("partition parts overlap")
-            union |= part.mask
-            v = self.order[i]
-            pn, _, _ = private_neighborhoods(G, self.base_set, v)
-            if not (pn.mask & ~part.mask == 0 and part.mask & ~G.nbr[v] == 0):
-                raise PolicyError(f"part {i} violates pn({v}) <= V_{i} <= N({v})")
-        if union != G.full_mask:
-            raise PolicyError("partition does not cover the vertex set")
-
-
-def build_partition_witness(G: Graph, S: VertexSet) -> PartitionWitness:
-    """Partition V(G) so each vertex is owned by a member of the minimal TD-set S.
-
-    Private neighbors are forced into their owner's part; every remaining
-    vertex goes to its smallest-index neighbor in S (one exists because S is
-    a TD-set).
-    """
-    if not is_minimal_total_dominating(G, S):
-        raise ValueError("partition witnesses require a minimal TD-set")
-    order = tuple(sorted(S))
-    owner = [-1] * G.n
-    for i, v in enumerate(order):
-        pn, _, _ = private_neighborhoods(G, S, v)
-        for w in pn:
-            owner[w] = i
-    for w in range(G.n):
-        if owner[w] >= 0:
-            continue
-        for i, v in enumerate(order):
-            if G.nbr[v] >> w & 1:
-                owner[w] = i
-                break
-        if owner[w] < 0:
-            raise PolicyError(f"vertex {w} has no neighbor in the TD-set")
-    parts = tuple(
-        VertexSet.of(G.n, (w for w in range(G.n) if owner[w] == i))
-        for i in range(len(order))
-    )
-    witness = PartitionWitness(S, order, parts, tuple(owner))
-    witness.validate(G)
-    return witness
-
-
 def staller_partition_policy(G: Graph) -> Policy:
-    """Staller policy that only ever selects vertices of a largest minimal TD-set.
+    """Staller answers each indicated w with min(N(w) ∩ S), S the witness of Γt.
 
-    Whenever a vertex is indicated, Staller answers with the owner of that
-    vertex in the partition witness.  Each owner keeps an open private
-    neighbor, so the game cannot end before every member of the set has been
-    selected; the policy therefore forces at least that many moves against
-    any Dominator.
+    The parts V_v = {w : Staller answers w with v}, one per v in S,
+    partition V(G) with pn(v) ⊆ V_v ⊆ N(v): a private neighbour of v has v
+    as its only neighbour in S, and every answer is a neighbour.  That is
+    the paper's partition, so the game lasts exactly Γt rounds from no
+    declared set (see the module docstring).
     """
     require_isolate_free(G)
-    S = upper_gamma_t(G).witness
-    witness = build_partition_witness(G, S)
-
-    def select(state: GameState, indicated: int) -> int:
-        return witness.order[witness.owner[indicated]]
-
-    return Policy(Role.STALLER, "staller-partition", select, data=witness)
+    S = upper_gamma_t(G).witness.mask
+    owner = tuple((m & S & -(m & S)).bit_length() - 1 for m in G.nbr)
+    return Policy(Role.STALLER, "staller-partition", lambda state, indicated: owner[indicated])
 
 
 def _path_scripted_opening(n: int) -> tuple[int, ...]:
@@ -125,7 +60,7 @@ def dominator_path_policy(n: int) -> Policy:
         raise ValueError("paths need order >= 2")
     script = _path_scripted_opening(n)
     choose = _scripted_chooser(path_graph(n), script, f"path policy for order {n}")
-    return Policy(Role.DOMINATOR, f"dominator-path-{n}", choose, data=script)
+    return Policy(Role.DOMINATOR, f"dominator-path-{n}", choose)
 
 
 def dominator_leaf_policy(T: Graph) -> Policy:
@@ -146,9 +81,8 @@ def dominator_leaf_policy(T: Graph) -> Policy:
     for v in supports:
         leaf = min(u for u in bits(T.nbr[v]) if T.degree(u) == 1)
         script.append(leaf)
-    script_t = tuple(script)
-    choose = _scripted_chooser(T, script_t, "leaf policy")
-    return Policy(Role.DOMINATOR, "dominator-leaf", choose, data=script_t)
+    choose = _scripted_chooser(T, tuple(script), "leaf policy")
+    return Policy(Role.DOMINATOR, "dominator-leaf", choose)
 
 
 def _scripted_chooser(G: Graph, script: tuple[int, ...], name: str) -> Callable[[GameState], int]:

@@ -191,7 +191,7 @@ def oracle_best_response(G, declared, fixed):
             return cached
         state = GameState(G, declared, VertexSet(n, mask), moves)
         if fixed.role is Role.DOMINATOR:
-            v = fixed.move(state)
+            v = fixed.chooser(state)
             _check_indication(fixed, state, v)
             best = 0
             for u in bits(nbr[v]):
@@ -199,7 +199,7 @@ def oracle_best_response(G, declared, fixed):
         else:
             best = -1
             for v in bits(~mask & full):
-                u = fixed.move(state, v)
+                u = fixed.chooser(state, v)
                 _check_selection(fixed, state, v, u)
                 sub = 1 + value(mask | nbr[u], moves + 1)
                 if best < 0 or sub < best:

@@ -10,6 +10,7 @@ from tdgamelab import (
     SOLVER_CAP,
     CapacityError,
     VertexSet,
+    bipartition,
     build_graph,
     connected_components,
     distance,
@@ -281,3 +282,19 @@ class TestStructure:
     def test_bipartite(self):
         assert is_bipartite(cycle_graph(6))
         assert not is_bipartite(cycle_graph(5))
+
+    @settings(max_examples=150)
+    @given(graphs(max_n=8))
+    def test_bipartition_matches_networkx(self, G):
+        # graphs() keeps isolated vertices, which are one-vertex components.
+        nx = pytest.importorskip("networkx")
+        H = nx.Graph()
+        H.add_nodes_from(range(G.n))
+        H.add_edges_from(G.edges())
+        sides = bipartition(G)
+        assert (sides is None) == (not nx.is_bipartite(H))
+        if sides is not None:
+            side0, side1 = sides
+            assert side0.mask & side1.mask == 0 and side0.mask | side1.mask == G.full_mask
+            assert all((u in side0) != (v in side0) for u, v in G.edges())
+            assert all(min(c) in side0 for c in nx.connected_components(H))

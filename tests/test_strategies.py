@@ -7,7 +7,6 @@ from tdgamelab import (
     Role,
     best_response_length,
     build_graph,
-    build_partition_witness,
     dominator_leaf_policy,
     dominator_path_policy,
     family,
@@ -15,27 +14,13 @@ from tdgamelab import (
     optimal_policy,
     parse_family_spec,
     play_game,
+    private_neighborhoods,
     staller_partition_policy,
     upper_gamma_t,
 )
 from tdgamelab.families import cycle_graph, path_graph, star_graph, support_vertices
-from tdgamelab.verify import path_game_value
-
-
-class TestPartitionWitness:
-    def test_parts_cover_and_respect_neighborhoods(self):
-        G = path_graph(7)
-        S = upper_gamma_t(G).witness
-        witness = build_partition_witness(G, S)
-        witness.validate(G)  # raises on any defect
-        assert sorted(witness.order) == sorted(S)
-
-    def test_requires_minimal_td_set(self):
-        G = path_graph(4)
-        from tdgamelab import VertexSet
-
-        with pytest.raises(ValueError):
-            build_partition_witness(G, VertexSet.of(4, [0, 1, 2]))
+from tdgamelab.graph import bits
+from tdgamelab.verify import exhaustive_corpus, path_game_value
 
 
 class TestStallerPartitionPolicy:
@@ -55,9 +40,24 @@ class TestStallerPartitionPolicy:
     def test_never_selects_outside_base_set(self):
         G = family(parse_family_spec("substar:3,1"))
         policy = staller_partition_policy(G)
-        base = set(policy.data.base_set)
+        base = set(upper_gamma_t(G).witness)
         rounds = play_game(G, optimal_policy(G, Role.DOMINATOR), policy)
         assert {u for _, u in rounds} <= base
+
+    def test_partition_rule_on_every_graph_up_to_7(self):
+        # Staller answers w with min(N(w) & S); the parts V_v of those
+        # answers satisfy pn(v) <= V_v <= N(v), with pn from
+        # private_neighborhoods, and the best response lasts exactly |S|.
+        for graph_id, G in exhaustive_corpus(7):
+            S = upper_gamma_t(G).witness
+            policy = staller_partition_policy(G)
+            answers = [policy.chooser(None, w) for w in range(G.n)]
+            assert answers == [min(set(bits(G.nbr[w])) & set(S)) for w in range(G.n)], graph_id
+            for v in S:
+                part = {w for w in range(G.n) if answers[w] == v}
+                pn, _, _ = private_neighborhoods(G, S, v)
+                assert set(pn) <= part <= set(bits(G.nbr[v])), (graph_id, v)
+            assert best_response_length(G, None, policy) == len(S), graph_id
 
     def test_forces_upper_gamma_on_arbitrary_graphs(self):
         # The partition guarantee is graph-independent: every member of the
