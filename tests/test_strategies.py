@@ -19,7 +19,6 @@ from tdgamelab import (
     upper_gamma_t,
 )
 from tdgamelab.families import cycle_graph, path_graph, star_graph, support_vertices
-from tdgamelab.graph import bits
 from tdgamelab.verify import exhaustive_corpus, path_game_value
 
 
@@ -52,11 +51,11 @@ class TestStallerPartitionPolicy:
             S = upper_gamma_t(G).witness
             policy = staller_partition_policy(G)
             answers = [policy.chooser(None, w) for w in range(G.n)]
-            assert answers == [min(set(bits(G.nbr[w])) & set(S)) for w in range(G.n)], graph_id
+            assert answers == [min(set(G.neighbors(w)) & set(S)) for w in range(G.n)], graph_id
             for v in S:
                 part = {w for w in range(G.n) if answers[w] == v}
                 pn, _, _ = private_neighborhoods(G, S, v)
-                assert set(pn) <= part <= set(bits(G.nbr[v])), (graph_id, v)
+                assert set(pn) <= part <= set(G.neighbors(v)), (graph_id, v)
             assert best_response_length(G, None, policy) == len(S), graph_id
 
     def test_forces_upper_gamma_on_arbitrary_graphs(self):
