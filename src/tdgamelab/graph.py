@@ -223,9 +223,12 @@ def neighborhood_of_set(G: Graph, S: VertexSet) -> VertexSet:
 
 
 def neighborhood_mask(G: Graph, mask: int) -> int:
+    nbr = G.nbr
     out = 0
-    for v in bits(mask):
-        out |= G.nbr[v]
+    while mask:
+        low = mask & -mask
+        out |= nbr[low.bit_length() - 1]
+        mask ^= low
     return out
 
 
@@ -253,11 +256,14 @@ def near_masks(G: Graph) -> tuple[int, ...]:
 
 def exactly_one_neighbor_mask(G: Graph, mask: int) -> int:
     """Mask of vertices with exactly one neighbor inside ``mask``."""
-    once = 0
-    twice = 0
-    for v in bits(mask):
-        twice |= once & G.nbr[v]
-        once |= G.nbr[v]
+    nbr = G.nbr
+    once = twice = 0
+    while mask:
+        low = mask & -mask
+        m = nbr[low.bit_length() - 1]
+        twice |= once & m
+        once |= m
+        mask ^= low
     return once & ~twice
 
 
@@ -285,10 +291,13 @@ def is_total_dominating(G: Graph, D: VertexSet) -> bool:
 
 
 def _every_member_has_private(G: Graph, mask: int) -> bool:
+    nbr = G.nbr
     private_ok = exactly_one_neighbor_mask(G, mask)
-    for v in bits(mask):
-        if G.nbr[v] & private_ok == 0:
+    while mask:
+        low = mask & -mask
+        if not nbr[low.bit_length() - 1] & private_ok:
             return False
+        mask ^= low
     return True
 
 

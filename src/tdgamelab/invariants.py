@@ -12,9 +12,16 @@ by three prunes: a candidate mask of the later vertices that keep the set
 OO-irredundant (exact, as OO-irredundance is closed under subsets), a size
 bound on the set plus its candidates, and, for Γt, a cover prune once an
 undominated vertex has no neighbour among the candidates, read as one
-cover limit per node.  Every optimum comes with a witness that is re-checked
-against the defining predicate before being returned, and ties are broken
-toward the lexicographically smallest witness.
+cover limit per node.  The search runs once per part of V under "shares a
+neighbour" (``G.near``), e.g. once per colour class of a connected
+bipartite graph, and adds the parts' sizes and joins their sets.  That is
+exact: the neighbours of one vertex all lie in one part, so a set is
+OO-irredundant (and dominates V) exactly when each part's share is
+OO-irredundant (and dominates the part's neighbourhood); and as the parts
+are disjoint, the union of each part's lexicographically first largest
+set is the whole graph's.  Every optimum comes with a witness that is
+re-checked against the defining predicate before being returned, and ties
+are broken toward the lexicographically smallest witness.
 """
 
 from __future__ import annotations
@@ -25,7 +32,7 @@ from .graph import (
     Graph,
     VertexSet,
     bits,
-    is_minimal_total_dominating,
+    components,
     is_open_open_irredundant,
     is_total_dominating,
     max_degree,
@@ -154,16 +161,29 @@ def _largest_irredundant(G: Graph, cover: int) -> tuple[int, int]:
       and stops past its limit, the least over the vertices of ``cover``
       outside ``once`` of their highest candidate neighbour, as past it one
       of them has no neighbour left among the candidates.
+
+    The search runs once per part P of ``components(G.near, G.full_mask)``,
+    with the candidates limited to P and ``cover`` to N(P), and the parts'
+    sizes add and their masks join.  Two facts make this exact.  A vertex's
+    neighbours all share it, so they lie in one part: a member's private
+    neighbours and the vertices it dominates lie in N(P), which no vertex of
+    another part touches, so a set is OO-irredundant (and dominates
+    ``cover``) exactly when each part's share is OO-irredundant (and
+    dominates ``cover`` within N(P)).  And the first difference of two
+    unions over disjoint parts is the first difference within one part, so
+    the lexicographically first largest set of the whole is the union of
+    each part's.  A graph with one part, such as every connected graph with
+    an odd cycle, runs one search as before.
     """
     n, nbr = G.n, G.nbr
     # near[v]: the vertices sharing a neighbour with v, the only candidates
     # whose own private neighbours adding v can take.
     near = G.near
-    best_size = best_mask = 0
+    best_size = best_mask = goal = 0
 
     def extend(size: int, mask: int, once: int, twice: int, cands: int) -> None:
         nonlocal best_size, best_mask
-        need = cover & ~once
+        need = goal & ~once
         if size > best_size and not need:
             best_size, best_mask = size, mask
         limit = n
@@ -215,9 +235,24 @@ def _largest_irredundant(G: Graph, cover: int) -> tuple[int, int]:
             if size + rest.bit_count() >= best_size:  # else the child's size bound cuts it
                 extend(size + 1, mask | 1 << v, grown_once, grown_twice, rest)
 
-    # A vertex with no neighbour has no private neighbour.
-    extend(0, 0, 0, 0, sum(1 << v for v in range(n) if nbr[v]))
-    return best_size, best_mask
+    total = union = 0
+    for part in components(near, G.full_mask):
+        # A vertex with no neighbour has no private neighbour.
+        cands = reach = 0
+        rest = part
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            m = nbr[low.bit_length() - 1]
+            if m:
+                cands |= low
+                reach |= m
+        goal = cover & reach  # cover within N(P), which only members of P dominate
+        best_size = best_mask = 0
+        extend(0, 0, 0, 0, cands)
+        total += best_size
+        union |= best_mask
+    return total, union
 
 
 def upper_gamma_t(G: Graph) -> InvariantValue:
@@ -231,11 +266,13 @@ def upper_gamma_t(G: Graph) -> InvariantValue:
     require_isolate_free(G)
     size, mask = _largest_irredundant(G, G.full_mask)
     witness = VertexSet(G.n, mask)
-    # Domination first: ``is_minimal_total_dominating`` rejects a non-TD-set
-    # with ValueError, which would hide a faulty search as a bad input.
+    # A minimal TD-set is an OO-irredundant TD-set; testing the two
+    # conditions, rather than ``is_minimal_total_dominating``, tests
+    # domination once, and a non-TD-set fails as a faulty search instead of
+    # being rejected as a bad input.
     _certify(
         is_total_dominating(G, witness)
-        and is_minimal_total_dominating(G, witness)
+        and is_open_open_irredundant(G, witness)
         and len(witness) == size,
         UPPER_GAMMA_T,
     )

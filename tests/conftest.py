@@ -6,7 +6,8 @@ import pytest
 from hypothesis import strategies as st
 
 from tdgamelab import build_graph
-from tdgamelab.families import path_graph
+from tdgamelab.families import disjoint_union, path_graph
+from tdgamelab.verify import random_isolate_free_graph
 
 
 @st.composite
@@ -37,6 +38,29 @@ def relabeled(G, rng):
     perm = list(range(G.n))
     rng.shuffle(perm)
     return build_graph(G.n, [(perm[u], perm[v]) for u, v in G.edges()])
+
+
+def random_split_graphs(rng, count, low, high):
+    """Relabeled random trees, bipartite graphs and disjoint unions, in turn."""
+    graphs = []
+    for i in range(count):
+        n = rng.randint(low, high)
+        if i % 3 == 0:
+            G = build_graph(n, [(v, rng.randrange(v)) for v in range(1, n)])
+        elif i % 3 == 1:
+            side = rng.randint(1, n - 1)
+            edges = [(u, v) for u in range(side) for v in range(side, n) if rng.random() < 0.35]
+            # A vertex left isolated gets one edge to the other side.
+            for v in range(n):
+                if not any(v in e for e in edges):
+                    edges.append((v, rng.randrange(side, n)) if v < side else (rng.randrange(side), v))
+            G = build_graph(n, edges)
+        else:
+            k = rng.randint(2, n - 2)
+            G = disjoint_union([random_isolate_free_graph(k, 0.5, rng),
+                                random_isolate_free_graph(n - k, 0.5, rng)])
+        graphs.append(relabeled(G, rng))
+    return graphs
 
 
 class CountingMasks(tuple):

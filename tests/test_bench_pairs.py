@@ -1,0 +1,94 @@
+"""The rules of ``scripts/bench_pairs.py`` that judge a claimed gain, on hand-made entries."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+_PATH = Path(__file__).resolve().parent.parent / "scripts" / "bench_pairs.py"
+_SPEC = importlib.util.spec_from_file_location("bench_pairs", _PATH)
+bench_pairs = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(bench_pairs)
+
+WALL = {"name": "wall_s", "better": "lower", "bound": 0.25}
+BYTES = {"name": "bytes", "better": "higher", "bound": 0.25}
+
+
+def entry(parent, change, better_pairs, pairs=10):
+    """A summary entry: each side's (q1, median, q3) and the pairs the change won."""
+    quart = lambda q: dict(zip(("q1", "median", "q3"), q))
+    return {"parent": quart(parent), "change": quart(change),
+            "change_better_pairs": better_pairs, "pairs": pairs}
+
+
+class TestQuartiles:
+    def test_inclusive_method_on_five_values(self):
+        assert bench_pairs.quartiles([5.0, 1.0, 4.0, 2.0, 3.0]) == {"q1": 2.0, "median": 3.0, "q3": 4.0}
+
+    def test_interpolates_between_values(self):
+        assert bench_pairs.quartiles([1.0, 2.0, 3.0, 4.0]) == {"q1": 1.75, "median": 2.5, "q3": 3.25}
+
+    def test_rounds_to_microseconds(self):
+        assert bench_pairs.quartiles([0.1234564, 0.1234564]) == {
+            "q1": 0.123456, "median": 0.123456, "q3": 0.123456}
+
+
+class TestCounted:
+    @pytest.mark.parametrize(
+        "item, expected",
+        [("subsets-deep:10", ("subsets-deep", 10)), ("positions", ("positions", 1)), ("survey7:3", ("survey7", 3))],
+    )
+    def test_name_and_pairs(self, item, expected):
+        assert bench_pairs.counted(item) == expected
+
+    def test_non_integer_pairs_rejected(self):
+        with pytest.raises(ValueError):
+            bench_pairs.counted("positions:ten")
+
+
+class TestVerdict:
+    def test_gain_needs_nine_of_ten_pairs(self):
+        won = entry((0.019, 0.020, 0.021), (0.013, 0.014, 0.015), better_pairs=9)
+        lost = entry((0.019, 0.020, 0.021), (0.013, 0.014, 0.015), better_pairs=8)
+        assert bench_pairs.verdict(WALL, won)["gain"]
+        assert not bench_pairs.verdict(WALL, lost)["gain"]
+
+    def test_gain_scales_with_the_number_of_pairs(self):
+        # Nine tenths of 3 pairs is 2.7, so all 3 must go to the change.
+        parent, change = (0.019, 0.020, 0.021), (0.013, 0.014, 0.015)
+        assert bench_pairs.verdict(WALL, entry(parent, change, 3, pairs=3))["gain"]
+        assert not bench_pairs.verdict(WALL, entry(parent, change, 2, pairs=3))["gain"]
+
+    def test_gain_needs_a_median_gap_beyond_the_parents_spread(self):
+        # Parent q3 - q1 = 4: a gap of 4 is not enough, 4.5 is.  Whole
+        # numbers keep the boundary exact in floating point.
+        assert not bench_pairs.verdict(WALL, entry((18.0, 20.0, 22.0), (15.0, 16.0, 17.0), 10))["gain"]
+        assert bench_pairs.verdict(WALL, entry((18.0, 20.0, 22.0), (15.0, 15.5, 17.0), 10))["gain"]
+
+    def test_gain_reads_the_direction_of_the_metric(self):
+        up = entry((100.0, 100.0, 100.0), (120.0, 120.0, 120.0), 10)
+        assert bench_pairs.verdict(BYTES, up)["gain"]
+        assert not bench_pairs.verdict(WALL, up)["gain"]
+
+    def test_within_bound_allows_a_loss_up_to_the_bound(self):
+        # bound 0.25 of a parent median 20 allows the change up to 25.
+        assert bench_pairs.verdict(WALL, entry((20.0, 20.0, 20.0), (25.0, 25.0, 25.0), 0))["within_bound"]
+        assert not bench_pairs.verdict(WALL, entry((20.0, 20.0, 20.0), (25.5, 25.5, 25.5), 0))["within_bound"]
+
+    def test_within_bound_for_a_higher_is_better_metric(self):
+        assert bench_pairs.verdict(BYTES, entry((100.0, 100.0, 100.0), (75.0, 75.0, 75.0), 0))["within_bound"]
+        assert not bench_pairs.verdict(BYTES, entry((100.0, 100.0, 100.0), (74.0, 74.0, 74.0), 0))["within_bound"]
+
+    def test_a_gain_is_within_bound(self):
+        assert bench_pairs.verdict(WALL, entry((0.02, 0.02, 0.02), (0.01, 0.01, 0.01), 10)) == {
+            "gain": True, "within_bound": True}
+
+
+def test_summarize_counts_pairs_won_and_ties_for_neither_side():
+    runs = [(0.020, 0.014), (0.021, 0.013), (0.019, 0.019), (0.020, 0.022)]
+    pairs = [{side: {"metrics": {"wall_s": {"value": value}}} for side, value in zip(bench_pairs.SIDES, run)}
+             for run in runs]
+    summary = bench_pairs.summarize(pairs, [WALL])["wall_s"]
+    assert (summary["change_better_pairs"], summary["pairs"]) == (2, 4)
+    assert summary["parent"]["median"] == 0.02
+    assert not summary["gain"]

@@ -47,7 +47,7 @@ from tdgamelab.graph import (
 from tdgamelab.strategies import dominator_path_policy, staller_partition_policy
 from tdgamelab.verify import exhaustive_corpus, isolate_free_graphs, random_isolate_free_graph
 
-from conftest import CountingMasks, isolate_free_graphs_st, relabeled
+from conftest import CountingMasks, isolate_free_graphs_st, random_split_graphs, relabeled
 
 
 def brute_gti(G, declared=frozenset()):
@@ -300,29 +300,6 @@ def splits(G):
 def class_search(G):
     """``_class_search`` for γtg on G's own components, whether or not V splits."""
     return _class_search(G, components(near_masks(G), G.full_mask))
-
-
-def random_split_graphs(rng, count, low, high):
-    """Relabeled random trees, bipartite graphs and disjoint unions, in turn."""
-    graphs = []
-    for i in range(count):
-        n = rng.randint(low, high)
-        if i % 3 == 0:
-            G = build_graph(n, [(v, rng.randrange(v)) for v in range(1, n)])
-        elif i % 3 == 1:
-            side = rng.randint(1, n - 1)
-            edges = [(u, v) for u in range(side) for v in range(side, n) if rng.random() < 0.35]
-            # A vertex left isolated gets one edge to the other side.
-            for v in range(n):
-                if not any(v in e for e in edges):
-                    edges.append((v, rng.randrange(side, n)) if v < side else (rng.randrange(side), v))
-            G = build_graph(n, edges)
-        else:
-            k = rng.randint(2, n - 2)
-            G = disjoint_union([random_isolate_free_graph(k, 0.5, rng),
-                                random_isolate_free_graph(n - k, 0.5, rng)])
-        graphs.append(relabeled(G, rng))
-    return graphs
 
 
 def counted_relabelings(spec):

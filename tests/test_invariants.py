@@ -26,11 +26,11 @@ from tdgamelab import (
 )
 from tdgamelab import invariants
 from tdgamelab.families import disjoint_union, path_graph
-from tdgamelab.graph import Graph
+from tdgamelab.graph import Graph, components
 from tdgamelab.invariants import WitnessError
 from tdgamelab.verify import exhaustive_corpus, random_isolate_free_graph
 
-from conftest import CountingMasks, isolate_free_graphs_st, relabeled
+from conftest import CountingMasks, isolate_free_graphs_st, random_split_graphs, relabeled
 
 
 def brute_upper_gamma_t(G):
@@ -241,6 +241,16 @@ class TestIrredundantSearch:
                 assert (ugt.value, ugt.witness.mask) == brute_upper_gamma_t_witness(G), G.edges()
                 assert (oo.value, oo.witness.mask) == brute_ooir_witness(G), G.edges()
 
+    def test_witnesses_match_descent_on_split_graphs_8_to_12(self):
+        # Trees, bipartite graphs and two-part unions, relabeled, so that V
+        # falls into interleaved parts under "shares a neighbour" and the
+        # search runs once per part; G(n, p) above is rarely bipartite.
+        for G in random_split_graphs(random.Random(0x5B17), 24, 8, 12):
+            assert len(components(G.near, G.full_mask)) > 1, G.edges()
+            ugt, oo = upper_gamma_t(G), ooir(G)
+            assert (ugt.value, ugt.witness.mask) == brute_upper_gamma_t_witness(G), G.edges()
+            assert (oo.value, oo.witness.mask) == brute_ooir_witness(G), G.edges()
+
     @pytest.mark.parametrize(
         "spec, ugt, oo",
         [
@@ -264,16 +274,26 @@ class TestIrredundantSearch:
         "spec, solve, value, limit",
         [
             # Γt(bk:8) = 2 lies far below ooir = 16, so the cover prune does
-            # the work: 4,678 reads; with its limit taken over every vertex
-            # from the lowest candidate on instead of the candidates, 136,884.
+            # the work: 4,666 reads; with its limit taken over every vertex
+            # from the lowest candidate on instead of the candidates, 136,872.
             ("bk:8", upper_gamma_t, 2, 20_000),
-            # ooir(cycle:20) leans on the size bound: 61,143 reads; with
-            # ``<`` for ``<=`` in it, 97,843, without the bound inside the
-            # loop, 236,682, and with per-node lists of the candidates and
-            # the unions of their neighbourhoods, 109,941.
-            ("cycle:20", ooir, 12, 75_000),
-            # ooir(cyclepower:18,3): 51,792 reads; with the per-node lists,
-            # 59,778.
+            # cycle:20 and path:20 are bipartite, so each colour class is a
+            # part of its own under "shares a neighbour" and is searched
+            # alone.  ooir(cycle:20) leans on the size bound: 2,076 reads;
+            # with ``<`` for ``<=`` in it, 3,065, without the bound inside
+            # the loop, 4,729, with per-node lists of the candidates and the
+            # unions of their neighbourhoods, 3,018, and with one search over
+            # all of V, 61,107.
+            ("cycle:20", ooir, 12, 2_400),
+            # Γt(cycle:20): 2,606 reads; with ``<`` for ``<=``, 2,867, without
+            # the bound inside the loop, 2,881, and over all of V, 34,423.
+            ("cycle:20", upper_gamma_t, 12, 2_800),
+            # Γt(path:20): 1,846 reads; with ``<`` for ``<=``, 2,072, without
+            # the bound inside the loop, 2,105, with the cover limit taken from
+            # the lowest candidate on, 1,999, and over all of V, 10,407.
+            ("path:20", upper_gamma_t, 14, 1_950),
+            # ooir(cyclepower:18,3), whose V is one part: 51,774 reads; with
+            # the per-node lists, 59,760.
             ("cyclepower:18,3", ooir, 6, 56_000),
         ],
     )
