@@ -20,8 +20,10 @@ The output keeps the last line of every run (``correct``, ``attempted``,
 ``failed``, ``metrics``) and, per workload and end-to-end metric, each
 side's quartiles and median (inclusive method), the number of pairs in
 which the change was better, ties counting for neither side, and two
-verdicts (see ``verdict``): ``gain`` and ``within_bound``.  Per traced
-workload it also gives each side's median of every per-layer metric.
+verdicts (see ``verdict``): ``gain`` and ``within_bound``.  Per workload
+it also gives each side's failed and attempted checks over its untraced
+pairs, and per traced workload each side's median of every per-layer
+metric.
 Stdlib only.
 """
 
@@ -95,6 +97,12 @@ def verdict(metric: dict, entry: dict) -> dict:
             "within_bound": -gap <= metric["bound"] * parent["median"]}
 
 
+def failures(pairs: list[dict]) -> dict:
+    """Per side, the failed and the attempted checks summed over ``pairs``."""
+    return {side: {key: sum(pair[side][key] for pair in pairs) for key in ("failed", "attempted")}
+            for side in SIDES}
+
+
 def layer_medians(pairs: list[dict], per_layer: list[dict]) -> dict:
     """Per side, the median of every per-layer metric over the traced pairs."""
     return {side: {metric["name"]: statistics.median(pair[side]["metrics"][metric["name"]]["value"]
@@ -147,7 +155,7 @@ def main() -> int:
     for k, name, count in plan:
         pairs = [pair(name, args.seed_base + 100 * k + i, SIDES[(i - 1) % 2], 0) for i in range(1, count + 1)]
         workloads[name] = {"pairs": pairs, "summary": summarize(pairs, spec["end_to_end"]),
-                           "failed": sum(p[side]["failed"] for p in pairs for side in SIDES)}
+                           "failed": failures(pairs)}
         if name in traced_pairs:
             pairs = [pair(name, args.seed_base + 100 * k + 50 + j, SIDES[(j - 1) % 2], 1)
                      for j in range(1, traced_pairs[name] + 1)]

@@ -85,7 +85,8 @@ def cmd_family(args: argparse.Namespace) -> int:
 
 def cmd_invariant(args: argparse.Namespace) -> int:
     G = _load_graph(args)
-    which = tuple(INVARIANTS) if args.which == "all" else tuple(args.which.split(","))
+    # A key given twice is reported once, at its first place.
+    which = tuple(INVARIANTS) if args.which == "all" else tuple(dict.fromkeys(args.which.split(",")))
     for key in which:
         if key not in INVARIANTS:
             raise ValueError(f"unknown invariant {key!r} (choose from {', '.join(INVARIANTS)})")

@@ -48,13 +48,19 @@ of order 18 to 26 it ran 11-290x faster (``cycle:26``: 7.9 s to 28 ms).
 These timings are from a 2-core Xeon VM under Python 3.11.  Hence the
 gate: γtg takes the class search when n >= ``CLASS_SEARCH_MIN_ORDER`` and
 V splits, and every other graph keeps the mask search.
+
+A ``Policy`` plays one side of the indicated game.  It sees a position as
+the pair the best-response memo keys on, ``(dominated, moves)``: the int
+mask of the declared set and the open neighbourhoods of everything played,
+and the number of completed rounds.  ``best_response_length`` solves the
+other side exactly against it, and ``play_game`` plays two policies out.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Sequence
 
 from .graph import (
     Graph,
@@ -73,44 +79,25 @@ class Role(Enum):
 
 
 class PolicyError(RuntimeError):
-    """A policy returned an illegal move; carries the offending state."""
-
-
-class GameState(NamedTuple):
-    """Snapshot handed to policies: dominated mask plus declared set and move count.
-
-    ``dominated`` is the union of the declared set and the open neighborhood
-    of everything played so far; the game is over exactly when it equals
-    the whole vertex set.  ``best_response_length`` builds one snapshot per
-    consulted state (16,383 for the Staller partition policy on
-    ``path:20``), so a snapshot is a named tuple: building one is a single
-    allocation.  Snapshots are immutable and never reused, so a policy may
-    keep the ones it is handed.
-    """
-
-    graph: Graph
-    declared: VertexSet
-    dominated: VertexSet
-    moves: int
-
-    def describe(self) -> str:
-        return (
-            f"move {self.moves}, dominated={sorted(self.dominated)}, "
-            f"declared={sorted(self.declared)} on {self.graph!r}"
-        )
+    """A policy was built for another graph or returned an illegal move; names the position."""
 
 
 @dataclass(frozen=True)
 class Policy:
-    """Deterministic move rule for one player.
+    """Deterministic move rule for one player on ``graph``.
 
-    For a Dominator policy the chooser maps a state to the vertex to
-    indicate (which must not be dominated yet); for a Staller policy it maps
-    a state plus the indicated vertex to the reply (a neighbor of it).
+    A Dominator chooser maps ``(dominated, moves)`` to the vertex to
+    indicate, which must not be dominated yet; a Staller chooser maps
+    ``(dominated, moves, indicated)`` to its reply, a neighbour of the
+    indicated vertex.  ``dominated`` is the int mask of the declared set and
+    the open neighbourhoods of everything played, and ``moves`` counts the
+    completed rounds.  Both drivers reject a policy whose graph has other
+    neighbourhoods than the game's, once, before the first consultation.
     """
 
     role: Role
     name: str
+    graph: Graph
     chooser: Callable
 
 
@@ -551,13 +538,16 @@ def best_response_length(G: Graph, declared: VertexSet | None, fixed: Policy) ->
 
     The fixed side's branching collapses to the policy's single choice; the
     free side is solved exactly against it.  Raises PolicyError when the
-    policy returns an illegal move.  Every reachable state consults the
-    policy, so there are no cut-offs here.  A reply that the policy gives
-    to several indications of one state is searched once.
+    policy was built for another graph or returns an illegal move.  Every
+    reachable state consults the policy, so there are no cut-offs here.  A
+    reply that the policy gives to several indications of one state is
+    searched once.
     """
     require_isolate_free(G)
-    declared = declared if declared is not None else VertexSet(G.n)
-    start = _declared_mask(G, declared)
+    if not isinstance(fixed.role, Role):
+        raise ValueError(f"policy {fixed.name!r} has role {fixed.role!r}, not a Role")
+    _check_graph(G, fixed)
+    start = 0 if declared is None else _declared_mask(G, declared)
     nbr = G.nbr
     full = G.full_mask
     n = G.n
@@ -569,10 +559,9 @@ def best_response_length(G: Graph, declared: VertexSet | None, fixed: Policy) ->
     memo: dict[int, int] = {}
 
     def dominator(mask: int, moves: int) -> int:
-        state = GameState(G, declared, VertexSet(n, mask), moves)
-        v = choose(state)
+        v = choose(mask, moves)
         if type(v) is not int or not 0 <= v < n or mask >> v & 1:
-            _check_indication(fixed, state, v)
+            _check_indication(fixed, G, start, mask, moves, v)
         later = moves + 1
         base = later << n
         best = 0
@@ -593,7 +582,6 @@ def best_response_length(G: Graph, declared: VertexSet | None, fixed: Policy) ->
         return best + 1
 
     def staller(mask: int, moves: int) -> int:
-        state = GameState(G, declared, VertexSet(n, mask), moves)
         later = moves + 1
         base = later << n
         best = n
@@ -603,9 +591,9 @@ def best_response_length(G: Graph, declared: VertexSet | None, fixed: Policy) ->
             low = undominated & -undominated
             undominated ^= low
             v = low.bit_length() - 1
-            u = choose(state, v)
+            u = choose(mask, moves, v)
             if type(u) is not int or not 0 <= u < n or not nbr[v] >> u & 1:
-                _check_selection(fixed, state, v, u)
+                _check_selection(fixed, G, start, mask, moves, v, u)
             if searched >> u & 1:
                 continue
             searched |= 1 << u
@@ -626,18 +614,30 @@ def best_response_length(G: Graph, declared: VertexSet | None, fixed: Policy) ->
     return (dominator if fixed.role is Role.DOMINATOR else staller)(start, 0)
 
 
-def _check_indication(policy: Policy, state: GameState, v: object) -> None:
-    if not (isinstance(v, int) and 0 <= v < state.graph.n) or state.dominated.mask >> v & 1:
+def _check_graph(G: Graph, policy: Policy) -> None:
+    if policy.graph.nbr != G.nbr:
+        raise PolicyError(f"policy {policy.name!r} was built for {policy.graph!r}, not {G!r}")
+
+
+def _position(G: Graph, declared: int, mask: int, moves: int) -> str:
+    return f"move {moves}, dominated={list(bits(mask))}, declared={list(bits(declared))} on {G!r}"
+
+
+def _check_indication(policy: Policy, G: Graph, declared: int, mask: int, moves: int, v: object) -> None:
+    if not (isinstance(v, int) and 0 <= v < G.n) or mask >> v & 1:
         raise PolicyError(
-            f"policy {policy.name!r} indicated illegal vertex {v!r} at " + state.describe()
+            f"policy {policy.name!r} indicated illegal vertex {v!r} at "
+            + _position(G, declared, mask, moves)
         )
 
 
-def _check_selection(policy: Policy, state: GameState, v: int, u: object) -> None:
-    if not (isinstance(u, int) and 0 <= u < state.graph.n) or not state.graph.nbr[v] >> u & 1:
+def _check_selection(
+    policy: Policy, G: Graph, declared: int, mask: int, moves: int, v: int, u: object
+) -> None:
+    if not (isinstance(u, int) and 0 <= u < G.n) or not G.nbr[v] >> u & 1:
         raise PolicyError(
             f"policy {policy.name!r} selected illegal vertex {u!r} for "
-            f"indicated {v} at " + state.describe()
+            f"indicated {v} at " + _position(G, declared, mask, moves)
         )
 
 
@@ -645,12 +645,8 @@ def optimal_policy(G: Graph, role: Role) -> Policy:
     """Policy that replays the exact solver's smallest-index optimal move."""
     solver = IndicatedGameSolver(G)
     if role is Role.DOMINATOR:
-        return Policy(role, "optimal-dominator", lambda s: solver.best_indication(s.dominated.mask))
-    return Policy(
-        role,
-        "optimal-staller",
-        lambda s, v: solver.best_selection(s.dominated.mask, v),
-    )
+        return Policy(role, "optimal-dominator", G, lambda mask, moves: solver.best_indication(mask))
+    return Policy(role, "optimal-staller", G, lambda mask, moves, v: solver.best_selection(mask, v))
 
 
 def play_game(
@@ -661,24 +657,26 @@ def play_game(
 ) -> list[tuple[int, int]]:
     """Play one full indicated game; returns the (indicated, selected) rounds.
 
-    Checks every move against the legality rules, including the no-replay
-    invariant: the selected vertex can never have been played before,
-    because a played vertex has its whole neighborhood dominated and the
-    indicated vertex would not have been legal.
+    Checks both policies' graphs once, then every move against the legality
+    rules, including the no-replay invariant: the selected vertex can never
+    have been played before, because a played vertex has its whole
+    neighborhood dominated and the indicated vertex would not have been
+    legal.
     """
     require_isolate_free(G)
     if dominator.role is not Role.DOMINATOR or staller.role is not Role.STALLER:
         raise ValueError("policies passed for the wrong roles")
-    declared = declared if declared is not None else VertexSet(G.n)
-    mask = _declared_mask(G, declared)
+    _check_graph(G, dominator)
+    _check_graph(G, staller)
+    start = mask = 0 if declared is None else _declared_mask(G, declared)
     played = 0
     rounds: list[tuple[int, int]] = []
     while mask != G.full_mask:
-        state = GameState(G, declared, VertexSet(G.n, mask), len(rounds))
-        v = dominator.chooser(state)
-        _check_indication(dominator, state, v)
-        u = staller.chooser(state, v)
-        _check_selection(staller, state, v, u)
+        moves = len(rounds)
+        v = dominator.chooser(mask, moves)
+        _check_indication(dominator, G, start, mask, moves, v)
+        u = staller.chooser(mask, moves, v)
+        _check_selection(staller, G, start, mask, moves, v, u)
         if played >> u & 1:
             raise AssertionError(
                 f"replayed vertex {u}: indicated {v} should already be dominated"

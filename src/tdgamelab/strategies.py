@@ -2,7 +2,9 @@
 
 Each policy is certified by playing it against an exactly-solved opponent
 via ``games.best_response_length``; none of them consults the exact solver
-itself.
+itself.  A policy sees a position as ``(dominated, moves)``, the dominated
+mask and the number of completed rounds, which is what the best-response
+memo keys on; the drivers check its graph once per game.
 
 Staller's partition policy is the paper's proof that γti ≥ Γt.  Take a
 minimal TD-set S with |S| = Γt.  Staller answers every indicated vertex
@@ -19,7 +21,7 @@ from __future__ import annotations
 from typing import Callable
 
 from .families import path_graph, support_vertices
-from .games import GameState, Policy, PolicyError, Role
+from .games import Policy, Role
 from .graph import Graph, bits, is_connected, require_isolate_free
 from .invariants import upper_gamma_t
 
@@ -36,7 +38,7 @@ def staller_partition_policy(G: Graph) -> Policy:
     require_isolate_free(G)
     S = upper_gamma_t(G).witness.mask
     owner = tuple((m & S & -(m & S)).bit_length() - 1 for m in G.nbr)
-    return Policy(Role.STALLER, "staller-partition", lambda state, indicated: owner[indicated])
+    return Policy(Role.STALLER, "staller-partition", G, lambda dominated, moves, indicated: owner[indicated])
 
 
 def _path_scripted_opening(n: int) -> tuple[int, ...]:
@@ -58,9 +60,8 @@ def dominator_path_policy(n: int) -> Policy:
     """
     if n < 2:
         raise ValueError("paths need order >= 2")
-    script = _path_scripted_opening(n)
-    choose = _scripted_chooser(path_graph(n), script, f"path policy for order {n}")
-    return Policy(Role.DOMINATOR, f"dominator-path-{n}", choose)
+    P = path_graph(n)
+    return Policy(Role.DOMINATOR, f"dominator-path-{n}", P, _scripted_chooser(P, _path_scripted_opening(n)))
 
 
 def dominator_leaf_policy(T: Graph) -> Policy:
@@ -81,25 +82,18 @@ def dominator_leaf_policy(T: Graph) -> Policy:
     for v in supports:
         leaf = min(u for u in bits(T.nbr[v]) if T.degree(u) == 1)
         script.append(leaf)
-    choose = _scripted_chooser(T, tuple(script), "leaf policy")
-    return Policy(Role.DOMINATOR, "dominator-leaf", choose)
+    return Policy(Role.DOMINATOR, "dominator-leaf", T, _scripted_chooser(T, tuple(script)))
 
 
-def _scripted_chooser(G: Graph, script: tuple[int, ...], name: str) -> Callable[[GameState], int]:
-    """Indicate the first undominated vertex of ``script``, else the lowest undominated one.
+def _scripted_chooser(G: Graph, script: tuple[int, ...]) -> Callable[[int, int], int]:
+    """Indicate the first undominated vertex of ``script``, else the lowest undominated one."""
+    full = G.full_mask
 
-    Played on a graph other than G, the chooser raises PolicyError naming
-    the policy as ``name``.
-    """
-
-    def choose(state: GameState) -> int:
-        if state.graph.n != G.n or state.graph.nbr != G.nbr:
-            raise PolicyError(f"{name} was invoked on a different graph at " + state.describe())
-        mask = state.dominated.mask
+    def choose(dominated: int, moves: int) -> int:
         for v in script:
-            if not mask >> v & 1:
+            if not dominated >> v & 1:
                 return v
-        undominated = ~mask & state.graph.full_mask
+        undominated = ~dominated & full
         return (undominated & -undominated).bit_length() - 1
 
     return choose

@@ -92,3 +92,15 @@ def test_summarize_counts_pairs_won_and_ties_for_neither_side():
     assert (summary["change_better_pairs"], summary["pairs"]) == (2, 4)
     assert summary["parent"]["median"] == 0.02
     assert not summary["gain"]
+
+
+def test_failures_are_counted_per_side():
+    runs = [((0, 40), (1, 40)), ((2, 38), (0, 40)), ((0, 40), (3, 41))]
+    pairs = [{side: {"failed": failed, "attempted": attempted}
+              for side, (failed, attempted) in zip(bench_pairs.SIDES, run)} for run in runs]
+    assert bench_pairs.failures(pairs) == {"parent": {"failed": 2, "attempted": 118},
+                                           "change": {"failed": 4, "attempted": 121}}
+
+
+def test_failures_of_no_pairs_are_zero():
+    assert bench_pairs.failures([]) == {side: {"failed": 0, "attempted": 0} for side in bench_pairs.SIDES}

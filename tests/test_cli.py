@@ -66,6 +66,15 @@ class TestInvariant:
         assert (code, err) == (0, "")
         assert out.splitlines() == ["gtg = 17", "grt = 24"]
 
+    def test_repeated_keys_are_reported_once(self, capsys):
+        # Text and JSON list the same keys, each at its first place.
+        code, out, _ = run(capsys, "invariant", "--graph", "path:4", "--which", "gti,gt,gti")
+        assert code == 0
+        assert out.splitlines() == ["gti = 2", "gt = 2  witness=[1, 2]"]
+        code, out, _ = run(capsys, "invariant", "--graph", "path:4", "--which", "gti,gt,gti", "--json")
+        assert code == 0
+        assert json.loads(out)["values"] == {"gti": 2, "gt": 2}
+
     def test_declared_affects_gti(self, capsys):
         code, out, _ = run(
             capsys, "invariant", "--graph", "path:5", "--which", "gti",

@@ -26,7 +26,6 @@ from tdgamelab.families import cycle_graph, disjoint_union, path_graph
 from tdgamelab import games
 from tdgamelab.games import (
     CLASS_SEARCH_MIN_ORDER,
-    GameState,
     _check_indication,
     _check_selection,
     _class_search,
@@ -174,8 +173,7 @@ def oracle_grundy(G, start=0):
 def oracle_best_response(G, declared, fixed):
     """The plain recursion over (move count, mask): one policy call, check and frame per pair."""
     require_isolate_free(G)
-    declared = declared if declared is not None else VertexSet(G.n)
-    start = _declared_mask(G, declared)
+    start = 0 if declared is None else _declared_mask(G, declared)
     nbr = G.nbr
     full = G.full_mask
     n = G.n
@@ -189,18 +187,17 @@ def oracle_best_response(G, declared, fixed):
         cached = memo.get(key)
         if cached is not None:
             return cached
-        state = GameState(G, declared, VertexSet(n, mask), moves)
         if fixed.role is Role.DOMINATOR:
-            v = fixed.chooser(state)
-            _check_indication(fixed, state, v)
+            v = fixed.chooser(mask, moves)
+            _check_indication(fixed, G, start, mask, moves, v)
             best = 0
             for u in bits(nbr[v]):
                 best = max(best, 1 + value(mask | nbr[u], moves + 1))
         else:
             best = -1
             for v in bits(~mask & full):
-                u = fixed.chooser(state, v)
-                _check_selection(fixed, state, v, u)
+                u = fixed.chooser(mask, moves, v)
+                _check_selection(fixed, G, start, mask, moves, v, u)
                 sub = 1 + value(mask | nbr[u], moves + 1)
                 if best < 0 or sub < best:
                     best = sub
@@ -367,7 +364,9 @@ class TestClassSearch:
         assert [gtg(G) for G in counted] == [value] * 3
         assert CountingMasks.reads <= 2_000, CountingMasks.reads
 
-    @pytest.mark.parametrize("solve, value, limit", [(gtg, 10, 54_930), (grundy_t, 14, 855)])
+    @pytest.mark.parametrize(
+        "solve, value, limit", [(gtg, 10, 54_930), (grundy_t, 14, 855)], ids=["gtg", "grundy_t"]
+    )
     def test_window_and_move_order_bound_the_mask_search(self, solve, value, limit):
         # cycle:15 is odd, so V does not split: gtg takes the mask search,
         # bounded by its alpha-beta window and move orders, and grundy_t
@@ -390,7 +389,9 @@ class TestGrundyMemo:
             for mask in range(G.full_mask):
                 assert solver.value(mask) == oracle_grundy(G, mask), (graph_id, mask)
 
-    @pytest.mark.parametrize("spec, value, limit", [("cycle:18", 16, 1_125), ("path:19", 18, 1_300)])
+    @pytest.mark.parametrize(
+        "spec, value, limit", [("cycle:18", 16, 1_125), ("path:19", 18, 1_300)], ids=["cycle:18", "path:19"]
+    )
     def test_split_bounds_the_work(self, spec, value, limit):
         # Even cycles and paths split after a move or two.  The memo reads
         # 1,080 and 1,248 masks over three relabelings, and 7,938 and 3,300
@@ -442,7 +443,9 @@ class TestIndicatedGame:
         assert gti(G, VertexSet.of(4, [0])) == 1
         assert gti(G, VertexSet.of(4, [0, 3])) == 2
 
-    @pytest.mark.parametrize("spec, value, limit", [("cycle:18", 12, 3_200), ("path:19", 12, 2_300)])
+    @pytest.mark.parametrize(
+        "spec, value, limit", [("cycle:18", 12, 3_200), ("path:19", 12, 2_300)], ids=["cycle:18", "path:19"]
+    )
     def test_split_bounds_the_work(self, spec, value, limit):
         # Even cycles and paths split after a round or two.  The solver
         # reads 3,111 and 2,211 masks over three relabelings, and 676,961
@@ -612,13 +615,13 @@ class TestPoliciesAndDeterminism:
 
     def test_non_integer_indication_is_a_policy_error(self):
         G = path_graph(5)
-        dominator = Policy(Role.DOMINATOR, "float-dominator", lambda s: 1.0)
+        dominator = Policy(Role.DOMINATOR, "float-dominator", G, lambda mask, moves: 1.0)
         with pytest.raises(PolicyError, match=r"'float-dominator' indicated illegal vertex 1\.0 at move 0"):
             play_game(G, dominator, optimal_policy(G, Role.STALLER))
 
     def test_missing_selection_is_a_policy_error(self):
         G = path_graph(5)
-        staller = Policy(Role.STALLER, "silent-staller", lambda s, v: None)
+        staller = Policy(Role.STALLER, "silent-staller", G, lambda mask, moves, v: None)
         with pytest.raises(PolicyError, match=r"'silent-staller' selected illegal vertex None for indicated \d+ at move 0"):
             play_game(G, optimal_policy(G, Role.DOMINATOR), staller)
 
@@ -639,26 +642,26 @@ def lowest(mask):
 def logged(policy, log):
     """``policy`` with every consultation appended to ``log`` as (move, dominated, indicated)."""
 
-    def chooser(state, *indicated):
-        log.append((state.moves, state.dominated.mask, *indicated))
-        return policy.chooser(state, *indicated)
+    def chooser(mask, moves, *indicated):
+        log.append((moves, mask, *indicated))
+        return policy.chooser(mask, moves, *indicated)
 
-    return Policy(policy.role, policy.name, chooser)
+    return Policy(policy.role, policy.name, policy.graph, chooser)
 
 
 def sample_policies(G):
     """Policies for the oracle comparison, two of which read the move count."""
     nbr, full = G.nbr, G.full_mask
 
-    def alternating_staller(state, v):
+    def alternating_staller(mask, moves, v):
         # Smallest neighbour on even moves, largest on odd ones.
-        return lowest(nbr[v]) if state.moves % 2 == 0 else nbr[v].bit_length() - 1
+        return lowest(nbr[v]) if moves % 2 == 0 else nbr[v].bit_length() - 1
 
-    def alternating_dominator(state):
-        undominated = ~state.dominated.mask & full
-        return lowest(undominated) if state.moves % 2 == 0 else undominated.bit_length() - 1
+    def alternating_dominator(mask, moves):
+        undominated = ~mask & full
+        return lowest(undominated) if moves % 2 == 0 else undominated.bit_length() - 1
 
-    def bool_staller(state, v):
+    def bool_staller(mask, moves, v):
         # The checks accept True as vertex 1, so the inline tests must too.
         u = lowest(nbr[v])
         return True if u == 1 else u
@@ -667,9 +670,9 @@ def sample_policies(G):
         optimal_policy(G, Role.DOMINATOR),
         optimal_policy(G, Role.STALLER),
         staller_partition_policy(G),
-        Policy(Role.STALLER, "alternating-staller", alternating_staller),
-        Policy(Role.DOMINATOR, "alternating-dominator", alternating_dominator),
-        Policy(Role.STALLER, "bool-staller", bool_staller),
+        Policy(Role.STALLER, "alternating-staller", G, alternating_staller),
+        Policy(Role.DOMINATOR, "alternating-dominator", G, alternating_dominator),
+        Policy(Role.STALLER, "bool-staller", G, bool_staller),
     ]
 
 
@@ -697,7 +700,8 @@ class TestBestResponse:
         dominator = Policy(
             Role.DOMINATOR,
             "late-dominator",
-            lambda s: lowest(s.dominated.mask if s.moves >= 2 else ~s.dominated.mask & s.graph.full_mask),
+            G,
+            lambda mask, moves: lowest(mask if moves >= 2 else ~mask & G.full_mask),
         )
         with pytest.raises(PolicyError) as raised:
             best_response_length(G, None, dominator)
@@ -709,7 +713,7 @@ class TestBestResponse:
     def test_late_non_neighbour_selection(self):
         G = path_graph(6)
         staller = Policy(
-            Role.STALLER, "stray-staller", lambda s, v: v if s.moves == 1 else lowest(s.graph.nbr[v])
+            Role.STALLER, "stray-staller", G, lambda mask, moves, v: v if moves == 1 else lowest(G.nbr[v])
         )
         with pytest.raises(PolicyError) as raised:
             best_response_length(G, None, staller)
@@ -720,7 +724,7 @@ class TestBestResponse:
 
     def test_missing_selection(self):
         G = path_graph(6)
-        staller = Policy(Role.STALLER, "silent-staller", lambda s, v: None)
+        staller = Policy(Role.STALLER, "silent-staller", G, lambda mask, moves, v: None)
         with pytest.raises(PolicyError) as raised:
             best_response_length(G, None, staller)
         assert str(raised.value) == (
@@ -728,51 +732,29 @@ class TestBestResponse:
             "declared=[] on <Graph path:6: n=6, m=5>"
         )
 
-
-class TestGameState:
-    def snapshot(self):
+    def test_illegal_indication_names_the_declared_set(self):
+        # Declared vertices count as dominated, so indicating one is illegal;
+        # both drivers describe the position alike.
         G = path_graph(6)
-        return GameState(G, VertexSet.of(6, [5]), VertexSet.of(6, [0, 2, 4, 5]), 2)
-
-    def test_positional_and_keyword_construction(self):
-        state = self.snapshot()
-        assert state == GameState(
-            graph=state.graph, declared=state.declared, dominated=state.dominated, moves=state.moves
+        dominator = Policy(Role.DOMINATOR, "declared-dominator", G, lambda mask, moves: 5)
+        expected = (
+            "policy 'declared-dominator' indicated illegal vertex 5 at move 0, dominated=[5], "
+            "declared=[5] on <Graph path:6: n=6, m=5>"
         )
-        assert GameState._fields == ("graph", "declared", "dominated", "moves")
+        declared = VertexSet.of(6, [5])
+        with pytest.raises(PolicyError) as raised:
+            best_response_length(G, declared, dominator)
+        assert str(raised.value) == expected
+        with pytest.raises(PolicyError) as raised:
+            play_game(G, dominator, optimal_policy(G, Role.STALLER), declared)
+        assert str(raised.value) == expected
 
-    def test_fields_are_read_only(self):
-        state = self.snapshot()
-        for name in GameState._fields:
-            with pytest.raises(AttributeError):
-                setattr(state, name, None)
-        for name in ("n", "mask"):
-            with pytest.raises(AttributeError):
-                setattr(state.dominated, name, 0)
-
-    def test_equal_snapshots_hash_equal(self):
-        first, second = self.snapshot(), self.snapshot()
-        assert first is not second and first == second and hash(first) == hash(second)
-        assert first.dominated == VertexSet(6, 0b110101)
-        assert hash(first.dominated) == hash(VertexSet(6, 0b110101))
-        assert first != first._replace(moves=3)
-
-    def test_describe(self):
-        assert self.snapshot().describe() == (
-            "move 2, dominated=[0, 2, 4, 5], declared=[5] on <Graph path:6: n=6, m=5>"
-        )
-
-    def test_policies_may_keep_their_snapshots(self):
-        # Each consulted state gets a snapshot of its own that never changes
-        # after it is handed over.
-        G = path_graph(8)
-        kept = []
-
-        def keeper(state, v):
-            kept.append((state, state.dominated.mask, state.moves))
-            return lowest(G.nbr[v])
-
-        assert best_response_length(G, None, Policy(Role.STALLER, "keeper", keeper)) > 0
-        assert kept
-        for state, mask, moves in kept:
-            assert state == GameState(G, VertexSet(8), VertexSet(8, mask), moves)
+    @pytest.mark.parametrize("role", ["staller", None, 1])
+    def test_role_must_be_a_role(self, role):
+        # Any other value used to take the Staller branch silently.
+        G = path_graph(4)
+        log = []
+        policy = logged(Policy(role, "roleless", G, lambda mask, moves, v: lowest(G.nbr[v])), log)
+        with pytest.raises(ValueError, match="not a Role"):
+            best_response_length(G, None, policy)
+        assert log == []

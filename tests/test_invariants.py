@@ -296,6 +296,9 @@ class TestIrredundantSearch:
             # the per-node lists, 59,760.
             ("cyclepower:18,3", ooir, 6, 56_000),
         ],
+        # From the spec and the solver only, so re-measuring a limit keeps the name.
+        ids=["bk:8-upper_gamma_t", "cycle:20-ooir", "cycle:20-upper_gamma_t", "path:20-upper_gamma_t",
+             "cyclepower:18,3-ooir"],
     )
     def test_prunes_bound_the_work(self, spec, solve, value, limit):
         # Reads of the neighbour masks count the search's work

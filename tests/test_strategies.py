@@ -1,5 +1,7 @@
 """Scripted policies: legality, guaranteed bounds, and certification."""
 
+from dataclasses import replace
+
 import pytest
 
 from tdgamelab import (
@@ -50,7 +52,7 @@ class TestStallerPartitionPolicy:
         for graph_id, G in exhaustive_corpus(7):
             S = upper_gamma_t(G).witness
             policy = staller_partition_policy(G)
-            answers = [policy.chooser(None, w) for w in range(G.n)]
+            answers = [policy.chooser(0, 0, w) for w in range(G.n)]
             assert answers == [min(set(G.neighbors(w)) & set(S)) for w in range(G.n)], graph_id
             for v in S:
                 part = {w for w in range(G.n) if answers[w] == v}
@@ -119,7 +121,7 @@ class TestDominatorLeafPolicy:
 
     def test_rejects_other_graphs(self):
         # P_5 has the order of star:4 but other edges.
-        with pytest.raises(PolicyError, match=r"^leaf policy was invoked on a different graph at move 0"):
+        with pytest.raises(PolicyError, match=r"^policy 'dominator-leaf' was built for <Graph star:4: n=5, m=4>, not "):
             best_response_length(path_graph(5), None, dominator_leaf_policy(star_graph(4)))
 
 
@@ -140,3 +142,57 @@ class TestJointCertification:
             staller = staller_partition_policy(G)
             rounds = play_game(G, optimal_policy(G, Role.DOMINATOR), staller)
             assert rounds  # play_game validates legality of every move
+
+
+def counted(policy, calls):
+    """``policy`` with every chooser call appended to ``calls``."""
+
+    def chooser(*args):
+        calls.append(args)
+        return policy.chooser(*args)
+
+    return replace(policy, chooser=chooser)
+
+
+# Each constructor's policy, and a graph of the same order with other edges.
+FOREIGN = [
+    (lambda: optimal_policy(path_graph(5), Role.DOMINATOR), star_graph(4)),
+    (lambda: optimal_policy(path_graph(5), Role.STALLER), star_graph(4)),
+    (lambda: staller_partition_policy(path_graph(5)), star_graph(4)),
+    (lambda: dominator_path_policy(5), cycle_graph(5)),
+    (lambda: dominator_leaf_policy(star_graph(4)), path_graph(5)),
+]
+FOREIGN_IDS = ["optimal-dominator", "optimal-staller", "staller-partition", "dominator-path", "dominator-leaf"]
+
+
+class TestDriversCheckTheGraph:
+    """Both drivers reject a policy built for another graph before consulting it."""
+
+    @pytest.mark.parametrize("build, H", FOREIGN, ids=FOREIGN_IDS)
+    def test_best_response_rejects_a_foreign_policy(self, build, H):
+        calls = []
+        policy = counted(build(), calls)
+        with pytest.raises(PolicyError) as raised:
+            best_response_length(H, None, policy)
+        assert str(raised.value) == f"policy {policy.name!r} was built for {policy.graph!r}, not {H!r}"
+        assert calls == []
+
+    @pytest.mark.parametrize("build, H", FOREIGN, ids=FOREIGN_IDS)
+    def test_play_game_rejects_a_foreign_policy(self, build, H):
+        calls = []
+        policy = counted(build(), calls)
+        other = Role.STALLER if policy.role is Role.DOMINATOR else Role.DOMINATOR
+        partner = counted(optimal_policy(H, other), calls)
+        dominator, staller = (policy, partner) if policy.role is Role.DOMINATOR else (partner, policy)
+        with pytest.raises(PolicyError, match=f"^policy {policy.name!r} was built for "):
+            play_game(H, dominator, staller)
+        assert calls == []
+
+    def test_same_adjacency_under_another_label_is_accepted(self):
+        P = path_graph(7)
+        H = build_graph(7, P.edges())
+        assert H.label != P.label and H.nbr == P.nbr
+        dominator, staller = dominator_path_policy(7), staller_partition_policy(P)
+        assert best_response_length(H, None, dominator) == best_response_length(P, None, dominator)
+        assert best_response_length(H, None, staller) == best_response_length(P, None, staller)
+        assert play_game(H, dominator, staller) == play_game(P, dominator, staller)
