@@ -50,10 +50,12 @@ gate: γtg takes the class search when n >= ``CLASS_SEARCH_MIN_ORDER`` and
 V splits, and every other graph keeps the mask search.
 
 A ``Policy`` plays one side of the indicated game.  It sees a position as
-the pair the best-response memo keys on, ``(dominated, moves)``: the int
-mask of the declared set and the open neighbourhoods of everything played,
-and the number of completed rounds.  ``best_response_length`` solves the
-other side exactly against it, and ``play_game`` plays two policies out.
+its dominated mask, which is what the best-response memo keys on.  The
+mask fixes the rest of the game, so each side has an optimal strategy that
+reads it alone (``best_indication`` and ``best_selection``), and a policy
+that read the history could certify no bound beyond a positional one's.
+``best_response_length`` solves the other side exactly against a policy,
+and ``play_game`` plays two policies out.
 """
 
 from __future__ import annotations
@@ -86,13 +88,13 @@ class PolicyError(RuntimeError):
 class Policy:
     """Deterministic move rule for one player on ``graph``.
 
-    A Dominator chooser maps ``(dominated, moves)`` to the vertex to
-    indicate, which must not be dominated yet; a Staller chooser maps
-    ``(dominated, moves, indicated)`` to its reply, a neighbour of the
-    indicated vertex.  ``dominated`` is the int mask of the declared set and
-    the open neighbourhoods of everything played, and ``moves`` counts the
-    completed rounds.  Both drivers reject a policy whose graph has other
-    neighbourhoods than the game's, once, before the first consultation.
+    A Dominator chooser maps ``dominated`` to the vertex to indicate, which
+    must not be dominated yet; a Staller chooser maps ``(dominated,
+    indicated)`` to its reply, a neighbour of the indicated vertex.
+    ``dominated`` is the int mask of the declared set and the open
+    neighbourhoods of everything played, which fixes the rest of the game.
+    Both drivers reject a policy whose graph has other neighbourhoods than
+    the game's, once, before the first consultation.
     """
 
     role: Role
@@ -143,6 +145,8 @@ class _SplitMemo:
         if cached is not None:
             return cached
         full = self._full
+        if not 0 <= mask <= full:
+            raise ValueError(f"mask {mask} is outside 0..{full}")
         undominated = ~mask & full
         part = lowest_component(self._near, undominated)
         if part != undominated:
@@ -165,7 +169,8 @@ class IndicatedGameSolver(_SplitMemo):
     queries for every mask of the same graph off a shared memo table.  The
     split (see ``_SplitMemo``) changes no value, so ``best_indication`` and
     ``best_selection``, which compare the values of the positions after
-    each move, keep their smallest-index choices.
+    each move, keep their smallest-index choices.  A mask outside
+    0..full_mask or a vertex outside 0..n-1 raises ValueError.
     """
 
     def __init__(self, G: Graph):
@@ -221,6 +226,10 @@ class IndicatedGameSolver(_SplitMemo):
 
     def best_selection(self, mask: int, indicated: int) -> int:
         """Smallest-index optimal reply for Staller to the indicated vertex."""
+        if not 0 <= indicated < len(self._nbr):
+            raise ValueError(f"vertex {indicated} is outside 0..{len(self._nbr) - 1}")
+        if not 0 <= mask <= self._full:
+            raise ValueError(f"mask {mask} is outside 0..{self._full}")
         if mask >> indicated & 1:
             raise ValueError(f"vertex {indicated} is already dominated")
         best_u = -1
@@ -539,8 +548,8 @@ def best_response_length(G: Graph, declared: VertexSet | None, fixed: Policy) ->
     The fixed side's branching collapses to the policy's single choice; the
     free side is solved exactly against it.  Raises PolicyError when the
     policy was built for another graph or returns an illegal move.  Every
-    reachable state consults the policy, so there are no cut-offs here.  A
-    reply that the policy gives to several indications of one state is
+    reachable mask consults the policy, so there are no cut-offs here.  A
+    reply that the policy gives to several indications of one mask is
     searched once.
     """
     require_isolate_free(G)
@@ -552,38 +561,31 @@ def best_response_length(G: Graph, declared: VertexSet | None, fixed: Policy) ->
     full = G.full_mask
     n = G.n
     choose = fixed.chooser
-    # Policies may consult the move count, so the memo keys on both.  The
+    # The memo is seeded with the finished game, as in ``_SplitMemo``.  The
     # children are read from it before recursing, and the inline legality
     # tests hand anything they do not accept to the checks, which decide
     # and raise.
-    memo: dict[int, int] = {}
+    memo: dict[int, int] = {full: 0}
 
-    def dominator(mask: int, moves: int) -> int:
-        v = choose(mask, moves)
+    def dominator(mask: int) -> int:
+        v = choose(mask)
         if type(v) is not int or not 0 <= v < n or mask >> v & 1:
-            _check_indication(fixed, G, start, mask, moves, v)
-        later = moves + 1
-        base = later << n
+            _check_indication(fixed, G, start, mask, v)
         best = 0
         replies = nbr[v]
         while replies:
             low = replies & -replies
             replies ^= low
             child = mask | nbr[low.bit_length() - 1]
-            if child == full:
-                sub = 0
-            else:
-                sub = memo.get(base | child)
-                if sub is None:
-                    sub = dominator(child, later)
+            sub = memo.get(child)
+            if sub is None:
+                sub = dominator(child)
             if sub > best:
                 best = sub
-        memo[moves << n | mask] = best + 1
+        memo[mask] = best + 1
         return best + 1
 
-    def staller(mask: int, moves: int) -> int:
-        later = moves + 1
-        base = later << n
+    def staller(mask: int) -> int:
         best = n
         searched = 0
         undominated = ~mask & full
@@ -591,27 +593,24 @@ def best_response_length(G: Graph, declared: VertexSet | None, fixed: Policy) ->
             low = undominated & -undominated
             undominated ^= low
             v = low.bit_length() - 1
-            u = choose(mask, moves, v)
+            u = choose(mask, v)
             if type(u) is not int or not 0 <= u < n or not nbr[v] >> u & 1:
-                _check_selection(fixed, G, start, mask, moves, v, u)
+                _check_selection(fixed, G, start, mask, v, u)
             if searched >> u & 1:
                 continue
             searched |= 1 << u
             child = mask | nbr[u]
-            if child == full:
-                best = 0
-                continue
-            sub = memo.get(base | child)
+            sub = memo.get(child)
             if sub is None:
-                sub = staller(child, later)
+                sub = staller(child)
             if sub < best:
                 best = sub
-        memo[moves << n | mask] = best + 1
+        memo[mask] = best + 1
         return best + 1
 
     if start == full:
         return 0
-    return (dominator if fixed.role is Role.DOMINATOR else staller)(start, 0)
+    return (dominator if fixed.role is Role.DOMINATOR else staller)(start)
 
 
 def _check_graph(G: Graph, policy: Policy) -> None:
@@ -619,25 +618,23 @@ def _check_graph(G: Graph, policy: Policy) -> None:
         raise PolicyError(f"policy {policy.name!r} was built for {policy.graph!r}, not {G!r}")
 
 
-def _position(G: Graph, declared: int, mask: int, moves: int) -> str:
-    return f"move {moves}, dominated={list(bits(mask))}, declared={list(bits(declared))} on {G!r}"
+def _position(G: Graph, declared: int, mask: int) -> str:
+    return f"dominated={list(bits(mask))}, declared={list(bits(declared))} on {G!r}"
 
 
-def _check_indication(policy: Policy, G: Graph, declared: int, mask: int, moves: int, v: object) -> None:
+def _check_indication(policy: Policy, G: Graph, declared: int, mask: int, v: object) -> None:
     if not (isinstance(v, int) and 0 <= v < G.n) or mask >> v & 1:
         raise PolicyError(
             f"policy {policy.name!r} indicated illegal vertex {v!r} at "
-            + _position(G, declared, mask, moves)
+            + _position(G, declared, mask)
         )
 
 
-def _check_selection(
-    policy: Policy, G: Graph, declared: int, mask: int, moves: int, v: int, u: object
-) -> None:
+def _check_selection(policy: Policy, G: Graph, declared: int, mask: int, v: int, u: object) -> None:
     if not (isinstance(u, int) and 0 <= u < G.n) or not G.nbr[v] >> u & 1:
         raise PolicyError(
             f"policy {policy.name!r} selected illegal vertex {u!r} for "
-            f"indicated {v} at " + _position(G, declared, mask, moves)
+            f"indicated {v} at " + _position(G, declared, mask)
         )
 
 
@@ -645,8 +642,8 @@ def optimal_policy(G: Graph, role: Role) -> Policy:
     """Policy that replays the exact solver's smallest-index optimal move."""
     solver = IndicatedGameSolver(G)
     if role is Role.DOMINATOR:
-        return Policy(role, "optimal-dominator", G, lambda mask, moves: solver.best_indication(mask))
-    return Policy(role, "optimal-staller", G, lambda mask, moves, v: solver.best_selection(mask, v))
+        return Policy(role, "optimal-dominator", G, solver.best_indication)
+    return Policy(role, "optimal-staller", G, solver.best_selection)
 
 
 def play_game(
@@ -672,11 +669,10 @@ def play_game(
     played = 0
     rounds: list[tuple[int, int]] = []
     while mask != G.full_mask:
-        moves = len(rounds)
-        v = dominator.chooser(mask, moves)
-        _check_indication(dominator, G, start, mask, moves, v)
-        u = staller.chooser(mask, moves, v)
-        _check_selection(staller, G, start, mask, moves, v, u)
+        v = dominator.chooser(mask)
+        _check_indication(dominator, G, start, mask, v)
+        u = staller.chooser(mask, v)
+        _check_selection(staller, G, start, mask, v, u)
         if played >> u & 1:
             raise AssertionError(
                 f"replayed vertex {u}: indicated {v} should already be dominated"

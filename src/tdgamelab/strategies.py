@@ -2,9 +2,9 @@
 
 Each policy is certified by playing it against an exactly-solved opponent
 via ``games.best_response_length``; none of them consults the exact solver
-itself.  A policy sees a position as ``(dominated, moves)``, the dominated
-mask and the number of completed rounds, which is what the best-response
-memo keys on; the drivers check its graph once per game.
+itself.  A policy sees a position as its dominated mask, which fixes the
+rest of the game, so it loses no certifying power (see ``games``); the
+drivers check its graph once per game.
 
 Staller's partition policy is the paper's proof that γti ≥ Γt.  Take a
 minimal TD-set S with |S| = Γt.  Staller answers every indicated vertex
@@ -38,7 +38,7 @@ def staller_partition_policy(G: Graph) -> Policy:
     require_isolate_free(G)
     S = upper_gamma_t(G).witness.mask
     owner = tuple((m & S & -(m & S)).bit_length() - 1 for m in G.nbr)
-    return Policy(Role.STALLER, "staller-partition", G, lambda dominated, moves, indicated: owner[indicated])
+    return Policy(Role.STALLER, "staller-partition", G, lambda dominated, indicated: owner[indicated])
 
 
 def _path_scripted_opening(n: int) -> tuple[int, ...]:
@@ -85,11 +85,11 @@ def dominator_leaf_policy(T: Graph) -> Policy:
     return Policy(Role.DOMINATOR, "dominator-leaf", T, _scripted_chooser(T, tuple(script)))
 
 
-def _scripted_chooser(G: Graph, script: tuple[int, ...]) -> Callable[[int, int], int]:
+def _scripted_chooser(G: Graph, script: tuple[int, ...]) -> Callable[[int], int]:
     """Indicate the first undominated vertex of ``script``, else the lowest undominated one."""
     full = G.full_mask
 
-    def choose(dominated: int, moves: int) -> int:
+    def choose(dominated: int) -> int:
         for v in script:
             if not dominated >> v & 1:
                 return v

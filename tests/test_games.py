@@ -171,40 +171,37 @@ def oracle_grundy(G, start=0):
 
 
 def oracle_best_response(G, declared, fixed):
-    """The plain recursion over (move count, mask): one policy call, check and frame per pair."""
+    """The plain recursion over dominated masks: one policy call, check and frame per position."""
     require_isolate_free(G)
     start = 0 if declared is None else _declared_mask(G, declared)
     nbr = G.nbr
     full = G.full_mask
-    n = G.n
-    # Policies may consult the move count, so the memo keys on both.
     memo: dict[int, int] = {}
 
-    def value(mask: int, moves: int) -> int:
+    def value(mask: int) -> int:
         if mask == full:
             return 0
-        key = moves << n | mask
-        cached = memo.get(key)
+        cached = memo.get(mask)
         if cached is not None:
             return cached
         if fixed.role is Role.DOMINATOR:
-            v = fixed.chooser(mask, moves)
-            _check_indication(fixed, G, start, mask, moves, v)
+            v = fixed.chooser(mask)
+            _check_indication(fixed, G, start, mask, v)
             best = 0
             for u in bits(nbr[v]):
-                best = max(best, 1 + value(mask | nbr[u], moves + 1))
+                best = max(best, 1 + value(mask | nbr[u]))
         else:
             best = -1
             for v in bits(~mask & full):
-                u = fixed.chooser(mask, moves, v)
-                _check_selection(fixed, G, start, mask, moves, v, u)
-                sub = 1 + value(mask | nbr[u], moves + 1)
+                u = fixed.chooser(mask, v)
+                _check_selection(fixed, G, start, mask, v, u)
+                sub = 1 + value(mask | nbr[u])
                 if best < 0 or sub < best:
                     best = sub
-        memo[key] = best
+        memo[mask] = best
         return best
 
-    return value(start, 0)
+    return value(start)
 
 
 class TestAgainstPlainRecursions:
@@ -425,6 +422,30 @@ class TestIndicatedGame:
         with pytest.raises(IsolatedVertexError):
             gti(build_graph(3, [(0, 1)]))
 
+    @pytest.mark.parametrize(
+        "query, message",
+        [
+            (lambda s: s.value(1 << 5), "mask 32 is outside 0..7"),
+            (lambda s: s.value(-1), "mask -1 is outside 0..7"),
+            (lambda s: s.best_indication(1 << 5), "mask 32 is outside 0..7"),
+            (lambda s: s.best_indication(-1), "mask -1 is outside 0..7"),
+            (lambda s: s.best_selection(0, 7), "vertex 7 is outside 0..2"),
+            (lambda s: s.best_selection(0, -1), "vertex -1 is outside 0..2"),
+            (lambda s: s.best_selection(1 << 5, 0), "mask 32 is outside 0..7"),
+            (lambda s: s.best_selection(-1, 0), "mask -1 is outside 0..7"),
+        ],
+        ids=["value-high", "value-negative", "indication-high", "indication-negative",
+             "selection-vertex-high", "selection-vertex-negative", "selection-mask-high", "selection-mask-negative"],
+    )
+    def test_solver_rejects_out_of_range_input(self, query, message):
+        # These used to answer for another position (value(1 << 5) gave 5 on
+        # path:3, whose empty mask is worth 2) or fail deep inside the scan.
+        solver = IndicatedGameSolver(path_graph(3))
+        with pytest.raises(ValueError) as raised:
+            query(solver)
+        assert str(raised.value) == message
+        assert solver.value(0) == 2
+
     @settings(max_examples=30, deadline=None)
     @given(isolate_free_graphs_st(max_n=6))
     def test_matches_rule_level_brute_force(self, G):
@@ -615,14 +636,14 @@ class TestPoliciesAndDeterminism:
 
     def test_non_integer_indication_is_a_policy_error(self):
         G = path_graph(5)
-        dominator = Policy(Role.DOMINATOR, "float-dominator", G, lambda mask, moves: 1.0)
-        with pytest.raises(PolicyError, match=r"'float-dominator' indicated illegal vertex 1\.0 at move 0"):
+        dominator = Policy(Role.DOMINATOR, "float-dominator", G, lambda mask: 1.0)
+        with pytest.raises(PolicyError, match=r"'float-dominator' indicated illegal vertex 1\.0 at dominated=\[\], "):
             play_game(G, dominator, optimal_policy(G, Role.STALLER))
 
     def test_missing_selection_is_a_policy_error(self):
         G = path_graph(5)
-        staller = Policy(Role.STALLER, "silent-staller", G, lambda mask, moves, v: None)
-        with pytest.raises(PolicyError, match=r"'silent-staller' selected illegal vertex None for indicated \d+ at move 0"):
+        staller = Policy(Role.STALLER, "silent-staller", G, lambda mask, v: None)
+        with pytest.raises(PolicyError, match=r"'silent-staller' selected illegal vertex None for indicated \d+ at dominated=\[\], "):
             play_game(G, optimal_policy(G, Role.DOMINATOR), staller)
 
     def test_repeat_solves_are_reproducible(self):
@@ -640,28 +661,28 @@ def lowest(mask):
 
 
 def logged(policy, log):
-    """``policy`` with every consultation appended to ``log`` as (move, dominated, indicated)."""
+    """``policy`` with every consultation appended to ``log`` as (dominated, indicated)."""
 
-    def chooser(mask, moves, *indicated):
-        log.append((moves, mask, *indicated))
-        return policy.chooser(mask, moves, *indicated)
+    def chooser(mask, *indicated):
+        log.append((mask, *indicated))
+        return policy.chooser(mask, *indicated)
 
     return Policy(policy.role, policy.name, policy.graph, chooser)
 
 
 def sample_policies(G):
-    """Policies for the oracle comparison, two of which read the move count."""
+    """Policies for the oracle comparison, two of which switch on the parity of the position."""
     nbr, full = G.nbr, G.full_mask
 
-    def alternating_staller(mask, moves, v):
-        # Smallest neighbour on even moves, largest on odd ones.
-        return lowest(nbr[v]) if moves % 2 == 0 else nbr[v].bit_length() - 1
+    def alternating_staller(mask, v):
+        # Smallest neighbour when an even number of vertices is dominated, largest otherwise.
+        return lowest(nbr[v]) if mask.bit_count() % 2 == 0 else nbr[v].bit_length() - 1
 
-    def alternating_dominator(mask, moves):
+    def alternating_dominator(mask):
         undominated = ~mask & full
-        return lowest(undominated) if moves % 2 == 0 else undominated.bit_length() - 1
+        return lowest(undominated) if mask.bit_count() % 2 == 0 else undominated.bit_length() - 1
 
-    def bool_staller(mask, moves, v):
+    def bool_staller(mask, v):
         # The checks accept True as vertex 1, so the inline tests must too.
         u = lowest(nbr[v])
         return True if u == 1 else u
@@ -690,10 +711,23 @@ class TestBestResponse:
 
     def test_consultations_on_path_20(self):
         G = path_graph(20)
-        for policy, count in ((staller_partition_policy(G), 139_264), (dominator_path_policy(20), 143)):
+        for policy, count in ((staller_partition_policy(G), 139_264), (dominator_path_policy(20), 115)):
             log = []
             assert best_response_length(G, None, logged(policy, log)) == 14
             assert len(log) == count, policy.name
+
+    def test_one_consultation_per_position(self):
+        # The memo keys on the dominated mask, so a Dominator policy is asked
+        # once per mask and a Staller policy once per (mask, indicated).
+        P = path_graph(20)
+        cases = [(P, None, staller_partition_policy(P)), (P, None, dominator_path_policy(20))]
+        for _, G in exhaustive_corpus(6):
+            for declared in (None, VertexSet.of(G.n, [G.n - 1])):
+                cases += [(G, declared, policy) for policy in sample_policies(G)]
+        for G, declared, policy in cases:
+            log = []
+            best_response_length(G, declared, logged(policy, log))
+            assert len(set(log)) == len(log), (G, policy.name)
 
     def test_late_illegal_indication(self):
         G = path_graph(6)
@@ -701,34 +735,34 @@ class TestBestResponse:
             Role.DOMINATOR,
             "late-dominator",
             G,
-            lambda mask, moves: lowest(mask if moves >= 2 else ~mask & G.full_mask),
+            lambda mask: lowest(mask if mask.bit_count() >= 3 else ~mask & G.full_mask),
         )
         with pytest.raises(PolicyError) as raised:
             best_response_length(G, None, dominator)
         assert str(raised.value) == (
-            "policy 'late-dominator' indicated illegal vertex 0 at move 2, dominated=[0, 1, 2], "
+            "policy 'late-dominator' indicated illegal vertex 0 at dominated=[0, 1, 2], "
             "declared=[] on <Graph path:6: n=6, m=5>"
         )
 
     def test_late_non_neighbour_selection(self):
         G = path_graph(6)
         staller = Policy(
-            Role.STALLER, "stray-staller", G, lambda mask, moves, v: v if moves == 1 else lowest(G.nbr[v])
+            Role.STALLER, "stray-staller", G, lambda mask, v: v if mask.bit_count() == 2 else lowest(G.nbr[v])
         )
         with pytest.raises(PolicyError) as raised:
             best_response_length(G, None, staller)
         assert str(raised.value) == (
-            "policy 'stray-staller' selected illegal vertex 1 for indicated 1 at move 1, dominated=[0, 2], "
+            "policy 'stray-staller' selected illegal vertex 1 for indicated 1 at dominated=[0, 2], "
             "declared=[] on <Graph path:6: n=6, m=5>"
         )
 
     def test_missing_selection(self):
         G = path_graph(6)
-        staller = Policy(Role.STALLER, "silent-staller", G, lambda mask, moves, v: None)
+        staller = Policy(Role.STALLER, "silent-staller", G, lambda mask, v: None)
         with pytest.raises(PolicyError) as raised:
             best_response_length(G, None, staller)
         assert str(raised.value) == (
-            "policy 'silent-staller' selected illegal vertex None for indicated 0 at move 0, dominated=[], "
+            "policy 'silent-staller' selected illegal vertex None for indicated 0 at dominated=[], "
             "declared=[] on <Graph path:6: n=6, m=5>"
         )
 
@@ -736,9 +770,9 @@ class TestBestResponse:
         # Declared vertices count as dominated, so indicating one is illegal;
         # both drivers describe the position alike.
         G = path_graph(6)
-        dominator = Policy(Role.DOMINATOR, "declared-dominator", G, lambda mask, moves: 5)
+        dominator = Policy(Role.DOMINATOR, "declared-dominator", G, lambda mask: 5)
         expected = (
-            "policy 'declared-dominator' indicated illegal vertex 5 at move 0, dominated=[5], "
+            "policy 'declared-dominator' indicated illegal vertex 5 at dominated=[5], "
             "declared=[5] on <Graph path:6: n=6, m=5>"
         )
         declared = VertexSet.of(6, [5])
@@ -754,7 +788,7 @@ class TestBestResponse:
         # Any other value used to take the Staller branch silently.
         G = path_graph(4)
         log = []
-        policy = logged(Policy(role, "roleless", G, lambda mask, moves, v: lowest(G.nbr[v])), log)
+        policy = logged(Policy(role, "roleless", G, lambda mask, v: lowest(G.nbr[v])), log)
         with pytest.raises(ValueError, match="not a Role"):
             best_response_length(G, None, policy)
         assert log == []

@@ -52,7 +52,7 @@ class TestStallerPartitionPolicy:
         for graph_id, G in exhaustive_corpus(7):
             S = upper_gamma_t(G).witness
             policy = staller_partition_policy(G)
-            answers = [policy.chooser(0, 0, w) for w in range(G.n)]
+            answers = [policy.chooser(0, w) for w in range(G.n)]
             assert answers == [min(set(G.neighbors(w)) & set(S)) for w in range(G.n)], graph_id
             for v in S:
                 part = {w for w in range(G.n) if answers[w] == v}
