@@ -3,7 +3,9 @@
 Exit codes: 0 success, 1 verification failure, 2 usage or parse error,
 3 capacity or precondition error, 4 internal error (a witness that fails
 revalidation, a policy that breaks the rules, a failed assertion, or a
-``verify paper`` check that raised).
+``verify paper`` check that raised), 141 when the reader closes stdout
+early, as ``| head`` does (128 + SIGPIPE, what a shell reports), with
+nothing on stderr.
 ``NO_COLOR`` disables the pass/fail coloring of verification tables.
 """
 
@@ -252,7 +254,13 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        return args.handler(args)
+        code = args.handler(args)
+        sys.stdout.flush()  # a closed pipe fails here, not in the exit flush
+        return code
+    except BrokenPipeError:
+        # Point stdout at devnull so the interpreter's last flush stays quiet.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (CapacityError, IsolatedVertexError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

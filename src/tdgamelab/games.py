@@ -16,10 +16,12 @@ values (see its docstring).  Each game adds only the scan of a position
 that does not split.  One ``IndicatedGameSolver`` answers queries for many
 masks off the same table, and a table of bounds would send those queries
 back into re-searches.  The alternating game (γtg) runs a fail-soft
-alpha-beta search, ``_alphabeta``, that keeps proven lower and upper
-bounds per position, because only the root value is wanted.  The mask
-search runs it over dominated masks; on graphs that split, the class
-search runs it over component classes (see below).
+negamax alpha-beta search, ``_alphabeta``, because only the root value is
+wanted: one rule serves both players, and per-turn tables keep proven
+lower and upper bounds on each position's score (its value at turn 0,
+minus its value at turn 1).  The mask search runs it over dominated
+masks and the class search, on graphs that split, over component
+classes (see below); both return the tables with the value.
 
 γtg splits in a weaker sense.  Its positions are move-count positions: a
 move plays some w with N(w) ∩ U non-empty and removes that set from U, so
@@ -275,34 +277,42 @@ def gtg(G: Graph) -> int:
     if G.n >= CLASS_SEARCH_MIN_ORDER:
         parts = components(G.near, G.full_mask)
         if len(parts) > 1:
-            return _class_search(G, parts)
-    return _mask_search(G)
+            return _class_search(G, parts)[0]
+    return _mask_search(G)[0]
 
 
 # The least order at which γtg takes the class search on a graph whose
 # vertex set splits (see the module docstring).
 CLASS_SEARCH_MIN_ORDER = 10
 
+# One of ``_alphabeta``'s lower or upper tables: score bounds per position, indexed by turn.
+_Bounds = tuple[dict, dict]
 
-def _alphabeta(root, count: int, moves: Callable, delta: int) -> int:
-    """Exact γtg move count from ``root``, which has ``count`` undominated vertices.
+
+def _alphabeta(root, count: int, moves: Callable, delta: int) -> tuple[int, _Bounds, _Bounds]:
+    """Exact γtg move count from ``root``, which has ``count`` undominated vertices, and the tables.
 
     ``moves(pos)`` maps each distinct child of a position to its number of
-    undominated vertices.  The minimiser (turn 1) and the maximiser (turn
-    0) alternate, and the minimiser starts.  Every position starts inside
-    an admissible window: a move dominates at least one and at most
-    ``delta`` new vertices, so ceil(count / delta) <= value <= count.  A
-    search that fails low or high stores only the bound it proved, in
-    per-turn lower and upper tables, so later visits with other windows
-    reuse it.  The root is searched with a window wider than any value, so
-    its result is exact.
+    undominated vertices.  The maximiser (turn 0) and the minimiser (turn
+    1) alternate, and the minimiser starts.  A position's score is its
+    value at turn 0 and minus its value at turn 1, so with ``sign`` +1 or
+    -1 for those turns it is the best of ``sign - score(child)``: one
+    negamax rule for both turns.  Every position starts inside an
+    admissible window: a move dominates at least one and at most ``delta``
+    new vertices, so ceil(count / delta) <= value <= count.  A search that
+    fails low or high stores only the score bound it proved, in per-turn
+    ``lower`` and ``upper`` tables, so later visits with other windows
+    reuse it.  The root is searched with a window wider than any score.
     """
-    lower: tuple[dict, dict] = ({}, {})
-    upper: tuple[dict, dict] = ({}, {})
+    lower: _Bounds = ({}, {})
+    upper: _Bounds = ({}, {})
 
     def search(pos, count: int, turn: int, alpha: int, beta: int) -> int:
-        lo = lower[turn].get(pos, -(-count // delta))
-        hi = upper[turn].get(pos, count)
+        sign = 1 - 2 * turn
+        floor = -(-count // delta)
+        lo, hi = (floor, count) if turn == 0 else (-count, -floor)
+        lo = lower[turn].get(pos, lo)
+        hi = upper[turn].get(pos, hi)
         if lo >= beta or lo == hi:
             return lo
         if hi <= alpha:
@@ -310,39 +320,28 @@ def _alphabeta(root, count: int, moves: Callable, delta: int) -> int:
         alpha = max(alpha, lo)
         beta = min(beta, hi)
         after = turn ^ 1
-        a, b = alpha, beta
-        if turn:
-            # Likely-short lines first: the smallest proven upper bound,
-            # then the move that leaves the fewest undominated vertices.
-            known = upper[after]
-            order = sorted((known.get(child, count), left, child) for child, left in moves(pos).items())
-            g = hi + 1
-            for _, left, child in order:
-                sub = 1 + search(child, left, after, a - 1, b - 1)
-                if sub < g:
-                    g = sub
-                    if g <= a:
-                        break
-                    b = min(b, g)
-        else:
-            # Likely-long lines first, by the mirror-image rule.
-            known = lower[after]
-            order = sorted((-known.get(child, 0), -left, child) for child, left in moves(pos).items())
-            g = lo - 1
-            for _, left, child in order:
-                sub = 1 + search(child, -left, after, a - 1, b - 1)
-                if sub > g:
-                    g = sub
-                    if g >= b:
-                        break
-                    a = max(a, g)
+        # Likely-best first: the least proven upper score (every stored one
+        # is below ``count``, so unknown children go last), then the fewest
+        # undominated vertices left at turn 1 and the most at turn 0.
+        known = upper[after]
+        order = sorted((known.get(child, count), -sign * left, child, left)
+                       for child, left in moves(pos).items())
+        a = alpha
+        g = lo - 1
+        for _, _, child, left in order:
+            sub = sign - search(child, left, after, sign - beta, sign - a)
+            if sub > g:
+                g = sub
+                if g >= beta:
+                    break
+                a = max(a, g)
         if g > alpha:
             lower[turn][pos] = g
         if g < beta:
             upper[turn][pos] = g
         return g
 
-    return search(root, count, 1, -1, count + 1)
+    return -search(root, count, 1, -count - 1, 1), lower, upper
 
 
 def _mask_moves(G: Graph) -> Callable[[int], dict[int, int]]:
@@ -361,8 +360,8 @@ def _mask_moves(G: Graph) -> Callable[[int], dict[int, int]]:
     return moves
 
 
-def _mask_search(G: Graph) -> int:
-    """γtg over the dominated mask; moves that reach the same mask are one child."""
+def _mask_search(G: Graph) -> tuple[int, _Bounds, _Bounds]:
+    """γtg and its tables over the dominated mask; moves that reach the same mask are one child."""
     return _alphabeta(0, G.n, _mask_moves(G), max_degree(G))
 
 
@@ -510,8 +509,8 @@ class _ClassTable:
         return found
 
 
-def _class_search(G: Graph, parts: Sequence[int]) -> int:
-    """The mask search's value, searched over multisets of component classes.
+def _class_search(G: Graph, parts: Sequence[int]) -> tuple[int, _Bounds, _Bounds]:
+    """The mask search's value and ``_alphabeta``'s tables, over multisets of component classes.
 
     ``parts`` are the components of V(G) under "shares a neighbour".  A
     position is the sorted tuple of the classes of its residual's

@@ -3,9 +3,14 @@
 import dataclasses
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import tdgamelab
 from tdgamelab import invariants, verify
 from tdgamelab.cli import main
 from tdgamelab.games import PolicyError
@@ -231,6 +236,21 @@ class TestSurvey:
         rows = [json.loads(line) for line in out_path.read_text().strip().splitlines()]
         assert len(rows) == 3
         assert all(row["violations"] == [] for row in rows)
+
+    def test_closed_stdout_exits_141_quietly(self):
+        # The 4,000 rows after the header outgrow a pipe's 64 KiB buffer,
+        # so a write fails once the reader has gone, whatever the timing.
+        src = str(Path(tdgamelab.__file__).resolve().parents[1])
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "tdgamelab.cli", "survey", "--random", "4,0.5,4000,0"],
+            env={**os.environ, "PYTHONPATH": src},
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+        )
+        assert proc.stdout.readline().startswith(b"graph,n,gt,")
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert (proc.wait(timeout=60), err) == (141, b"")
 
     def test_random_order_over_cap_exit_3(self, capsys):
         # Rejected before any edge is drawn, so this returns at once.

@@ -40,6 +40,7 @@ from tdgamelab.graph import (
     components,
     is_bipartite,
     is_connected,
+    max_degree,
     near_masks,
     require_isolate_free,
 )
@@ -292,7 +293,7 @@ def splits(G):
 
 
 def class_search(G):
-    """``_class_search`` for γtg on G's own components, whether or not V splits."""
+    """``_class_search`` for γtg and its tables on G's own components, whether or not V splits."""
     return _class_search(G, components(near_masks(G), G.full_mask))
 
 
@@ -312,13 +313,13 @@ class TestClassSearch:
         assert len(split) == 119
         # The oracles share no code with the alpha-beta that both searches run.
         for graph_id, G in split:
-            assert class_search(G) == _mask_search(G) == oracle_gtg(G), graph_id
+            assert class_search(G)[0] == _mask_search(G)[0] == oracle_gtg(G), graph_id
             assert grundy_t(G) == oracle_grundy(G), graph_id
 
     def test_seeded_split_graphs_10_to_14(self):
         for G in random_split_graphs(random.Random(0xC1A55), 24, 10, 14):
             assert splits(G), G.edges()
-            assert gtg(G) == class_search(G) == oracle_gtg(G), G.edges()
+            assert gtg(G) == class_search(G)[0] == oracle_gtg(G), G.edges()
             assert grundy_t(G) == oracle_grundy(G), G.edges()
 
     def test_vertex_set_splits_exactly_on_bipartite_and_disconnected_graphs(self):
@@ -329,7 +330,7 @@ class TestClassSearch:
         # The stand-in class search returns 0, so a positive value comes
         # from the mask search.
         calls = []
-        monkeypatch.setattr(games, "_class_search", lambda G, parts: calls.append(G.n) or 0)
+        monkeypatch.setattr(games, "_class_search", lambda G, parts: (calls.append(G.n) or 0, None, None))
         n = CLASS_SEARCH_MIN_ORDER
         assert gtg(path_graph(n - 1)) > 0  # too small
         assert gtg(cycle_graph(n | 1)) > 0  # odd: V does not split
@@ -345,11 +346,11 @@ class TestClassSearch:
         rng = random.Random(0xD0B)
         for n in range(2, 27):
             P = relabeled(path_graph(n), rng)
-            assert class_search(P) == 2 * (n + 1) // 3 - (n % 6 == 5), n
+            assert class_search(P)[0] == 2 * (n + 1) // 3 - (n % 6 == 5), n
             assert grundy_t(P) == 2 * (n // 2), n
             if n >= 3:
                 C = relabeled(cycle_graph(n), rng)
-                assert class_search(C) == (2 * n + 1) // 3 - (n % 6 == 4), n
+                assert class_search(C)[0] == (2 * n + 1) // 3 - (n % 6 == 4), n
                 assert grundy_t(C) == 2 * ((n - 1) // 2), n
 
     @pytest.mark.parametrize("spec, value", [("cycle:18", 12), ("path:19", 13)])
@@ -370,11 +371,76 @@ class TestClassSearch:
         # scans its memo's unsplit positions most undominated first and
         # stops once no child left can beat the best.  They read 54,885 and
         # 810 masks; the limits leave 45 reads of slack, and dropping the
-        # window, the scan's stop or a key of either move order reads more
+        # window, the scan's stop or either key of the move order (the
+        # child's upper score, then its undominated count) reads more
         # (grundy_t without its stop reads 9,000).
         counted = counted_relabelings("cycle:15")
         assert [solve(G) for G in counted] == [value] * 3
         assert CountingMasks.reads <= limit, CountingMasks.reads
+
+
+def score_window(count, delta, turn):
+    """The admissible score window of a position with ``count`` undominated vertices.
+
+    Its value lies in ceil(count / delta)..count; its score is the value at
+    turn 0 and minus the value at turn 1.
+    """
+    floor = -(-count // delta)
+    return (floor, count) if turn == 0 else (-count, -floor)
+
+
+def assert_tables_consistent(graph_id, value, lower, upper, root, n, delta):
+    """The root's score bounds are -value, and no position's lower bound exceeds its upper one.
+
+    A root bound at the edge of its admissible window is never stored, as
+    the search narrows its window to that edge, so it is read with the
+    window's default.
+    """
+    lo, hi = score_window(n, delta, 1)
+    if lo < hi:
+        assert lower[1].get(root, lo) == upper[1].get(root, hi) == -value, graph_id
+    else:
+        assert value == n and not any(lower + upper), graph_id
+    for turn in (0, 1):
+        for pos, g in lower[turn].items():
+            assert g <= upper[turn].get(pos, g), (graph_id, turn, pos)
+
+
+class TestSearchTables:
+    """The score bounds that ``_alphabeta`` hands back with the value."""
+
+    def test_mask_search_on_every_graph_up_to_7(self):
+        for graph_id, G in exhaustive_corpus(7):
+            delta = max_degree(G)
+            value, lower, upper = _mask_search(G)
+            assert_tables_consistent(graph_id, value, lower, upper, 0, G.n, delta)
+            for turn in (0, 1):
+                for table in (lower, upper):
+                    for mask, g in table[turn].items():
+                        lo, hi = score_window(G.n - mask.bit_count(), delta, turn)
+                        assert lo <= g <= hi, (graph_id, turn, mask, g)
+
+    def test_class_search_on_every_split_graph_up_to_7(self):
+        split = [(graph_id, G) for graph_id, G in exhaustive_corpus(7) if splits(G)]
+        assert len(split) == 119
+        for graph_id, G in split:
+            parts = components(near_masks(G), G.full_mask)
+            value, lower, upper = _class_search(G, parts)
+            root = games._ClassTable().split(G.nbr, parts)
+            assert_tables_consistent(graph_id, value, lower, upper, root, G.n, max_degree(G))
+
+    @pytest.mark.parametrize(
+        "spec, search, sizes",
+        [("path:20", class_search, [595, 243, 71, 187]),
+         ("cycle:21", _mask_search, [29_197, 2_657, 791, 7_555])],
+        ids=["path:20", "cycle:21"],
+    )
+    def test_table_sizes(self, spec, search, sizes):
+        # Lower bounds at turns 0 and 1, then upper bounds at turns 0 and
+        # 1: 1,096 and 40,200 entries in all.
+        value, lower, upper = search(family(parse_family_spec(spec)))
+        assert value == 14
+        assert [len(table) for table in lower + upper] == sizes
 
 
 class TestGrundyMemo:

@@ -360,6 +360,28 @@ class TestValueLevels:
         for G in isolate_free_graphs(7)[::40]:
             assert_levels_match_solver(relabeled(G, rng))
 
+    def test_neighbourhood_continuation_on_every_graph_up_to_7(self):
+        # The Indicated Total Continuation Principle in neighbourhood form:
+        # gti(G | B ∪ N(x)) <= gti(G | B) for every dominated mask B and
+        # vertex x, read off the level tables that the tests above tie to
+        # the solver.
+        pairs = 0
+        for _, G in exhaustive_corpus(7):
+            values = [0] * (G.full_mask + 1)
+            for level in verify._value_levels(G):
+                for mask in bits(level):
+                    values[mask] += 1
+            for x in range(G.n):
+                nx = G.nbr[x]
+                for B, value in enumerate(values):
+                    if values[B | nx] > value:
+                        pytest.fail(
+                            f"{serialize_graph6(G)}: B={list(bits(B))}, x={x}: "
+                            f"gti(G | B ∪ N(x)) = {values[B | nx]} > gti(G | B) = {value}"
+                        )
+            pairs += len(values) * G.n
+        assert pairs == 846_680
+
 
 class TestOrderTables:
     def test_columns_match_definition(self):
@@ -613,6 +635,63 @@ class TestTreeProbes:
     def test_range_guard(self):
         with pytest.raises(ValueError):
             explore_trees(13)
+
+
+def family_claims_to_the_cap():
+    """The paper's family claims (criteria 1-9) at every parameter that fits in 26 vertices.
+
+    ``verify paper`` checks them at small parameters only; these are the
+    larger ones, as (spec, {invariant: value}).
+    """
+    for n in range(16, 27):
+        yield f"path:{n}", dict(gti=2 * ((n + 1) // 3), ugt=2 * ((n + 1) // 3))
+    for k in range(5, 12):
+        yield f"cyclepower:{2 * k + 3},{k}", dict(ugt=2, gti=3)
+    yield "gk:3", dict(gti=9, ugt=6, ooir=6)
+    for k in range(9, 14):
+        yield f"fk:{k}", dict(gti=4, ooir=k - 1, gtg=3)
+    for k in range(6, 13):
+        yield f"bk:{k}", dict(gti=2, gt=2, ugt=2, gtg=2, nui=k)
+    for k in range(6, 9):
+        yield f"jk:{k}", dict(gti=k + 1, nui=k)
+    for k in range(7, 13):
+        yield f"substar:{k},1", dict(gti=2 * k, ugt=2 * k, gtg=k + 1)
+    for k in range(3, 7):
+        yield f"substar:{k},3", dict(ooir=2 * k + 2, nui=k + 1)
+    for k in range(6, 14):
+        yield f"corona:complete{k}", dict(gti=k, gt=k, ugt=k, gtg=k + 1, nui=1)
+
+
+FAMILY_CLAIMS_TO_THE_CAP = dict(family_claims_to_the_cap())
+
+# Lab results, not paper claims: on substar:k,3 the paper gives only the
+# bounds gti <= 2k + 2 and gtg >= 5k/2 (criterion 8), and these are the
+# computed values.
+SUBSTAR_3_LAB_VALUES = {
+    f"substar:{k},3": dict(gti=2 * k + 2, gtg=gtg) for k, gtg in zip(range(3, 7), (9, 11, 14, 16))
+}
+
+
+def computed(spec, keys):
+    G = family(parse_family_spec(spec))
+    return {key: int(INVARIANTS[key](G)) for key in keys}
+
+
+class TestFamilyClaimsToTheCap:
+    def test_instance_and_claim_counts(self):
+        assert len(FAMILY_CLAIMS_TO_THE_CAP) == 52
+        tables = [FAMILY_CLAIMS_TO_THE_CAP, SUBSTAR_3_LAB_VALUES]
+        assert sum(len(claims) for table in tables for claims in table.values()) == 169
+
+    @pytest.mark.parametrize("spec", FAMILY_CLAIMS_TO_THE_CAP)
+    def test_paper_claim(self, spec):
+        expected = FAMILY_CLAIMS_TO_THE_CAP[spec]
+        assert computed(spec, expected) == expected, spec
+
+    @pytest.mark.parametrize("spec", SUBSTAR_3_LAB_VALUES)
+    def test_lab_value(self, spec):
+        expected = SUBSTAR_3_LAB_VALUES[spec]
+        assert computed(spec, expected) == expected, spec
 
 
 @pytest.fixture(scope="module")
