@@ -255,7 +255,8 @@ def main(argv: list[str] | None = None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         code = args.handler(args)
-        sys.stdout.flush()  # a closed pipe fails here, not in the exit flush
+        if sys.stdout is not None:  # None when started with stdout closed
+            sys.stdout.flush()  # a closed pipe fails here, not in the exit flush
         return code
     except BrokenPipeError:
         # Point stdout at devnull so the interpreter's last flush stays quiet.

@@ -17,6 +17,10 @@ from tdgamelab.games import PolicyError
 from tdgamelab.invariants import WitnessError
 
 
+CLI = [sys.executable, "-m", "tdgamelab.cli"]
+CLI_ENV = {**os.environ, "PYTHONPATH": str(Path(tdgamelab.__file__).resolve().parents[1])}
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -49,6 +53,15 @@ class TestFamily:
         code, out, err = run(capsys, "family", spec)
         assert (code, out) == (3, "")
         assert "exceeds SOLVER_CAP" in err
+
+    def test_stdout_closed_at_start_exits_0(self):
+        # Python starts with sys.stdout = None when fd 1 is closed, and
+        # print() then writes nothing; the run still succeeds quietly.
+        result = subprocess.run(
+            CLI + ["family", "path:3"], env=CLI_ENV,
+            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, preexec_fn=lambda: os.close(1), timeout=60,
+        )
+        assert (result.returncode, result.stderr) == (0, b"")
 
 
 class TestInvariant:
@@ -240,12 +253,9 @@ class TestSurvey:
     def test_closed_stdout_exits_141_quietly(self):
         # The 4,000 rows after the header outgrow a pipe's 64 KiB buffer,
         # so a write fails once the reader has gone, whatever the timing.
-        src = str(Path(tdgamelab.__file__).resolve().parents[1])
         proc = subprocess.Popen(
-            [sys.executable, "-m", "tdgamelab.cli", "survey", "--random", "4,0.5,4000,0"],
-            env={**os.environ, "PYTHONPATH": src},
-            stdout=subprocess.PIPE,
-            stderr=subprocess.PIPE,
+            CLI + ["survey", "--random", "4,0.5,4000,0"], env=CLI_ENV,
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
         )
         assert proc.stdout.readline().startswith(b"graph,n,gt,")
         proc.stdout.close()
