@@ -248,6 +248,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    if sys.stdout is None:  # started with fd 1 closed: output goes nowhere
+        sys.stdout = open(os.devnull, "w")
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
@@ -255,8 +257,7 @@ def main(argv: list[str] | None = None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         code = args.handler(args)
-        if sys.stdout is not None:  # None when started with stdout closed
-            sys.stdout.flush()  # a closed pipe fails here, not in the exit flush
+        sys.stdout.flush()  # a closed pipe fails here, not in the exit flush
         return code
     except BrokenPipeError:
         # Point stdout at devnull so the interpreter's last flush stays quiet.

@@ -30,11 +30,12 @@ a position matters only through its residual, the set system
 components of ``_SplitMemo``, and a move changes only the component of
 the set it removes.  The class search therefore keeps a position as its
 turn and the sorted tuple of its components' classes.  A class is a
-component's distinct sets, relabeled breadth-first from each vertex of
-least signature, with the least sorted code kept, and interned to a small
-int per solve.  Equal codes are isomorphic set systems, so sharing a
-value between them is exact whatever the relabeling; a better code only
-shares more.  γtg has no sum rule (Dorbec, Košmrlj and Renault, Discrete
+component's distinct sets, relabeled breadth-first from its lowest vertex
+of least signature and sorted, and interned to a small int per solve.
+The code is a relabeling of the component, so equal codes are isomorphic
+set systems and sharing a value between them is exact whatever the
+start; a code that gave more isomorphic copies one code would only share
+more.  γtg has no sum rule (Dorbec, Košmrlj and Renault, Discrete
 Math. 2015), but its value is a function of the turn and the multiset of
 classes, which ``_alphabeta`` keys on.
 
@@ -180,7 +181,6 @@ class IndicatedGameSolver(_SplitMemo):
         self._delta = max_degree(G)
 
     def _scan(self, mask: int, undominated: int) -> int:
-        memo = self._memo
         nbr = self._nbr
         best = self._full.bit_count() + 1
         # Each selection dominates at most Delta new vertices.
@@ -197,10 +197,7 @@ class IndicatedGameSolver(_SplitMemo):
             while replies:
                 u = (replies & -replies).bit_length() - 1
                 replies &= replies - 1
-                after = mask | nbr[u]
-                sub = memo.get(after)
-                if sub is None:
-                    sub = self.value(after)
+                sub = self.value(mask | nbr[u])
                 if sub > worst:
                     worst = sub
                     if worst + 1 >= best:
@@ -384,33 +381,29 @@ class _LongestSequence(_SplitMemo):
         self._moves = _mask_moves(G)
 
     def _scan(self, mask: int, undominated: int) -> int:
-        memo = self._memo
         children = self._moves(mask)
         best = 0
         for child in sorted(children, key=children.__getitem__, reverse=True):
             if children[child] < best:
                 break
-            sub = memo.get(child)
-            if sub is None:
-                sub = self.value(child)
+            sub = self.value(child)
             if sub >= best:
                 best = sub + 1
         return best
 
 
 def _canonical_code(edges: tuple[int, ...]) -> tuple[int, ...]:
-    """A relabeling-invariant code of one connected residual.
+    """A relabeling of one connected residual, shared by many of its isomorphic copies.
 
-    ``edges`` are the distinct sets N(w) & K of a component K.  Every
+    ``edges`` are the distinct sets N(w) & K of a component K.  The lowest
     vertex of least signature (its number of edges, then their total size)
     starts a breadth-first relabeling to 0, 1, ..., in which each vertex
     labels its unlabeled edge-mates in order of signature; the code is the
-    least sorted tuple of relabeled edges.  Equal codes are the same set
-    system under a bijection, so sharing a value between them is exact.
-    Vertices are handled as their one-bit masks.
+    sorted tuple of relabeled edges.  The code is the set system itself
+    under a bijection, so equal codes are isomorphic and sharing a value
+    between them is exact; isomorphic residuals with different codes only
+    share less.  Vertices are handled as their one-bit masks.
     """
-    if len(edges) == 1:
-        return ((1 << edges[0].bit_count()) - 1,)
     members = []
     sig: dict[int, int] = {}
     reach: dict[int, int] = {}
@@ -426,37 +419,31 @@ def _canonical_code(edges: tuple[int, ...]) -> tuple[int, ...]:
             reach[v] = reach.get(v, 0) | e
         members.append(vs)
     least = min(sig.values())
-    best = None
-    for start in sorted(sig):
-        if sig[start] != least:
-            continue
-        label = {start: 1}
-        order = [start]
-        seen = start
-        for v in order:
-            m = reach[v] & ~seen
-            seen |= m
-            fresh = []
-            while m:
-                u = m & -m
-                m ^= u
-                fresh.append(u)
-            if len(fresh) > 1:
-                fresh.sort(key=sig.__getitem__)
-            for u in fresh:
-                label[u] = 1 << len(order)
-                order.append(u)
-        code = []
-        for vs in members:
-            e = 0
-            for v in vs:
-                e |= label[v]
-            code.append(e)
-        code.sort()
-        code = tuple(code)
-        if best is None or code < best:
-            best = code
-    return best
+    start = min(v for v, s in sig.items() if s == least)
+    label = {start: 1}
+    order = [start]
+    seen = start
+    for v in order:
+        m = reach[v] & ~seen
+        seen |= m
+        fresh = []
+        while m:
+            u = m & -m
+            m ^= u
+            fresh.append(u)
+        if len(fresh) > 1:
+            fresh.sort(key=sig.__getitem__)
+        for u in fresh:
+            label[u] = 1 << len(order)
+            order.append(u)
+    code = []
+    for vs in members:
+        e = 0
+        for v in vs:
+            e |= label[v]
+        code.append(e)
+    code.sort()
+    return tuple(code)
 
 
 class _ClassTable:
@@ -549,7 +536,7 @@ def best_response_length(G: Graph, declared: VertexSet | None, fixed: Policy) ->
     policy was built for another graph or returns an illegal move.  Every
     reachable mask consults the policy, so there are no cut-offs here.  A
     reply that the policy gives to several indications of one mask is
-    searched once.
+    searched at the first and read from the memo at the others.
     """
     require_isolate_free(G)
     if not isinstance(fixed.role, Role):
@@ -586,7 +573,6 @@ def best_response_length(G: Graph, declared: VertexSet | None, fixed: Policy) ->
 
     def staller(mask: int) -> int:
         best = n
-        searched = 0
         undominated = ~mask & full
         while undominated:
             low = undominated & -undominated
@@ -595,9 +581,6 @@ def best_response_length(G: Graph, declared: VertexSet | None, fixed: Policy) ->
             u = choose(mask, v)
             if type(u) is not int or not 0 <= u < n or not nbr[v] >> u & 1:
                 _check_selection(fixed, G, start, mask, v, u)
-            if searched >> u & 1:
-                continue
-            searched |= 1 << u
             child = mask | nbr[u]
             sub = memo.get(child)
             if sub is None:

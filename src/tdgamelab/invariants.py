@@ -119,6 +119,9 @@ def _first_smallest_td_set(G: Graph) -> list[int]:
             if und & ~reach[v]:
                 return False  # reach prune, for v and every later candidate
             rest = und & ~nbr[v]
+            # The degree prune also ends each branch at its k-th pick: with
+            # ``left`` at 0 the cap is 0, so a last pick that leaves a vertex
+            # undominated is skipped.  Without it P_3 gets a TD-set of 3.
             if rest.bit_count() > cap:
                 continue  # degree prune
             chosen.append(v)

@@ -54,11 +54,18 @@ class TestFamily:
         assert (code, out) == (3, "")
         assert "exceeds SOLVER_CAP" in err
 
-    def test_stdout_closed_at_start_exits_0(self):
-        # Python starts with sys.stdout = None when fd 1 is closed, and
-        # print() then writes nothing; the run still succeeds quietly.
+    @pytest.mark.parametrize(
+        "argv",
+        [["family", "path:3"], ["invariant", "--graph", "path:4"], ["survey", "--exhaustive", "4"],
+         ["verify", "paper", "--only", "5"], ["verify", "continuation", "--graph", "path:5"],
+         ["trees", "--max", "5"]],
+        ids=["family", "invariant", "survey", "verify paper", "verify continuation", "trees"],
+    )
+    def test_stdout_closed_at_start_exits_0(self, argv):
+        # Python starts with sys.stdout = None when fd 1 is closed; every
+        # command still succeeds quietly, whether it prints or writes rows.
         result = subprocess.run(
-            CLI + ["family", "path:3"], env=CLI_ENV,
+            CLI + argv, env=CLI_ENV,
             stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, preexec_fn=lambda: os.close(1), timeout=60,
         )
         assert (result.returncode, result.stderr) == (0, b"")
