@@ -14,7 +14,8 @@ given as ``--traced NAME:PAIRS`` gets PAIRS more pairs with ``--trace 1``,
 pair j (from 1) on seed ``seed_base + 100 * k + 50 + j`` with the same
 alternation; a bare ``--traced NAME`` means one pair.  The run length is
 ``run_seconds`` from the parent's ``BENCHMARK.json``, the same on both
-sides.
+sides.  Fewer than 2 pairs of a workload, or fewer than 1 traced pair, is
+a usage error (exit 2) raised before anything is cloned.
 
 The output keeps the last line of every run (``correct``, ``attempted``,
 ``failed``, ``metrics``) and, per workload and end-to-end metric, each
@@ -123,18 +124,23 @@ def main() -> int:
     parser.add_argument("--change", required=True, help="commit measured as the change")
     parser.add_argument("--name", required=True, help="writes BENCH_<name>.json at the repository root")
     parser.add_argument("--claim", required=True, help="the claim the runs test, stored in the output")
-    parser.add_argument("--workload", action="append", required=True, metavar="NAME:PAIRS")
-    parser.add_argument("--traced", action="append", default=[], metavar="NAME[:PAIRS]")
+    parser.add_argument("--workload", action="append", required=True, type=counted, metavar="NAME:PAIRS")
+    parser.add_argument("--traced", action="append", default=[], type=counted, metavar="NAME[:PAIRS]")
     parser.add_argument("--seed-base", type=int, required=True)
     parser.add_argument("--workdir", type=Path, required=True, help="empty directory for the two clones")
     args = parser.parse_args()
 
-    commits = {side: git("rev-parse", "--verify", getattr(args, side) + "^{commit}") for side in SIDES}
-    plan = [(k, *counted(item)) for k, item in enumerate(args.workload)]
-    traced_pairs = dict(counted(item) for item in args.traced)
+    plan = [(k, name, count) for k, (name, count) in enumerate(args.workload)]
+    traced_pairs = dict(args.traced)
+    # Quartiles need two runs per side; medians over traced runs need one.
+    too_few = [f"--workload {name}:{count}" for _, name, count in plan if count < 2]
+    too_few += [f"--traced {name}:{count}" for name, count in traced_pairs.items() if count < 1]
+    if too_few:
+        parser.error(f"too few pairs in {', '.join(too_few)}: a workload needs 2, a traced one 1")
     unknown = set(traced_pairs) - {name for _, name, _ in plan}
     if unknown:
         parser.error(f"--traced names workloads not given with --workload: {sorted(unknown)}")
+    commits = {side: git("rev-parse", "--verify", getattr(args, side) + "^{commit}") for side in SIDES}
     args.workdir.mkdir(parents=True, exist_ok=True)
     checkouts = {side: args.workdir / side for side in SIDES}
     for side in SIDES:

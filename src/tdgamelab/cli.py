@@ -123,7 +123,12 @@ def cmd_invariant(args: argparse.Namespace) -> int:
 def cmd_verify_paper(args: argparse.Namespace) -> int:
     criteria = None
     if args.only:
-        criteria = [int(tok) for tok in args.only.split(",")]
+        criteria = []
+        for tok in args.only.split(","):
+            try:
+                criteria.append(int(tok))
+            except ValueError:
+                raise ValueError(f"malformed --only criterion {tok!r} in {args.only!r}") from None
     report = run_paper_suite(criteria=criteria)
     print(report.render(color=_use_color()))
     if report.errors():

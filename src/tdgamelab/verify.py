@@ -55,6 +55,7 @@ from .strategies import dominator_path_policy, staller_partition_policy
 Edge = tuple[int, int]
 
 EXHAUSTIVE_ORDER_CAP = 7
+SAMPLED_LEVELS_ORDER_CAP = 17  # sampled checks read values off ``_value_levels`` up to this order
 TREE_ORDER_CAP = 12
 
 
@@ -201,7 +202,8 @@ def _smallest_mask_extensions(h: tuple[int, ...], isolate_free: bool) -> list[tu
 def _columns(m: int) -> tuple[int, ...]:
     """Column i is the bitmap over s in range(2**m) of the s with bit i set.
 
-    Every caller keeps m <= EXHAUSTIVE_ORDER_CAP, so few orders are cached.
+    Only orders m <= EXHAUSTIVE_ORDER_CAP are cached; ``_value_levels``
+    builds larger orders through ``_columns.__wrapped__`` for one graph.
     """
     columns = []
     for i in range(m):
@@ -484,10 +486,14 @@ def check_continuation(
     columns, the subset bitmaps Down(A) and the violations' vertex tuples
     are the per-order tables ``_columns(n)``, ``_downsets(n)`` and
     ``_members(n)``.
-    Sampled mode, at n up to 26, builds no such table: it draws
-    ``samples`` seeded random pairs, at least one, and reads their values
-    from an ``IndicatedGameSolver``.  Violations are reported with the
-    witnessing (A, B).
+    Sampled mode, at n up to 26, draws ``samples`` seeded random pairs,
+    at least one, and reports a pair when value(A) > value(B).  When
+    ``samples < 2**n`` and n <= SAMPLED_LEVELS_ORDER_CAP it reads every
+    value off the levels, which cost about 2**n work whatever the sample
+    count; otherwise an ``IndicatedGameSolver`` answers them, as its memo
+    is cheaper for few draws on large orders and fills up once the draws
+    cover every mask.  Only the exhaustive orders' tables are cached.
+    Violations are reported with the witnessing (A, B).
     """
     require_isolate_free(G)
     violations = []
@@ -509,8 +515,9 @@ def check_continuation(
                 up |= (up << (1 << i)) & column
             walk |= level & up
         pairs = 3**G.n
+        value = _level_values(levels, G.n)
         for a in bits(walk):
-            level = levels[sum(above >> a & 1 for above in levels) - 1]
+            level = levels[value(a) - 1]
             bad = down[a] & ~level
             while bad:
                 b = bad.bit_length() - 1
@@ -519,13 +526,16 @@ def check_continuation(
     elif mode == "sampled":
         if samples < 1:
             raise ValueError(f"sampled continuation checks need samples >= 1, not {samples}")
-        solver = IndicatedGameSolver(G)
+        if samples < 1 << G.n and G.n <= SAMPLED_LEVELS_ORDER_CAP:
+            value = _level_values(_value_levels(G), G.n)
+        else:
+            value = IndicatedGameSolver(G).value
         pairs = samples
         draws = _random_masks(seed, G.n)
         for _ in range(samples):
             a = next(draws)
             b = a & next(draws)
-            if solver.value(a) > solver.value(b):
+            if value(a) > value(b):
                 violations.append((tuple(bits(a)), tuple(bits(b))))
     else:
         raise ValueError(f"unknown continuation mode {mode!r}")
@@ -553,10 +563,11 @@ def _value_levels(G: Graph) -> list[int]:
     and every undominated v has a reply u in N(v) with M | N(u) in L_k.
     The masks M with M | N(u) in L_k come from L_k one vertex i of N(u)
     at a time: keep the masks holding i (column i of the per-order table
-    ``_columns(n)``), then add each of them with i cleared.
+    ``_columns(n)``, built uncached above EXHAUSTIVE_ORDER_CAP), then add
+    each of them with i cleared.
     """
     n, nbr = G.n, G.nbr
-    cols = _columns(n)
+    cols = _columns(n) if n <= EXHAUSTIVE_ORDER_CAP else _columns.__wrapped__(n)
     open_masks = (1 << G.full_mask) - 1  # every mask but V, the highest
     levels = []
     level = open_masks
@@ -582,6 +593,29 @@ def _value_levels(G: Graph) -> list[int]:
                 answered |= replies[low.bit_length() - 1]
             level &= answered
     return levels
+
+
+def _level_values(levels: list[int], n: int) -> Callable[[int], int]:
+    """The value of a mask M read off the nested levels of ``_value_levels``.
+
+    Each level becomes a little-endian ``bytes`` view once, and value(M),
+    the number of levels that hold M, is a binary search over the levels
+    that reads one byte per step, so no query shifts a 2**n-bit int.
+    """
+    tables = [level.to_bytes(((1 << n) + 7) >> 3, "little") for level in levels]
+
+    def value(mask: int) -> int:
+        byte, bit = mask >> 3, mask & 7
+        lo, hi = 0, len(tables)  # the first lo levels hold mask, level hi + 1 does not
+        while lo < hi:
+            mid = (lo + hi + 1) >> 1
+            if tables[mid - 1][byte] >> bit & 1:
+                lo = mid
+            else:
+                hi = mid - 1
+        return lo
+
+    return value
 
 
 # ---------------------------------------------------------------------------

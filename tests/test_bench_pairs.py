@@ -104,3 +104,26 @@ def test_failures_are_counted_per_side():
 
 def test_failures_of_no_pairs_are_zero():
     assert bench_pairs.failures([]) == {side: {"failed": 0, "attempted": 0} for side in bench_pairs.SIDES}
+
+
+@pytest.mark.parametrize(
+    "items, named",
+    [(["--workload", "positions:1"], "--workload positions:1"),
+     (["--workload", "positions"], "--workload positions:1"),
+     (["--workload", "positions:0"], "--workload positions:0"),
+     (["--workload", "positions:-3"], "--workload positions:-3"),
+     (["--workload", "positions:ten"], "'positions:ten'"),
+     (["--workload", "positions:3", "--traced", "positions:0"], "--traced positions:0"),
+     (["--workload", "positions:3", "--traced", "positions:-1"], "--traced positions:-1")],
+)
+def test_too_few_pairs_is_a_usage_error_before_any_clone(monkeypatch, tmp_path, capsys, items, named):
+    workdir = tmp_path / "clones"
+    argv = ["bench_pairs.py", "--parent", "HEAD", "--change", "HEAD", "--name", "unused", "--claim", "none",
+            "--seed-base", "1", "--workdir", str(workdir), *items]
+    monkeypatch.setattr("sys.argv", argv)
+    monkeypatch.setattr(bench_pairs, "git", lambda *args, **kw: pytest.fail(f"git {args} ran"))
+    with pytest.raises(SystemExit) as exc:
+        bench_pairs.main()
+    assert exc.value.code == 2
+    assert named in capsys.readouterr().err
+    assert not workdir.exists()

@@ -176,6 +176,12 @@ class TestVerify:
         assert out == ""
         assert "no claims for criterion 99" in err
 
+    @pytest.mark.parametrize("only, token", [(",1", "''"), ("x", "'x'"), ("5,,6", "''"), ("5,1.5", "'1.5'")])
+    def test_paper_malformed_only_exit_2(self, capsys, only, token):
+        code, out, err = run(capsys, "verify", "paper", "--only", only)
+        assert (code, out) == (2, "")
+        assert err == f"error: malformed --only criterion {token} in {only!r}\n"
+
     def test_paper_error_row_exit_4(self, capsys, monkeypatch):
         real_claims = verify.paper_claims
 

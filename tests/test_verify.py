@@ -341,11 +341,87 @@ class TestContinuationChecker:
         assert ((0, 3), (0,)) in report.violations
 
 
+def solver_sampled_report(G, samples, seed):
+    """The sampled report with every value read from an ``IndicatedGameSolver``."""
+    solver = IndicatedGameSolver(G)
+    draws = verify._random_masks(seed, G.n)
+    violations = []
+    for _ in range(samples):
+        a = next(draws)
+        b = a & next(draws)
+        if solver.value(a) > solver.value(b):
+            violations.append((tuple(bits(a)), tuple(bits(b))))
+    name = G.label or f"graph(n={G.n})"
+    return verify.ContinuationReport(name, G.n, "sampled", samples, tuple(violations))
+
+
+class TestSampledLevels:
+    """Sampled reports read off the level tables equal the solver's, pair for pair."""
+
+    @pytest.fixture
+    def level_builds(self, monkeypatch):
+        built = []
+        build = verify._value_levels
+
+        def counted(G):
+            built.append(G.n)
+            return build(G)
+
+        monkeypatch.setattr(verify, "_value_levels", counted)
+        return built
+
+    def assert_matches_solver(self, cases, level_builds):
+        """Each (G, samples, seed) gives the solver's report; the violations found."""
+        found = 0
+        for G, samples, seed in cases:
+            del level_builds[:]
+            report = check_continuation(G, mode="sampled", samples=samples, seed=seed)
+            assert report == solver_sampled_report(G, samples, seed), (G, samples, seed)
+            reads_levels = samples < 2**G.n and G.n <= 17
+            assert level_builds == ([G.n] if reads_levels else []), (G, samples)
+            found += len(report.violations)
+        return found
+
+    def test_every_graph_up_to_7(self, level_builds):
+        cases = [(G, 2**n - 1, seed) for n in range(2, 8) for seed, G in enumerate(isolate_free_graphs(n))]
+        assert self.assert_matches_solver(cases, level_builds) > 0
+
+    def test_relabeled_families_8_to_18(self, level_builds):
+        rng = random.Random(28)
+        # The solver is slow on squared cycles, so they get fewer draws.
+        specs = [(f"{kind}:{n}", 3000) for n in range(8, 19) for kind in ("path", "cycle")]
+        specs += [(f"corona:path{k}", 3000) for k in range(4, 10)]
+        specs += [(f"cyclepower:{n},2", 300) for n in range(8, 19)]
+        cases = [(relabeled(family(parse_family_spec(spec)), rng), samples, rng.randrange(2**30))
+                 for spec, samples in specs]
+        # Draws as many as the masks, or more, stay on the solver.
+        cases += [(relabeled(path_graph(8), rng), samples, 5) for samples in (255, 256)]
+        assert self.assert_matches_solver(cases, level_builds) > 0
+
+    def test_corona_path8_has_violations(self, level_builds):
+        G = family(parse_family_spec("corona:path8"))
+        assert self.assert_matches_solver([(G, 3000, 5)], level_builds) == 41
+
+    def test_seeded_random_graphs_8_to_17(self, level_builds):
+        rng = random.Random(2817)
+        cases = [(random_isolate_free_graph(n, p, rng), 500, rng.randrange(2**30))
+                 for n in range(8, 18) for p in (0.2, 0.4)]
+        self.assert_matches_solver(cases, level_builds)
+
+    def test_order_zero_graph(self, level_builds):
+        cases = [(build_graph(0, []), samples, 3) for samples in (1, 4)]
+        assert self.assert_matches_solver(cases, level_builds) == 0
+
+
 def assert_levels_match_solver(G):
     levels = verify._value_levels(G)
+    value = verify._level_values(levels, G.n)
     solver = IndicatedGameSolver(G)
     for mask in range(G.full_mask + 1):
         assert sum(level >> mask & 1 for level in levels) == solver.value(mask), (G, mask)
+        # Only V has value 0 and no sampled verdict turns on it, so the
+        # reader is tied to the solver here, on every mask.
+        assert value(mask) == solver.value(mask), (G, mask)
     assert all(level and not level >> G.full_mask & 1 for level in levels)
     assert all(upper & ~lower == 0 for lower, upper in zip(levels, levels[1:]))
 
@@ -358,6 +434,16 @@ class TestValueLevels:
     def test_relabeled_order_7(self):
         rng = random.Random(7)
         for G in isolate_free_graphs(7)[::40]:
+            assert_levels_match_solver(relabeled(G, rng))
+
+    def test_relabeled_orders_8_to_12(self):
+        # Sampled checks read the levels up to n = 17; here they meet the
+        # solver on every mask above the exhaustive cap, on bipartite
+        # graphs, on graphs with odd cycles and on a dense G(12, 0.7).
+        rng = random.Random(812)
+        graphs = [family(parse_family_spec(spec)) for spec in ("path:8", "cycle:9", "corona:path5", "cyclepower:11,2")]
+        graphs.append(random_isolate_free_graph(12, 0.7, rng))
+        for G in graphs:
             assert_levels_match_solver(relabeled(G, rng))
 
     def test_neighbourhood_continuation_on_every_graph_up_to_7(self):
@@ -405,8 +491,9 @@ class TestOrderTables:
             assert verify._members(n) == tuple(tuple(bits(m)) for m in range(1 << n))
 
     def test_caches_stay_bounded(self):
-        # Sampled checks run far above the cap and must build no 2**n table,
-        # so after them only the exhaustive orders are cached.
+        # Sampled checks run far above the cap, and up to n = 17 build the
+        # 2**n-bit levels of the one graph they check, but cache no table
+        # of those orders, so after them only the exhaustive orders are.
         tables = (verify._columns, verify._downsets, verify._members)
         for table in tables:
             table.cache_clear()
