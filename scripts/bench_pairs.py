@@ -14,8 +14,10 @@ given as ``--traced NAME:PAIRS`` gets PAIRS more pairs with ``--trace 1``,
 pair j (from 1) on seed ``seed_base + 100 * k + 50 + j`` with the same
 alternation; a bare ``--traced NAME`` means one pair.  The run length is
 ``run_seconds`` from the parent's ``BENCHMARK.json``, the same on both
-sides.  Fewer than 2 pairs of a workload, or fewer than 1 traced pair, is
-a usage error (exit 2) raised before anything is cloned.
+sides.  Fewer than 2 pairs of a workload, fewer than 1 traced pair, a name
+that this checkout's ``BENCHMARK.json`` does not list, or a workload given
+twice with the same flag is a usage error (exit 2) raised before anything
+is cloned.
 
 The output keeps the last line of every run (``correct``, ``attempted``,
 ``failed``, ``metrics``) and, per workload and end-to-end metric, each
@@ -137,6 +139,15 @@ def main() -> int:
     too_few += [f"--traced {name}:{count}" for name, count in traced_pairs.items() if count < 1]
     if too_few:
         parser.error(f"too few pairs in {', '.join(too_few)}: a workload needs 2, a traced one 1")
+    given = [("--workload", name) for name, _ in args.workload] + [("--traced", name) for name, _ in args.traced]
+    known = {workload["name"] for workload in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]}
+    unknown = [f"{flag} {name}" for flag, name in given if name not in known]
+    if unknown:
+        parser.error(f"no such workload in BENCHMARK.json: {', '.join(unknown)}")
+    # A repeat would overwrite the first entry's pairs.
+    repeated = [f"{flag} {name}" for i, (flag, name) in enumerate(given) if (flag, name) in given[:i]]
+    if repeated:
+        parser.error(f"workload given twice: {', '.join(repeated)}")
     unknown = set(traced_pairs) - {name for _, name, _ in plan}
     if unknown:
         parser.error(f"--traced names workloads not given with --workload: {sorted(unknown)}")

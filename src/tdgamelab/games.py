@@ -58,16 +58,21 @@ mask fixes the rest of the game, so each side has an optimal strategy that
 reads it alone (``best_indication`` and ``best_selection``), and a policy
 that read the history could certify no bound beyond a positional one's.
 ``best_response_length`` solves the other side exactly against a policy,
-and ``play_game`` plays two policies out.
+and ``play_game`` plays two policies out.  The best response consults the
+policy at every position it reaches, so its cost is the walk over each
+position's vertices: it reads them a byte of the mask at a time from a
+table of vertex tuples built once (``_byte_lanes``), not bit by bit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cache
 from typing import Callable, Sequence
 
 from .graph import (
+    SOLVER_CAP,
     Graph,
     VertexSet,
     bits,
@@ -528,6 +533,24 @@ def _class_search(G: Graph, parts: Sequence[int]) -> tuple[int, _Bounds, _Bounds
     return _alphabeta(root, G.n, moves, max_degree(G))
 
 
+@cache
+def _byte_lanes() -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """The vertices of each byte of a mask, one lane of 256 tuples per byte.
+
+    Entry b of lane k is the tuple of vertices 8k + i for the set bits i of
+    b, in increasing order, so the lanes' entries for the bytes of a mask
+    below ``2**SOLVER_CAP`` list its vertices in increasing order.  Built
+    on first use by doubling, about 70 KB, and kept for the process.
+    """
+    lanes = []
+    for base in range(0, SOLVER_CAP, 8):
+        lane: list[tuple[int, ...]] = [()]
+        for v in range(base, base + 8):
+            lane += [part + (v,) for part in lane]
+        lanes.append(tuple(lane))
+    return tuple(lanes)
+
+
 def best_response_length(G: Graph, declared: VertexSet | None, fixed: Policy) -> int:
     """Game length when ``fixed`` plays one side and the other side is optimal.
 
@@ -536,7 +559,11 @@ def best_response_length(G: Graph, declared: VertexSet | None, fixed: Policy) ->
     policy was built for another graph or returns an illegal move.  Every
     reachable mask consults the policy, so there are no cut-offs here.  A
     reply that the policy gives to several indications of one mask is
-    searched at the first and read from the memo at the others.
+    searched at the first and read from the memo at the others.  A
+    position's vertices (the undominated ones against a fixed Staller, the
+    indicated vertex's neighbours against a fixed Dominator) are walked in
+    increasing order, one byte of the mask at a time, through the tuples of
+    ``_byte_lanes``.
     """
     require_isolate_free(G)
     if not isinstance(fixed.role, Role):
@@ -547,10 +574,11 @@ def best_response_length(G: Graph, declared: VertexSet | None, fixed: Policy) ->
     full = G.full_mask
     n = G.n
     choose = fixed.chooser
+    lane0, lane1, lane2, lane3 = _byte_lanes()
     # The memo is seeded with the finished game, as in ``_SplitMemo``.  The
     # children are read from it before recursing, and the inline legality
     # tests hand anything they do not accept to the checks, which decide
-    # and raise.
+    # and raise.  A neighbour bit already implies u < n.
     memo: dict[int, int] = {full: 0}
 
     def dominator(mask: int) -> int:
@@ -559,34 +587,33 @@ def best_response_length(G: Graph, declared: VertexSet | None, fixed: Policy) ->
             _check_indication(fixed, G, start, mask, v)
         best = 0
         replies = nbr[v]
-        while replies:
-            low = replies & -replies
-            replies ^= low
-            child = mask | nbr[low.bit_length() - 1]
-            sub = memo.get(child)
-            if sub is None:
-                sub = dominator(child)
-            if sub > best:
-                best = sub
+        for part in (lane0[replies & 255], lane1[replies >> 8 & 255],
+                     lane2[replies >> 16 & 255], lane3[replies >> 24]):
+            for u in part:
+                child = mask | nbr[u]
+                sub = memo.get(child)
+                if sub is None:
+                    sub = dominator(child)
+                if sub > best:
+                    best = sub
         memo[mask] = best + 1
         return best + 1
 
     def staller(mask: int) -> int:
         best = n
         undominated = ~mask & full
-        while undominated:
-            low = undominated & -undominated
-            undominated ^= low
-            v = low.bit_length() - 1
-            u = choose(mask, v)
-            if type(u) is not int or not 0 <= u < n or not nbr[v] >> u & 1:
-                _check_selection(fixed, G, start, mask, v, u)
-            child = mask | nbr[u]
-            sub = memo.get(child)
-            if sub is None:
-                sub = staller(child)
-            if sub < best:
-                best = sub
+        for part in (lane0[undominated & 255], lane1[undominated >> 8 & 255],
+                     lane2[undominated >> 16 & 255], lane3[undominated >> 24]):
+            for v in part:
+                u = choose(mask, v)
+                if type(u) is not int or u < 0 or not nbr[v] >> u & 1:
+                    _check_selection(fixed, G, start, mask, v, u)
+                child = mask | nbr[u]
+                sub = memo.get(child)
+                if sub is None:
+                    sub = staller(child)
+                if sub < best:
+                    best = sub
         memo[mask] = best + 1
         return best + 1
 

@@ -106,6 +106,20 @@ def test_failures_of_no_pairs_are_zero():
     assert bench_pairs.failures([]) == {side: {"failed": 0, "attempted": 0} for side in bench_pairs.SIDES}
 
 
+def usage_error(monkeypatch, tmp_path, capsys, items):
+    """Run ``main`` on ``items``; it must exit 2 before any git call or clone.  Returns stderr."""
+    workdir = tmp_path / "clones"
+    argv = ["bench_pairs.py", "--parent", "HEAD", "--change", "HEAD", "--name", "unused", "--claim", "none",
+            "--seed-base", "1", "--workdir", str(workdir), *items]
+    monkeypatch.setattr("sys.argv", argv)
+    monkeypatch.setattr(bench_pairs, "git", lambda *args, **kw: pytest.fail(f"git {args} ran"))
+    with pytest.raises(SystemExit) as exc:
+        bench_pairs.main()
+    assert exc.value.code == 2
+    assert not workdir.exists()
+    return capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "items, named",
     [(["--workload", "positions:1"], "--workload positions:1"),
@@ -117,13 +131,20 @@ def test_failures_of_no_pairs_are_zero():
      (["--workload", "positions:3", "--traced", "positions:-1"], "--traced positions:-1")],
 )
 def test_too_few_pairs_is_a_usage_error_before_any_clone(monkeypatch, tmp_path, capsys, items, named):
-    workdir = tmp_path / "clones"
-    argv = ["bench_pairs.py", "--parent", "HEAD", "--change", "HEAD", "--name", "unused", "--claim", "none",
-            "--seed-base", "1", "--workdir", str(workdir), *items]
-    monkeypatch.setattr("sys.argv", argv)
-    monkeypatch.setattr(bench_pairs, "git", lambda *args, **kw: pytest.fail(f"git {args} ran"))
-    with pytest.raises(SystemExit) as exc:
-        bench_pairs.main()
-    assert exc.value.code == 2
-    assert named in capsys.readouterr().err
-    assert not workdir.exists()
+    assert named in usage_error(monkeypatch, tmp_path, capsys, items)
+
+
+@pytest.mark.parametrize(
+    "items, named",
+    [(["--workload", "position:3"], "no such workload in BENCHMARK.json: --workload position"),
+     (["--workload", "survey7:3", "--workload", "games_deep:3"], "BENCHMARK.json: --workload games_deep"),
+     (["--workload", "survey7:3", "--traced", "survey:2"], "BENCHMARK.json: --traced survey"),
+     (["--workload", "survey7:3", "--workload", "positions:2", "--workload", "survey7:4"],
+      "workload given twice: --workload survey7"),
+     (["--workload", "survey7:3", "--traced", "survey7:2", "--traced", "survey7"],
+      "workload given twice: --traced survey7")],
+)
+def test_unknown_or_repeated_workload_is_a_usage_error_before_any_clone(monkeypatch, tmp_path, capsys, items, named):
+    # Both used to surface late: a misspelt name after both clones and the
+    # earlier workloads' runs, a repeat by overwriting the first one's pairs.
+    assert named in usage_error(monkeypatch, tmp_path, capsys, items)

@@ -806,6 +806,22 @@ class TestBestResponse:
                     assert value == oracle_best_response(G, declared, logged(policy, expected)), (graph_id, policy.name)
                     assert seen == expected, (graph_id, policy.name)
 
+    @pytest.mark.parametrize("spec", ["path:26", "cycle:25", "corona:path12"])
+    def test_matches_plain_recursion_above_the_first_byte(self, spec):
+        # Declared vertices count as dominated, so declaring all but 8-10
+        # vertices in bits 8-25 (24 and 25 where the graph has them) leaves
+        # positions whose every byte is walked.
+        G = family(parse_family_spec(spec))
+        if spec != "path:26":
+            G = relabeled(G, random.Random(spec))
+        left = [v for v in (8, 10, 11, 13, 16, 19, 21, 23, 24, 25) if v < G.n]
+        declared = VertexSet.of(G.n, [v for v in range(G.n) if v not in left])
+        for policy in sample_policies(G):
+            seen, expected = [], []
+            value = best_response_length(G, declared, logged(policy, seen))
+            assert value == oracle_best_response(G, declared, logged(policy, expected)), policy.name
+            assert seen == expected, policy.name
+
     def test_consultations_on_path_20(self):
         G = path_graph(20)
         for policy, count in ((staller_partition_policy(G), 139_264), (dominator_path_policy(20), 115)):
@@ -862,6 +878,32 @@ class TestBestResponse:
             "policy 'silent-staller' selected illegal vertex None for indicated 0 at dominated=[], "
             "declared=[] on <Graph path:6: n=6, m=5>"
         )
+
+    @pytest.mark.parametrize(
+        "role, move, text",
+        [(Role.STALLER, -1, "selected illegal vertex -1 for indicated 0"),
+         (Role.STALLER, 6, "selected illegal vertex 6 for indicated 0"),
+         (Role.STALLER, 2**40, "selected illegal vertex 1099511627776 for indicated 0"),
+         (Role.STALLER, 2, "selected illegal vertex 2 for indicated 0"),
+         (Role.DOMINATOR, -1, "indicated illegal vertex -1"),
+         (Role.DOMINATOR, 6, "indicated illegal vertex 6")],
+    )
+    def test_illegal_integer_moves(self, role, move, text):
+        # Out of range, far out of range or not a neighbour: both drivers
+        # raise the checks' message, never a ValueError from a negative shift.
+        G = path_graph(6)
+        expected = f"policy 'stray' {text} at dominated=[], declared=[] on <Graph path:6: n=6, m=5>"
+        if role is Role.STALLER:
+            policy = Policy(role, "stray", G, lambda mask, v: move)
+            first = Policy(Role.DOMINATOR, "first-dominator", G, lambda mask: lowest(~mask & G.full_mask))
+            players = (first, policy)
+        else:
+            policy = Policy(role, "stray", G, lambda mask: move)
+            players = (policy, optimal_policy(G, Role.STALLER))
+        for run in (lambda: best_response_length(G, None, policy), lambda: play_game(G, *players)):
+            with pytest.raises(PolicyError) as raised:
+                run()
+            assert str(raised.value) == expected
 
     def test_illegal_indication_names_the_declared_set(self):
         # Declared vertices count as dominated, so indicating one is illegal;
