@@ -145,6 +145,6 @@ def test_too_few_pairs_is_a_usage_error_before_any_clone(monkeypatch, tmp_path, 
       "workload given twice: --traced survey7")],
 )
 def test_unknown_or_repeated_workload_is_a_usage_error_before_any_clone(monkeypatch, tmp_path, capsys, items, named):
-    # Both used to surface late: a misspelt name after both clones and the
-    # earlier workloads' runs, a repeat by overwriting the first one's pairs.
+    # Caught before cloning: a misspelt name would otherwise fail only after
+    # the earlier workloads' runs, and a repeat would overwrite the first one's pairs.
     assert named in usage_error(monkeypatch, tmp_path, capsys, items)
