@@ -39,18 +39,35 @@ more.  γtg has no sum rule (Dorbec, Košmrlj and Renault, Discrete
 Math. 2015), but its value is a function of the turn and the multiset of
 classes, which ``_alphabeta`` keys on.
 
+The class search also drops moves that cannot be best.  Henning,
+Klavžar and Rall (Graphs Combin. 2015) prove the Total Continuation
+Principle: γtg(G|A) <= γtg(G|B) whenever B ⊆ A, with either player to
+start.  For two sets e ⊊ f of one class, playing f leaves a dominated
+superset of what playing e leaves, at the same turn, so the position
+after f is worth at most the one after e.  Staller, the maximiser, thus
+needs only a class's inclusion-minimal sets and Dominator only its
+inclusion-maximal ones; sets of different classes touch disjoint
+vertices and are never compared.  Each dropped child is bounded by a
+kept one, so the value and every stored bound stay exact.  On
+``path:19`` the search reads 3,180 children instead of 4,894, and on
+``corona:path10`` 1,291 instead of 3,862.  The mask search keeps every
+move, as a filter per mask costs more there than it saves.
+
 The class search pays for canonical codes and tuple keys, which only
 sharing repays.  Unless V itself splits, the root is one class and most
-positions stay one large class: on G(22, 0.15) γtg took 1.6 s against
+positions stay one large class: on G(22, 0.15) γtg took 0.8 s against
 0.08 s.  V splits exactly when G is bipartite or disconnected.  On such
-graphs of order 10 (random trees, sparse and dense bipartite graphs, and
-unions of two dense parts) the class search took a median 1.5-2.5x as
-long as the mask search, but under 1 ms a graph, and trees break even
-near order 14.  On relabeled paths, cycles, subdivided stars and coronas
-of order 18 to 26 it ran 11-290x faster (``cycle:26``: 7.9 s to 28 ms).
-These timings are from a 2-core Xeon VM under Python 3.11.  Hence the
-gate: γtg takes the class search when n >= ``CLASS_SEARCH_MIN_ORDER`` and
-V splits, and every other graph keeps the mask search.
+graphs (20 relabeled ones per row, best of 3) the class search took a
+median of these multiples of the mask search's time: random trees 1.6x
+at order 10, 1.0-1.1x at 12 and 0.8x at 14; bipartite graphs with edge
+probability 0.25 and 0.6 across the sides 1.9-2.4x and 2.6-3.5x at 10
+and 12; unions of two G(k, 0.5) parts 1.7-2.1x at 10 to 14; all under
+7 ms a graph.  On relabeled paths, cycles, subdivided stars and coronas
+of order 18 to 26 it ran 4-670x faster (``path:18``: 49 to 11 ms,
+``cycle:26``: 5.1 s to 7.5 ms).  These timings are from a 2-core Xeon VM
+under Python 3.11.  Hence the gate: γtg takes the class search when
+n >= ``CLASS_SEARCH_MIN_ORDER`` and V splits, and every other graph
+keeps the mask search.
 
 A ``Policy`` plays one side of the indicated game.  It sees a position as
 its dominated mask, which is what the best-response memo keys on.  The
@@ -294,17 +311,21 @@ _Bounds = tuple[dict, dict]
 def _alphabeta(root, count: int, moves: Callable, delta: int) -> tuple[int, _Bounds, _Bounds]:
     """Exact γtg move count from ``root``, which has ``count`` undominated vertices, and the tables.
 
-    ``moves(pos)`` maps each distinct child of a position to its number of
-    undominated vertices.  The maximiser (turn 0) and the minimiser (turn
-    1) alternate, and the minimiser starts.  A position's score is its
-    value at turn 0 and minus its value at turn 1, so with ``sign`` +1 or
-    -1 for those turns it is the best of ``sign - score(child)``: one
-    negamax rule for both turns.  Every position starts inside an
-    admissible window: a move dominates at least one and at most ``delta``
-    new vertices, so ceil(count / delta) <= value <= count.  A search that
-    fails low or high stores only the score bound it proved, in per-turn
-    ``lower`` and ``upper`` tables, so later visits with other windows
-    reuse it.  The root is searched with a window wider than any score.
+    ``moves(pos, turn)`` maps children of a position to their numbers of
+    undominated vertices.  It may leave out a child at a turn only if a
+    child it keeps is worth at least as much to the player to move, so the
+    best kept child is a best child and every bound proved over the kept
+    children holds over all of them.  The maximiser (turn 0) and the
+    minimiser (turn 1) alternate, and the minimiser starts.  A position's
+    score is its value at turn 0 and minus its value at turn 1, so with
+    ``sign`` +1 or -1 for those turns it is the best of
+    ``sign - score(child)``: one negamax rule for both turns.  Every
+    position starts inside an admissible window: a move dominates at least
+    one and at most ``delta`` new vertices, so
+    ceil(count / delta) <= value <= count.  A search that fails low or high
+    stores only the score bound it proved, in per-turn ``lower`` and
+    ``upper`` tables, so later visits with other windows reuse it.  The
+    root is searched with a window wider than any score.
     """
     lower: _Bounds = ({}, {})
     upper: _Bounds = ({}, {})
@@ -327,7 +348,7 @@ def _alphabeta(root, count: int, moves: Callable, delta: int) -> tuple[int, _Bou
         # undominated vertices left at turn 1 and the most at turn 0.
         known = upper[after]
         order = sorted((known.get(child, count), -sign * left, child, left)
-                       for child, left in moves(pos).items())
+                       for child, left in moves(pos, turn).items())
         a = alpha
         g = lo - 1
         for _, _, child, left in order:
@@ -346,12 +367,13 @@ def _alphabeta(root, count: int, moves: Callable, delta: int) -> tuple[int, _Bou
     return -search(root, count, 1, -count - 1, 1), lower, upper
 
 
-def _mask_moves(G: Graph) -> Callable[[int], dict[int, int]]:
+def _mask_moves(G: Graph) -> Callable[..., dict[int, int]]:
     """Each distinct child of a dominated mask, mapped to its number of undominated vertices."""
     nbr = G.nbr
     full = G.full_mask
 
-    def moves(mask: int) -> dict[int, int]:
+    def moves(mask: int, turn: int = 0) -> dict[int, int]:
+        # Every move is kept at either turn.
         undominated = full ^ mask
         children = {}
         for m in nbr:
@@ -455,28 +477,35 @@ class _ClassTable:
     """The component classes met in one solve, interned to small ints.
 
     Class c is the set system ``codes[c]`` over the vertices 0..sizes[c]-1.
-    ``moves(c)`` lists, once per class, the sorted tuples of classes that
-    its distinct moves leave.
+    ``moves(c)`` gives, once per class, two tuples of the sorted tuples of
+    classes that its moves leave: at turn 0 the moves on its
+    inclusion-minimal sets, at turn 1 those on its inclusion-maximal ones.
+    Each residual met is coded once: ``_ids`` maps both the residuals and
+    their codes to classes.
     """
 
     def __init__(self):
         self._ids: dict[tuple[int, ...], int] = {}
         self.codes: list[tuple[int, ...]] = []
         self.sizes: list[int] = []
-        self._moves: list[tuple[tuple[int, ...], ...] | None] = []
+        self._moves: list[tuple[tuple[tuple[int, ...], ...], ...] | None] = []
 
     def intern(self, edges: tuple[int, ...]) -> int:
         """The class of a connected residual given by its distinct sorted edges."""
-        code = _canonical_code(edges)
-        c = self._ids.get(code)
+        ids = self._ids
+        c = ids.get(edges)
         if c is None:
-            c = self._ids[code] = len(self.codes)
-            span = 0
-            for e in code:
-                span |= e
-            self.codes.append(code)
-            self.sizes.append(span.bit_length())
-            self._moves.append(None)
+            code = _canonical_code(edges)
+            c = ids.get(code)
+            if c is None:
+                c = ids[code] = len(self.codes)
+                span = 0
+                for e in code:
+                    span |= e
+                self.codes.append(code)
+                self.sizes.append(span.bit_length())
+                self._moves.append(None)
+            ids[edges] = c
         return c
 
     def split(self, edges: Sequence[int], parts: Sequence[int]) -> tuple[int, ...]:
@@ -486,7 +515,8 @@ class _ClassTable:
             for part in parts
         ))
 
-    def moves(self, c: int) -> tuple[tuple[int, ...], ...]:
+    def moves(self, c: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
+        """Class c's children at turns 0 and 1, found on first use (see the class docstring)."""
         found = self._moves[c]
         if found is None:
             code, size = self.codes[c], self.sizes[c]
@@ -495,9 +525,15 @@ class _ClassTable:
                 for v in bits(e):
                     near[v] |= e
             full = (1 << size) - 1
-            found = self._moves[c] = tuple(dict.fromkeys(
-                self.split(code, components(near, full & ~e)) for e in code
-            ))
+            # Staller keeps the sets with no other set inside, Dominator
+            # those inside no other set (the module docstring's prune).  The
+            # code is sorted, so a proper subset comes before its superset.
+            minimal = [e for i, e in enumerate(code) if not any(f & e == f for f in code[:i])]
+            maximal = [e for i, e in enumerate(code) if not any(f & e == e for f in code[i + 1:])]
+            left = {e: self.split(code, components(near, full & ~e))
+                    for e in dict.fromkeys(minimal + maximal)}
+            found = self._moves[c] = (tuple(dict.fromkeys(left[e] for e in minimal)),
+                                      tuple(dict.fromkeys(left[e] for e in maximal)))
         return found
 
 
@@ -512,7 +548,7 @@ def _class_search(G: Graph, parts: Sequence[int]) -> tuple[int, _Bounds, _Bounds
     sizes = table.sizes
     root = table.split(G.nbr, parts)
 
-    def moves(key: tuple[int, ...]) -> dict[tuple[int, ...], int]:
+    def moves(key: tuple[int, ...], turn: int) -> dict[tuple[int, ...], int]:
         count = 0
         for c in key:
             count += sizes[c]
@@ -523,7 +559,7 @@ def _class_search(G: Graph, parts: Sequence[int]) -> tuple[int, _Bounds, _Bounds
                 continue
             previous = c
             rest = key[:i] + key[i + 1:]
-            for left in table.moves(c):
+            for left in table.moves(c)[turn]:
                 remaining = count - sizes[c]
                 for x in left:
                     remaining += sizes[x]

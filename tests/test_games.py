@@ -157,6 +157,20 @@ def oracle_gtg(G):
     return value(0, True)
 
 
+def gtg_tables(G):
+    """γtg from every dominated mask, Staller (turn 0) and Dominator (turn 1) to move: two lists by mask.
+
+    Filled from the full mask down, as every move only adds to the mask.
+    """
+    nbr, full = G.nbr, G.full_mask
+    tables = ([0] * (full + 1), [0] * (full + 1))
+    for mask in range(full - 1, -1, -1):
+        subs = [mask | m for m in nbr if m & ~mask]
+        tables[0][mask] = 1 + max(tables[1][child] for child in subs)
+        tables[1][mask] = 1 + min(tables[0][child] for child in subs)
+    return tables
+
+
 def oracle_grundy(G, start=0):
     """Plain memo recursion for the longest total dominating sequence from the dominated mask ``start``."""
     nbr, full, memo = G.nbr, G.full_mask, {}
@@ -380,9 +394,65 @@ class TestClassSearch:
             return H
 
         same_side = nx.algorithms.isomorphism.categorical_node_match("side", None)
-        assert len(coded) > 300  # 377 edge systems
+        assert len(coded) > 300  # 324 edge systems
         for edges, code in coded.items():
             assert nx.is_isomorphic(incidence(edges), incidence(code), node_match=same_side), (edges, code)
+
+    def test_total_continuation_principle_on_every_graph_up_to_6(self):
+        # Henning, Klavžar and Rall (Graphs Combin. 2015): a larger
+        # dominated set is never worth more, with either player to move.
+        # The class search's prune trusts it, so it is checked here on
+        # tables from a plain recursion that shares no code with the
+        # searches: gtg_tables(G)[turn][A] for every A, turn 1 Dominator's.
+        pairs = 0
+        for graph_id, G in exhaustive_corpus(6):
+            tables = gtg_tables(G)
+            assert tables[1][0] == oracle_gtg(G), graph_id
+            for table in tables:
+                for a, value in enumerate(table):
+                    b = a
+                    while b:
+                        b = (b - 1) & a
+                        assert value <= table[b], (graph_id, a, b)
+                        pairs += 1
+        assert pairs == 172_962
+
+    @pytest.mark.parametrize("spec", ["corona:path6", "corona:path7", "corona:path8", "substar:3,3", "substar:4,3"])
+    def test_matches_oracle_where_the_prune_cuts_most(self, spec):
+        # Coronas and subdivided stars have nested neighbourhoods (a leaf's
+        # lies inside its neighbour's), so the prune drops most there.
+        G = relabeled(family(parse_family_spec(spec)), random.Random(spec))
+        assert class_search(G)[0] == oracle_gtg(G)
+
+    def test_prune_keeps_minimal_sets_for_staller_and_maximal_for_dominator(self, monkeypatch):
+        tables = []
+
+        class Recorded(games._ClassTable):
+            def __init__(self):
+                super().__init__()
+                tables.append(self)
+
+        monkeypatch.setattr(games, "_ClassTable", Recorded)
+        assert gtg(family(parse_family_spec("path:19"))) == 13
+        [table] = tables
+        dropped = 0
+        c = 0
+        while c < len(table.codes):  # moves(c) may intern new classes
+            code = table.codes[c]
+            size = table.sizes[c]
+            near = [0] * size
+            for e in code:
+                for v in bits(e):
+                    near[v] |= e
+            left = {e: table.split(code, components(near, ((1 << size) - 1) & ~e)) for e in code}
+            inside = {e: [f for f in code if f != e and f | e == e] for e in code}
+            outside = {e: [f for f in code if f != e and f | e == f] for e in code}
+            staller, dominator = table.moves(c)
+            assert set(staller) == {left[e] for e in code if not inside[e]}, code
+            assert set(dominator) == {left[e] for e in code if not outside[e]}, code
+            dropped += 2 * len(set(left.values())) - len(staller) - len(dominator)
+            c += 1
+        assert dropped > 0
 
     @pytest.mark.parametrize("spec, value", [("cycle:18", 12), ("path:19", 13)])
     def test_classes_bound_the_work(self, spec, value):
@@ -462,13 +532,13 @@ class TestSearchTables:
 
     @pytest.mark.parametrize(
         "spec, search, sizes",
-        [("path:20", class_search, [595, 243, 71, 187]),
+        [("path:20", class_search, [470, 222, 74, 187]),
          ("cycle:21", _mask_search, [29_197, 2_657, 791, 7_555])],
         ids=["path:20", "cycle:21"],
     )
     def test_table_sizes(self, spec, search, sizes):
         # Lower bounds at turns 0 and 1, then upper bounds at turns 0 and
-        # 1: 1,096 and 40,200 entries in all.
+        # 1: 953 and 40,200 entries in all.
         value, lower, upper = search(family(parse_family_spec(spec)))
         assert value == 14
         assert [len(table) for table in lower + upper] == sizes
