@@ -15,9 +15,9 @@ pair j (from 1) on seed ``seed_base + 100 * k + 50 + j`` with the same
 alternation; a bare ``--traced NAME`` means one pair.  The run length is
 ``run_seconds`` from the parent's ``BENCHMARK.json``, the same on both
 sides.  Fewer than 2 pairs of a workload, fewer than 1 traced pair, a name
-that this checkout's ``BENCHMARK.json`` does not list, or a workload given
-twice with the same flag is a usage error (exit 2) raised before anything
-is cloned.
+that this checkout's ``BENCHMARK.json`` does not list, a workload given
+twice with the same flag, or a ``BENCH_<name>.json`` that already exists
+is a usage error (exit 2) raised before anything is cloned.
 
 The output keeps the last line of every run (``correct``, ``attempted``,
 ``failed``, ``metrics``) and, per workload and end-to-end metric, each
@@ -151,6 +151,9 @@ def main() -> int:
     unknown = set(traced_pairs) - {name for _, name, _ in plan}
     if unknown:
         parser.error(f"--traced names workloads not given with --workload: {sorted(unknown)}")
+    out_path = ROOT / f"BENCH_{args.name}.json"
+    if out_path.exists():
+        parser.error(f"{out_path.name} already exists; give a new --name")
     commits = {side: git("rev-parse", "--verify", getattr(args, side) + "^{commit}") for side in SIDES}
     args.workdir.mkdir(parents=True, exist_ok=True)
     checkouts = {side: args.workdir / side for side in SIDES}
@@ -187,7 +190,6 @@ def main() -> int:
         "workloads": workloads,
         "traced": traced,
     }
-    out_path = ROOT / f"BENCH_{args.name}.json"
     out_path.write_text(json.dumps(result, indent=1) + "\n")
     print(f"wrote {out_path}", file=sys.stderr)
     return 0

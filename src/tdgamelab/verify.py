@@ -222,7 +222,7 @@ def _downsets(n: int) -> tuple[int, ...]:
 
     Built by doubling: the subsets of a | 2**t, for a < 2**t, are those of a
     and those of a with bit t set, that is the bitmap shifted by 2**t.
-    Only exhaustive checks build it.
+    Only exhaustive orders build it.
     """
     down = [1]
     for t in range(n):
@@ -231,8 +231,22 @@ def _downsets(n: int) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
+def _upsets(n: int) -> tuple[int, ...]:
+    """Entry a is the 2**n-bit bitmap of the supersets of a, for a in range(2**n).
+
+    Built by doubling like ``_downsets``: for a < 2**t, the supersets of a
+    among t + 1 bits are those of a and those with bit t set, and the
+    supersets of a | 2**t are only the latter.  Only exhaustive orders build it.
+    """
+    up = [1]
+    for t in range(n):
+        up = [u | u << (1 << t) for u in up] + [u << (1 << t) for u in up]
+    return tuple(up)
+
+
+@lru_cache(maxsize=None)
 def _members(n: int) -> tuple[tuple[int, ...], ...]:
-    """Entry m is ``tuple(bits(m))`` for m in range(2**n); only exhaustive checks build it."""
+    """Entry m is ``tuple(bits(m))`` for m in range(2**n); only exhaustive orders build it."""
     return tuple(tuple(bits(m)) for m in range(1 << n))
 
 
@@ -485,7 +499,8 @@ def check_continuation(
     Down(A) AND NOT L_value(A) from the highest down.  The closure's bit
     columns, the subset bitmaps Down(A) and the violations' vertex tuples
     are the per-order tables ``_columns(n)``, ``_downsets(n)`` and
-    ``_members(n)``.
+    ``_members(n)``; ``_value_levels`` builds the levels on the same
+    tables and the superset bitmaps of ``_upsets(n)``.
     Sampled mode, at n up to 26, draws ``samples`` seeded random pairs,
     at least one, and reports a pair when value(A) > value(B).  When
     ``samples < 2**n`` and n <= SAMPLED_LEVELS_ORDER_CAP it reads every
@@ -561,38 +576,60 @@ def _value_levels(G: Graph) -> list[int]:
     empty one ends the list, and the value of M is the number of levels
     that hold it.  L_1 is every mask but V.  M is in L_{k+1} when M != V
     and every undominated v has a reply u in N(v) with M | N(u) in L_k.
-    The masks M with M | N(u) in L_k come from L_k one vertex i of N(u)
-    at a time: keep the masks holding i (column i of the per-order table
-    ``_columns(n)``, built uncached above EXHAUSTIVE_ORDER_CAP), then add
-    each of them with i cleared.
+    The masks M with M | N(u) in L_k are ``_preimages``' entry u; the
+    undominated v are read off column v of ``_columns(n)``, and the
+    replies u in N(v) off ``_members(n)``.  These per-order tables, with
+    ``_upsets(n)`` and ``_downsets(n)``, are cached up to
+    EXHAUSTIVE_ORDER_CAP; above it the columns are built uncached for the
+    one graph, and the replies are its neighbourhoods' vertex tuples.
     """
     n, nbr = G.n, G.nbr
-    cols = _columns(n) if n <= EXHAUSTIVE_ORDER_CAP else _columns.__wrapped__(n)
+    if n <= EXHAUSTIVE_ORDER_CAP:
+        cols, members = _columns(n), _members(n)
+    else:
+        cols, members = _columns.__wrapped__(n), {s: tuple(bits(s)) for s in nbr}
     open_masks = (1 << G.full_mask) - 1  # every mask but V, the highest
     levels = []
     level = open_masks
     while level:
         levels.append(level)
-        replies = []
-        for u in range(n):
-            reply = level
-            rest = nbr[u]
-            while rest:
-                low = rest & -rest
-                rest ^= low
-                reply &= cols[low.bit_length() - 1]
-                reply |= reply >> low
-            replies.append(reply)
+        replies = _preimages(level, nbr, cols)
         level = open_masks
         for v in range(n):
             answered = cols[v]
-            rest = nbr[v]
-            while rest:
-                low = rest & -rest
-                rest ^= low
-                answered |= replies[low.bit_length() - 1]
+            for u in members[nbr[v]]:
+                answered |= replies[u]
             level &= answered
     return levels
+
+
+def _preimages(level: int, nbr: tuple[int, ...], cols: tuple[int, ...]) -> list[int]:
+    """Entry u is the bitmap of the masks M with M | nbr[u] in ``level``.
+
+    ``level`` is a 2**n-bit bitmap over masks, n = len(nbr), and ``cols``
+    is ``_columns(n)``.  Up to EXHAUSTIVE_ORDER_CAP each entry is one
+    product: with S = nbr[u], the masks p of ``level`` that contain S
+    (``_upsets(n)[S]``) times the subsets T of S (``_downsets(n)[S]``)
+    put a bit at p + T, and shifting right by S moves it to p - (S - T),
+    that is p with the vertices of S outside T cleared.  Distinct (p, T)
+    land on distinct bits, so nothing carries.  Above the cap the product
+    of two 2**n-bit ints costs far more than walking S: there each vertex
+    i of S keeps the masks holding i (column i) and adds each with i cleared.
+    """
+    n = len(nbr)
+    if n <= EXHAUSTIVE_ORDER_CAP:
+        up, down = _upsets(n), _downsets(n)
+        return [((level & up[s]) * down[s]) >> s for s in nbr]
+    replies = []
+    for rest in nbr:
+        reply = level
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            reply &= cols[low.bit_length() - 1]
+            reply |= reply >> low
+        replies.append(reply)
+    return replies
 
 
 def _level_values(levels: list[int], n: int) -> Callable[[int], int]:

@@ -148,3 +148,13 @@ def test_unknown_or_repeated_workload_is_a_usage_error_before_any_clone(monkeypa
     # Caught before cloning: a misspelt name would otherwise fail only after
     # the earlier workloads' runs, and a repeat would overwrite the first one's pairs.
     assert named in usage_error(monkeypatch, tmp_path, capsys, items)
+
+
+def test_an_existing_output_is_a_usage_error_before_any_clone(monkeypatch, tmp_path, capsys):
+    # Reusing a name would overwrite committed evidence; the later --name wins.
+    existing = min(bench_pairs.ROOT.glob("BENCH_*.json"))
+    name = existing.stem.removeprefix("BENCH_")
+    before = existing.read_bytes()
+    err = usage_error(monkeypatch, tmp_path, capsys, ["--workload", "positions:3", "--name", name])
+    assert f"{existing.name} already exists" in err
+    assert existing.read_bytes() == before

@@ -486,6 +486,14 @@ class TestOrderTables:
                 assert subsets >> (1 << n) == 0
                 assert all(subsets >> b & 1 == (b & ~a == 0) for b in range(1 << n)), (n, a)
 
+    def test_upsets_match_definition(self):
+        for n in range(verify.EXHAUSTIVE_ORDER_CAP + 1):
+            up = verify._upsets(n)
+            assert len(up) == 1 << n
+            for s, supersets in enumerate(up):
+                assert supersets >> (1 << n) == 0
+                assert all(supersets >> a & 1 == (s & ~a == 0) for a in range(1 << n)), (n, s)
+
     def test_members_match_bits(self):
         for n in range(verify.EXHAUSTIVE_ORDER_CAP + 1):
             assert verify._members(n) == tuple(tuple(bits(m)) for m in range(1 << n))
@@ -494,7 +502,7 @@ class TestOrderTables:
         # Sampled checks run far above the cap, and up to n = 17 build the
         # 2**n-bit levels of the one graph they check, but cache no table
         # of those orders, so after them only the exhaustive orders are.
-        tables = (verify._columns, verify._downsets, verify._members)
+        tables = (verify._columns, verify._downsets, verify._upsets, verify._members)
         for table in tables:
             table.cache_clear()
         orders = range(2, verify.EXHAUSTIVE_ORDER_CAP + 1)
