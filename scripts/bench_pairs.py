@@ -62,7 +62,10 @@ def bench(checkout: Path, workload: str, seed: int, seconds: float, trace: int) 
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
         raise SystemExit(f"{' '.join(cmd)} in {checkout} exited with {proc.returncode}:\n{proc.stderr}")
-    return json.loads(lines[0]), json.loads(lines[-1])
+    try:
+        return json.loads(lines[0]), json.loads(lines[-1])
+    except json.JSONDecodeError as exc:
+        raise SystemExit(f"{' '.join(cmd)} in {checkout} printed a line that is not JSON:\n{exc.doc}") from None
 
 
 def quartiles(values: list[float]) -> dict:

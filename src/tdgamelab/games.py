@@ -56,10 +56,15 @@ move, as a filter per mask costs more there than it saves.
 The class search pays for canonical codes and tuple keys, which only
 sharing repays.  Unless V itself splits, the root is one class and most
 positions stay one large class: on G(22, 0.15) γtg took 0.8 s against
-0.08 s.  V splits exactly when G is bipartite or disconnected.  On such
-graphs (20 relabeled ones per row, best of 3) the class search took a
-median of these multiples of the mask search's time: random trees 1.6x
-at order 10, 1.0-1.1x at 12 and 0.8x at 14; bipartite graphs with edge
+0.08 s.  Residuals that repeat can still repay it there: forced onto
+odd cycles and coronas of odd cycles, which do not split, it ran
+10-670x faster (``cycle:21``: 0.38 s to 0.009 s), while random G(n, p)
+with n = 10-16 ran 2.6-21x slower, and no static test found so far
+tells the two kinds apart.  V splits exactly when G is bipartite or
+disconnected.  On such graphs (20 relabeled ones per row, best of 3)
+the class search took a median of these multiples of the mask search's
+time: random trees 1.6x at order 10, 1.0-1.1x at 12 and 0.8x at 14;
+bipartite graphs with edge
 probability 0.25 and 0.6 across the sides 1.9-2.4x and 2.6-3.5x at 10
 and 12; unions of two G(k, 0.5) parts 1.7-2.1x at 10 to 14; all under
 7 ms a graph.  On relabeled paths, cycles, subdivided stars and coronas

@@ -31,7 +31,7 @@ from .families import (
     path_graph,
     subdivided_star,
 )
-from .games import IndicatedGameSolver, best_response_length, grundy_t, gtg, gti
+from .games import IndicatedGameSolver, _byte_lanes, best_response_length, grundy_t, gtg, gti
 from .graph import (
     SOLVER_CAP,
     CapacityError,
@@ -242,12 +242,6 @@ def _upsets(n: int) -> tuple[int, ...]:
     for t in range(n):
         up = [u | u << (1 << t) for u in up] + [u << (1 << t) for u in up]
     return tuple(up)
-
-
-@lru_cache(maxsize=None)
-def _members(n: int) -> tuple[tuple[int, ...], ...]:
-    """Entry m is ``tuple(bits(m))`` for m in range(2**n); only exhaustive orders build it."""
-    return tuple(tuple(bits(m)) for m in range(1 << n))
 
 
 def _smaller_below(adj: tuple[int, ...], cols: list[int], k: int, unplaced: int) -> bool:
@@ -497,17 +491,17 @@ def check_continuation(
     closure.  For each A in W, in increasing order, the violations are the
     subsets B of A that are not in L_value(A), read as the bits of
     Down(A) AND NOT L_value(A) from the highest down.  The closure's bit
-    columns, the subset bitmaps Down(A) and the violations' vertex tuples
-    are the per-order tables ``_columns(n)``, ``_downsets(n)`` and
-    ``_members(n)``; ``_value_levels`` builds the levels on the same
-    tables and the superset bitmaps of ``_upsets(n)``.
+    columns and the subset bitmaps Down(A) are the per-order tables
+    ``_columns(n)`` and ``_downsets(n)``, and the violations' vertex
+    tuples are lane 0 of ``games._byte_lanes()``, as every mask fits in
+    one byte; ``_value_levels`` builds the levels on the same tables and
+    the superset bitmaps of ``_upsets(n)``.
     Sampled mode, at n up to 26, draws ``samples`` seeded random pairs,
-    at least one, and reports a pair when value(A) > value(B).  When
-    ``samples < 2**n`` and n <= SAMPLED_LEVELS_ORDER_CAP it reads every
-    value off the levels, which cost about 2**n work whatever the sample
-    count; otherwise an ``IndicatedGameSolver`` answers them, as its memo
-    is cheaper for few draws on large orders and fills up once the draws
-    cover every mask.  Only the exhaustive orders' tables are cached.
+    at least one, and reports a pair when value(A) > value(B).  Up to
+    n = SAMPLED_LEVELS_ORDER_CAP it reads every value off the levels,
+    whatever the sample count; above it an ``IndicatedGameSolver``
+    answers them, whose memo pays per draw instead of per mask.  Only the
+    exhaustive orders' tables are cached.
     Violations are reported with the witnessing (A, B).
     """
     require_isolate_free(G)
@@ -519,7 +513,7 @@ def check_continuation(
             )
         levels = _value_levels(G)
         columns = _columns(G.n)
-        members = _members(G.n)
+        members = _byte_lanes()[0]
         down = _downsets(G.n)
         walk = 0
         for level in levels:
@@ -541,7 +535,7 @@ def check_continuation(
     elif mode == "sampled":
         if samples < 1:
             raise ValueError(f"sampled continuation checks need samples >= 1, not {samples}")
-        if samples < 1 << G.n and G.n <= SAMPLED_LEVELS_ORDER_CAP:
+        if G.n <= SAMPLED_LEVELS_ORDER_CAP:
             value = _level_values(_value_levels(G), G.n)
         else:
             value = IndicatedGameSolver(G).value
@@ -578,20 +572,28 @@ def _value_levels(G: Graph) -> list[int]:
     and every undominated v has a reply u in N(v) with M | N(u) in L_k.
     The masks M with M | N(u) in L_k are ``_preimages``' entry u; the
     undominated v are read off column v of ``_columns(n)``, and the
-    replies u in N(v) off ``_members(n)``.  These per-order tables, with
-    ``_upsets(n)`` and ``_downsets(n)``, are cached up to
-    EXHAUSTIVE_ORDER_CAP; above it the columns are built uncached for the
-    one graph, and the replies are its neighbourhoods' vertex tuples.
+    replies u in N(v) off lane 0 of ``games._byte_lanes()``, as every
+    neighbourhood fits in one byte.  These tables, with ``_upsets(n)``
+    and ``_downsets(n)``, are cached up to EXHAUSTIVE_ORDER_CAP; above it
+    the columns are built uncached for the one graph, and the replies are
+    its neighbourhoods' vertex tuples.  Every round plays a new vertex,
+    so at most n levels are non-empty: a level not inside the one before
+    it, or an (n + 1)-th, raises ``AssertionError``, so that a wrong reply
+    step fails at once instead of growing the list without end.
     """
     n, nbr = G.n, G.nbr
     if n <= EXHAUSTIVE_ORDER_CAP:
-        cols, members = _columns(n), _members(n)
+        cols, members = _columns(n), _byte_lanes()[0]
     else:
         cols, members = _columns.__wrapped__(n), {s: tuple(bits(s)) for s in nbr}
     open_masks = (1 << G.full_mask) - 1  # every mask but V, the highest
     levels = []
     level = open_masks
     while level:
+        k = len(levels) + 1  # level is L_k
+        if k > n or k > 1 and level & ~levels[-1]:
+            broken = f"non-empty, but n = {n}" if k > n else f"not inside L_{k - 1}"
+            raise AssertionError(f"{G.label or f'graph(n={n})'}: gti level L_{k} is {broken}")
         levels.append(level)
         replies = _preimages(level, nbr, cols)
         level = open_masks

@@ -1,6 +1,7 @@
 """The rules of ``scripts/bench_pairs.py`` that judge a claimed gain, on hand-made entries."""
 
 import importlib.util
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -104,6 +105,41 @@ def test_failures_are_counted_per_side():
 
 def test_failures_of_no_pairs_are_zero():
     assert bench_pairs.failures([]) == {side: {"failed": 0, "attempted": 0} for side in bench_pairs.SIDES}
+
+
+def fake_run(monkeypatch, returncode, stdout):
+    """Make every ``subprocess.run`` in the script return ``stdout`` and ``returncode``."""
+    done = subprocess.CompletedProcess([], returncode, stdout=stdout, stderr="boom\n")
+    monkeypatch.setattr(bench_pairs.subprocess, "run", lambda *args, **kw: done)
+
+
+def bench_exit(tmp_path) -> str:
+    with pytest.raises(SystemExit) as exc:
+        bench_pairs.bench(tmp_path, "positions", 7, 25, 0)
+    message = str(exc.value.code)
+    assert f"tdbench/run.py --workload positions --seed 7 --seconds 25 --trace 0 in {tmp_path} " in message
+    return message
+
+
+def test_bench_reads_the_info_and_result_lines(monkeypatch, tmp_path):
+    fake_run(monkeypatch, 0, '{"python": "3.11"}\nprogress\n{"failed": 0}\n')
+    assert bench_pairs.bench(tmp_path, "positions", 7, 25, 0) == ({"python": "3.11"}, {"failed": 0})
+
+
+def test_a_failed_run_exits_with_its_stderr(monkeypatch, tmp_path):
+    fake_run(monkeypatch, 3, '{"python": "3.11"}\n')
+    assert bench_exit(tmp_path).endswith("exited with 3:\nboom\n")
+
+
+@pytest.mark.parametrize(
+    "stdout, bad",
+    [('Traceback (most recent call last):\n{"failed": 0}\n', "Traceback (most recent call last):"),
+     ('{"python": "3.11"}\n{"failed": 0, "metrics": \n', '{"failed": 0, "metrics":')],
+)
+def test_a_line_that_is_not_json_exits_naming_it(monkeypatch, tmp_path, stdout, bad):
+    # A raw JSONDecodeError traceback would name neither the run nor the line.
+    fake_run(monkeypatch, 0, stdout)
+    assert bench_exit(tmp_path).endswith(f"printed a line that is not JSON:\n{bad}")
 
 
 def usage_error(monkeypatch, tmp_path, capsys, items):

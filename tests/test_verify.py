@@ -15,8 +15,9 @@ import pytest
 
 import tdgamelab
 from tdgamelab import build_graph, check_continuation, verify
+from tdgamelab.cli import main
 from tdgamelab.families import cycle_graph, family, parse_family_spec, path_graph
-from tdgamelab.games import IndicatedGameSolver
+from tdgamelab.games import IndicatedGameSolver, _byte_lanes
 from tdgamelab.graph import CapacityError, Graph, bits
 from tdgamelab.graphio import serialize_graph6
 from tdgamelab.invariants import WitnessError
@@ -377,13 +378,14 @@ class TestSampledLevels:
             del level_builds[:]
             report = check_continuation(G, mode="sampled", samples=samples, seed=seed)
             assert report == solver_sampled_report(G, samples, seed), (G, samples, seed)
-            reads_levels = samples < 2**G.n and G.n <= 17
+            reads_levels = G.n <= 17
             assert level_builds == ([G.n] if reads_levels else []), (G, samples)
             found += len(report.violations)
         return found
 
     def test_every_graph_up_to_7(self, level_builds):
-        cases = [(G, 2**n - 1, seed) for n in range(2, 8) for seed, G in enumerate(isolate_free_graphs(n))]
+        cases = [(G, samples, seed) for n in range(2, 8) for seed, G in enumerate(isolate_free_graphs(n))
+                 for samples in (2**n - 1, 500)]
         assert self.assert_matches_solver(cases, level_builds) > 0
 
     def test_relabeled_families_8_to_18(self, level_builds):
@@ -394,8 +396,11 @@ class TestSampledLevels:
         specs += [(f"cyclepower:{n},2", 300) for n in range(8, 19)]
         cases = [(relabeled(family(parse_family_spec(spec)), rng), samples, rng.randrange(2**30))
                  for spec, samples in specs]
-        # Draws as many as the masks, or more, stay on the solver.
+        # Just below and at as many draws as masks: both read the levels,
+        # as do more draws than masks on dense graphs.
         cases += [(relabeled(path_graph(8), rng), samples, 5) for samples in (255, 256)]
+        cases += [(relabeled(family(parse_family_spec(f"cyclepower:{n},2")), rng), samples, rng.randrange(2**30))
+                  for n in range(8, 13) for samples in (2**n, 2**n + 1000)]
         assert self.assert_matches_solver(cases, level_builds) > 0
 
     def test_corona_path8_has_violations(self, level_builds):
@@ -406,6 +411,7 @@ class TestSampledLevels:
         rng = random.Random(2817)
         cases = [(random_isolate_free_graph(n, p, rng), 500, rng.randrange(2**30))
                  for n in range(8, 18) for p in (0.2, 0.4)]
+        cases += [(random_isolate_free_graph(n, 0.6, rng), 2**n, rng.randrange(2**30)) for n in range(8, 13)]
         self.assert_matches_solver(cases, level_builds)
 
     def test_order_zero_graph(self, level_builds):
@@ -426,7 +432,31 @@ def assert_levels_match_solver(G):
     assert all(upper & ~lower == 0 for lower, upper in zip(levels, levels[1:]))
 
 
+def _preimages_without_upsets(level, nbr, cols):
+    """``verify._preimages`` with ``& up[S]`` dropped: masks lacking S are shifted in too."""
+    down = verify._downsets(len(nbr))
+    return [(level * down[s]) >> s for s in nbr]
+
+
 class TestValueLevels:
+    @pytest.mark.parametrize(
+        "preimages, broken",
+        [(_preimages_without_upsets, "gti level L_4 is not inside L_3"),
+         # Every reply answers the whole level, so no level ever shrinks.
+         (lambda level, nbr, cols: [level] * len(nbr), "gti level L_5 is non-empty, but n = 4")],
+    )
+    def test_wrong_reply_step_fails_at_once(self, monkeypatch, preimages, broken):
+        # Without the checks these loop on, growing the level list.
+        monkeypatch.setattr(verify, "_preimages", preimages)
+        with pytest.raises(AssertionError, match=f"^path:4: {broken}$"):
+            verify._value_levels(path_graph(4))
+
+    def test_wrong_reply_step_is_an_internal_error(self, monkeypatch, capsys):
+        monkeypatch.setattr(verify, "_preimages", _preimages_without_upsets)
+        assert main(["verify", "continuation", "--graph", "path:4"]) == 4
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", "internal error: path:4: gti level L_4 is not inside L_3\n")
+
     def test_every_mask_up_to_7(self):
         for _, G in exhaustive_corpus(7):
             assert_levels_match_solver(G)
@@ -494,15 +524,15 @@ class TestOrderTables:
                 assert supersets >> (1 << n) == 0
                 assert all(supersets >> a & 1 == (s & ~a == 0) for a in range(1 << n)), (n, s)
 
-    def test_members_match_bits(self):
-        for n in range(verify.EXHAUSTIVE_ORDER_CAP + 1):
-            assert verify._members(n) == tuple(tuple(bits(m)) for m in range(1 << n))
+    def test_first_byte_lane_matches_bits(self):
+        # The exhaustive orders read the vertex tuple of a mask below 2**7 here.
+        assert _byte_lanes()[0] == tuple(tuple(bits(m)) for m in range(256))
 
     def test_caches_stay_bounded(self):
         # Sampled checks run far above the cap, and up to n = 17 build the
         # 2**n-bit levels of the one graph they check, but cache no table
         # of those orders, so after them only the exhaustive orders are.
-        tables = (verify._columns, verify._downsets, verify._upsets, verify._members)
+        tables = (verify._columns, verify._downsets, verify._upsets)
         for table in tables:
             table.cache_clear()
         orders = range(2, verify.EXHAUSTIVE_ORDER_CAP + 1)
