@@ -64,15 +64,14 @@ tells the two kinds apart.  V splits exactly when G is bipartite or
 disconnected.  On such graphs (20 relabeled ones per row, best of 3)
 the class search took a median of these multiples of the mask search's
 time: random trees 1.6x at order 10, 1.0-1.1x at 12 and 0.8x at 14;
-bipartite graphs with edge
-probability 0.25 and 0.6 across the sides 1.9-2.4x and 2.6-3.5x at 10
-and 12; unions of two G(k, 0.5) parts 1.7-2.1x at 10 to 14; all under
-7 ms a graph.  On relabeled paths, cycles, subdivided stars and coronas
-of order 18 to 26 it ran 4-670x faster (``path:18``: 49 to 11 ms,
-``cycle:26``: 5.1 s to 7.5 ms).  These timings are from a 2-core Xeon VM
-under Python 3.11.  Hence the gate: γtg takes the class search when
-n >= ``CLASS_SEARCH_MIN_ORDER`` and V splits, and every other graph
-keeps the mask search.
+bipartite graphs with edge probability 0.25 and 0.6 across the sides
+1.9-2.4x and 2.6-3.5x at 10 and 12; unions of two G(k, 0.5) parts
+1.7-2.1x at 10 to 14; all under 7 ms a graph.  On relabeled paths,
+cycles, subdivided stars and coronas of order 18 to 26 it ran 4-670x
+faster (``path:18``: 49 to 11 ms, ``cycle:26``: 5.1 s to 7.5 ms).
+These timings are from a 2-core Xeon VM under Python 3.11.  Hence the
+gate: γtg takes the class search when n >= ``CLASS_SEARCH_MIN_ORDER``
+and V splits, and every other graph keeps the mask search.
 
 A ``Policy`` plays one side of the indicated game.  It sees a position as
 its dominated mask, which is what the best-response memo keys on.  The

@@ -588,15 +588,15 @@ def _value_levels(G: Graph) -> list[int]:
         cols, members = _columns.__wrapped__(n), {s: tuple(bits(s)) for s in nbr}
     open_masks = (1 << G.full_mask) - 1  # every mask but V, the highest
     levels = []
-    level = open_masks
+    level = last = open_masks
     while level:
-        k = len(levels) + 1  # level is L_k
-        if k > n or k > 1 and level & ~levels[-1]:
+        if len(levels) == n or level & ~last:
+            k = len(levels) + 1  # level is L_k
             broken = f"non-empty, but n = {n}" if k > n else f"not inside L_{k - 1}"
             raise AssertionError(f"{G.label or f'graph(n={n})'}: gti level L_{k} is {broken}")
         levels.append(level)
         replies = _preimages(level, nbr, cols)
-        level = open_masks
+        last, level = level, open_masks
         for v in range(n):
             answered = cols[v]
             for u in members[nbr[v]]:
