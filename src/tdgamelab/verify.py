@@ -590,7 +590,7 @@ def _value_levels(G: Graph) -> list[int]:
     levels = []
     level = last = open_masks
     while level:
-        if len(levels) == n or level & ~last:
+        if len(levels) == n or level & last != level:
             k = len(levels) + 1  # level is L_k
             broken = f"non-empty, but n = {n}" if k > n else f"not inside L_{k - 1}"
             raise AssertionError(f"{G.label or f'graph(n={n})'}: gti level L_{k} is {broken}")
