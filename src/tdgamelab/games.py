@@ -9,6 +9,25 @@ Tables therefore key on the dominated mask (plus the player to move for
 the alternating game), are private to one solve, and are discarded
 afterward.
 
+Up to ``TABLE_ORDER_CAP`` (7) no engine runs: ``gti``, ``gtg`` and
+``grundy_t`` read their values off whole tables over all 2**n dominated
+masks, one 2**n-bit int per table and round (``_value_levels``,
+``_gtg_rounds``, ``_grundy_rounds``).  A round costs one or two
+big-integer products per neighbourhood (see ``_preimages``), where the
+engines pay memo reads, splits and move sorting per position.  Over a
+relabeled copy of the 1,043 graphs with n <= 7 (in-process, best of 9),
+γti took 12.6 ms against 24 ms through the engine, γtg 9.0 against 28-29
+ms and γgrt 9.3 against 15 ms.  The cap is the last order whose
+per-order tables (``_columns``, ``_downsets``, ``_upsets``: 2**n bitmaps
+of 2**n bits) are cached, and ``_value_levels`` reads vertex tuples off
+one byte lane, which holds only n <= 8.  Above it the gain shrinks, and
+γgrt's is gone by n = 10: on 40 random G(n, p) per order with the cap
+raised, γgrt's rounds took 43 µs a graph against the engine's 43-46 µs
+at n = 10 and 123-129 against 53-59 µs at n = 11, while γti's (40-42
+against 103-106 µs) and γtg's (48-51 against 136-153 µs) still won at
+n = 10.  These timings are from a 2-core Xeon VM under Python 3.11,
+2026-10-20, against the engines of commit 9e51b4a.
+
 The indicated game (γti) and the Grundy sequence (γgrt) run on one
 engine, ``_SplitMemo``: an exact value per mask, where a position whose
 undominated vertices fall into components is the sum of its components'
@@ -274,14 +293,21 @@ def gti(G: Graph, declared: VertexSet | None = None) -> int:
 
     Dominator indicates undominated vertices to minimise, Staller selects
     replies from their neighborhoods to maximise, and the value counts the
-    selections made when both play optimally.
+    selections made when both play optimally.  Up to ``TABLE_ORDER_CAP``
+    the value is the number of levels of ``_value_levels(G)`` that hold the
+    declared mask; above it an ``IndicatedGameSolver`` answers.
     """
-    solver = IndicatedGameSolver(G)
-    mask = 0 if declared is None else _declared_mask(G, declared)
-    return solver.value(mask)
+    if G.n > TABLE_ORDER_CAP:
+        solver = IndicatedGameSolver(G)  # rejects isolated vertices
+        return solver.value(_declared_mask(G, declared))
+    require_isolate_free(G)
+    mask = _declared_mask(G, declared)
+    return sum(level >> mask & 1 for level in _value_levels(G))
 
 
-def _declared_mask(G: Graph, declared: VertexSet) -> int:
+def _declared_mask(G: Graph, declared: VertexSet | None) -> int:
+    if declared is None:
+        return 0
     if declared.n != G.n:
         raise ValueError("declared set capacity does not match the graph")
     return declared.mask
@@ -292,11 +318,14 @@ def gtg(G: Graph) -> int:
 
     Players alternate, every move must totally dominate a new vertex,
     Dominator minimises and Staller maximises the total number of moves.
+    Up to ``TABLE_ORDER_CAP`` the value is read off ``_gtg_rounds``.
     Graphs of order at least ``CLASS_SEARCH_MIN_ORDER`` whose vertex set
     splits under "shares a neighbour" (the bipartite and the disconnected
     ones) take the class search; every other graph takes the mask search.
     """
     require_isolate_free(G)
+    if G.n <= TABLE_ORDER_CAP:
+        return _gtg_rounds(G)
     if G.n >= CLASS_SEARCH_MIN_ORDER:
         parts = components(G.near, G.full_mask)
         if len(parts) > 1:
@@ -394,8 +423,14 @@ def _mask_search(G: Graph) -> tuple[int, _Bounds, _Bounds]:
 
 
 def grundy_t(G: Graph) -> int:
-    """Grundy total domination number: longest total dominating sequence."""
-    return _LongestSequence(G).value(0)
+    """Grundy total domination number: longest total dominating sequence.
+
+    Up to ``TABLE_ORDER_CAP`` the value is read off ``_grundy_rounds``.
+    """
+    if G.n > TABLE_ORDER_CAP:
+        return _LongestSequence(G).value(0)  # rejects isolated vertices
+    require_isolate_free(G)
+    return _grundy_rounds(G)
 
 
 class _LongestSequence(_SplitMemo):
@@ -591,6 +626,214 @@ def _byte_lanes() -> tuple[tuple[tuple[int, ...], ...], ...]:
     return tuple(lanes)
 
 
+# ---------------------------------------------------------------------------
+# Whole tables over every dominated mask, up to TABLE_ORDER_CAP
+
+# The last order whose per-order tables are cached, and up to which gti,
+# gtg and grundy_t read their values off whole tables (see the module
+# docstring).  At most 8, as ``_value_levels`` reads one byte lane there.
+TABLE_ORDER_CAP = 7
+
+
+@cache
+def _columns(m: int) -> tuple[int, ...]:
+    """Column i is the bitmap over s in range(2**m) of the s with bit i set.
+
+    Only orders m <= TABLE_ORDER_CAP are cached; ``_value_levels``
+    builds larger orders through ``_columns.__wrapped__`` for one graph.
+    """
+    columns = []
+    for i in range(m):
+        column = ((1 << (1 << i)) - 1) << (1 << i)  # 2**i values without bit i, then 2**i with it
+        width = 2 << i
+        while width < 1 << m:
+            column |= column << width
+            width <<= 1
+        columns.append(column)
+    return tuple(columns)
+
+
+@cache
+def _downsets(n: int) -> tuple[int, ...]:
+    """Entry a is the 2**n-bit bitmap of the subsets of a, for a in range(2**n).
+
+    Built by doubling: the subsets of a | 2**t, for a < 2**t, are those of a
+    and those of a with bit t set, that is the bitmap shifted by 2**t.
+    Only orders up to TABLE_ORDER_CAP build it.
+    """
+    down = [1]
+    for t in range(n):
+        down += [d | d << (1 << t) for d in down]
+    return tuple(down)
+
+
+@cache
+def _upsets(n: int) -> tuple[int, ...]:
+    """Entry a is the 2**n-bit bitmap of the supersets of a, for a in range(2**n).
+
+    Built by doubling like ``_downsets``: for a < 2**t, the supersets of a
+    among t + 1 bits are those of a and those with bit t set, and the
+    supersets of a | 2**t are only the latter.  Only orders up to
+    TABLE_ORDER_CAP build it.
+    """
+    up = [1]
+    for t in range(n):
+        up = [u | u << (1 << t) for u in up] + [u << (1 << t) for u in up]
+    return tuple(up)
+
+
+def _value_levels(G: Graph) -> list[int]:
+    """The indicated game's value table over every mask, as threshold bitmaps.
+
+    Entry k - 1 is L_k, a 2**n-bit int whose bit M is set when the value
+    from dominated mask M is at least k; the levels are nested, the first
+    empty one ends the list, and the value of M is the number of levels
+    that hold it.  L_1 is every mask but V.  M is in L_{k+1} when M != V
+    and every undominated v has a reply u in N(v) with M | N(u) in L_k.
+    The masks M with M | N(u) in L_k are ``_preimages``' entry u; the
+    undominated v are read off column v of ``_columns(n)``, and the
+    replies u in N(v) off lane 0 of ``_byte_lanes()``, as every
+    neighbourhood fits in one byte.  These tables, with ``_upsets(n)``
+    and ``_downsets(n)``, are cached up to TABLE_ORDER_CAP; above it
+    the columns are built uncached for the one graph, and the replies are
+    its neighbourhoods' vertex tuples.  Every round plays a new vertex,
+    so at most n levels are non-empty: a level not inside the one before
+    it, or an (n + 1)-th, raises ``AssertionError``, so that a wrong reply
+    step fails at once instead of growing the list without end.
+    """
+    n, nbr = G.n, G.nbr
+    if n <= TABLE_ORDER_CAP:
+        cols, members = _columns(n), _byte_lanes()[0]
+    else:
+        cols, members = _columns.__wrapped__(n), {s: tuple(bits(s)) for s in nbr}
+    open_masks = (1 << G.full_mask) - 1  # every mask but V, the highest
+    levels = []
+    level = last = open_masks
+    while level:
+        if len(levels) == n or level & last != level:
+            k = len(levels) + 1  # level is L_k
+            broken = f"non-empty, but n = {n}" if k > n else f"not inside L_{k - 1}"
+            raise AssertionError(f"{_name(G)}: gti level L_{k} is {broken}")
+        levels.append(level)
+        replies = _preimages(level, nbr, cols)
+        last, level = level, open_masks
+        for v in range(n):
+            answered = cols[v]
+            for u in members[nbr[v]]:
+                answered |= replies[u]
+            level &= answered
+    return levels
+
+
+def _preimages(level: int, nbr: tuple[int, ...], cols: tuple[int, ...]) -> list[int]:
+    """Entry u is the bitmap of the masks M with M | nbr[u] in ``level``.
+
+    ``level`` is a 2**n-bit bitmap over masks, n = len(nbr), and ``cols``
+    is ``_columns(n)``.  Up to TABLE_ORDER_CAP each entry is one
+    product: with S = nbr[u], the masks p of ``level`` that contain S
+    (``_upsets(n)[S]``) times the subsets T of S (``_downsets(n)[S]``)
+    put a bit at p + T, and shifting right by S moves it to p - (S - T),
+    that is p with the vertices of S outside T cleared.  Distinct (p, T)
+    land on distinct bits, so nothing carries.  Above the cap the product
+    of two 2**n-bit ints costs far more than walking S: there each vertex
+    i of S keeps the masks holding i (column i) and adds each with i cleared.
+    """
+    n = len(nbr)
+    if n <= TABLE_ORDER_CAP:
+        up, down = _upsets(n), _downsets(n)
+        return [((level & up[s]) * down[s]) >> s for s in nbr]
+    replies = []
+    for rest in nbr:
+        reply = level
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            reply &= cols[low.bit_length() - 1]
+            reply |= reply >> low
+        replies.append(reply)
+    return replies
+
+
+def _name(G: Graph) -> str:
+    return G.label or f"graph(n={G.n})"
+
+
+def _move_products(nbr: tuple[int, ...]) -> list[tuple[int, int, int]]:
+    """(Up(S), the proper subsets of S, S) for each distinct S = N(w), read once per solve.
+
+    For a 2**n-bit bitmap L over masks, ``((L & up) * below) >> S`` is
+    pre_w(L) minus Up(S): the masks M that do not contain S and have
+    M | S in L.  It is ``_preimages``' product with T ranging over the
+    proper subsets of S only, so the no-carry argument in its docstring
+    holds as it stands.  Up(S) is also the set of masks where playing w
+    dominates nothing new.
+    """
+    n = len(nbr)
+    up, down = _upsets(n), _downsets(n)
+    return [(up[s], down[s] ^ 1 << s, s) for s in dict.fromkeys(nbr)]
+
+
+def _gtg_rounds(G: Graph) -> int:
+    """γtg (Dominator starts) off whole-table rounds, for n <= TABLE_ORDER_CAP.
+
+    D_k and S_k are the 2**n-bit bitmaps of the masks from which the game
+    ends within k more moves, with Dominator or Staller to move.  With
+    pre_w(L) the masks M with M | N(w) in L and Up(S) the supersets of S,
+    D_0 = S_0 = {V},
+    D_k = {V} ∪ ⋃_w (pre_w(S_{k-1}) minus Up(N(w))) and
+    S_k = ⋂_w (pre_w(D_{k-1}) ∪ Up(N(w))), which holds V without a
+    union, as every Up(N(w)) does.  The value is the least k whose D_k
+    holds the root, mask 0.  It is at most n, so a D_n without the root,
+    or a D_k that does not contain D_{k-1}, raises ``AssertionError``.
+    """
+    n = G.n
+    moves = _move_products(G.nbr)
+    done = 1 << G.full_mask
+    every = (done << 1) - 1
+    dominator = staller = done
+    k = 0
+    while not dominator & 1:
+        if k == n:
+            raise AssertionError(f"{_name(G)}: gtg level D_{n} misses the root, but n = {n}")
+        k += 1
+        new_d, new_s = done, every
+        for up, below, shift in moves:
+            new_d |= ((staller & up) * below) >> shift
+            new_s &= (((dominator & up) * below) >> shift) | up
+        if new_d & dominator != dominator:
+            raise AssertionError(f"{_name(G)}: gtg level D_{k} does not contain D_{k - 1}")
+        dominator, staller = new_d, new_s
+    return k
+
+
+def _grundy_rounds(G: Graph) -> int:
+    """γgrt off whole-table rounds, for n <= TABLE_ORDER_CAP.
+
+    G_k is the 2**n-bit bitmap of the masks from which k more moves, each
+    dominating a new vertex, can be played: G_0 is every mask, and
+    G_k = ⋃_w (pre_w(G_{k-1}) minus Up(N(w))) in ``_gtg_rounds``' terms.
+    The value is the last k whose G_k holds the root.  Every move
+    dominates a new vertex, so the levels are nested and G_{n+1} is
+    empty; a G_k not inside G_{k-1}, or a G_{n+1} that holds the root,
+    raises ``AssertionError``.
+    """
+    n = G.n
+    moves = _move_products(G.nbr)
+    level = (2 << G.full_mask) - 1
+    k = 0
+    while level & 1:
+        if k > n:
+            raise AssertionError(f"{_name(G)}: grt level G_{k} holds the root, but n = {n}")
+        deeper = 0
+        for up, below, shift in moves:
+            deeper |= ((level & up) * below) >> shift
+        k += 1
+        if deeper & ~level:
+            raise AssertionError(f"{_name(G)}: grt level G_{k} is not inside G_{k - 1}")
+        level = deeper
+    return k - 1
+
+
 def best_response_length(G: Graph, declared: VertexSet | None, fixed: Policy) -> int:
     """Game length when ``fixed`` plays one side and the other side is optimal.
 
@@ -609,7 +852,7 @@ def best_response_length(G: Graph, declared: VertexSet | None, fixed: Policy) ->
     if not isinstance(fixed.role, Role):
         raise ValueError(f"policy {fixed.name!r} has role {fixed.role!r}, not a Role")
     _check_graph(G, fixed)
-    start = 0 if declared is None else _declared_mask(G, declared)
+    start = _declared_mask(G, declared)
     nbr = G.nbr
     full = G.full_mask
     n = G.n
@@ -714,7 +957,7 @@ def play_game(
         raise ValueError("policies passed for the wrong roles")
     _check_graph(G, dominator)
     _check_graph(G, staller)
-    start = mask = 0 if declared is None else _declared_mask(G, declared)
+    start = mask = _declared_mask(G, declared)
     played = 0
     rounds: list[tuple[int, int]] = []
     while mask != G.full_mask:

@@ -31,7 +31,17 @@ from .families import (
     path_graph,
     subdivided_star,
 )
-from .games import IndicatedGameSolver, _byte_lanes, best_response_length, grundy_t, gtg, gti
+from .games import (
+    IndicatedGameSolver,
+    _byte_lanes,
+    _columns,
+    _downsets,
+    _value_levels,
+    best_response_length,
+    grundy_t,
+    gtg,
+    gti,
+)
 from .graph import (
     SOLVER_CAP,
     CapacityError,
@@ -82,7 +92,7 @@ def isolate_free_graphs(n: int) -> tuple[Graph, ...]:
     some set, kept when no relabeling gives a smaller mask (see
     ``_smallest_mask_extensions``).  Only the last level drops graphs with
     an isolated vertex.  Only the constant per-order bit columns of
-    ``_columns`` outlive a call, so after ``cache_clear()`` the next call
+    ``games._columns`` outlive a call, so after ``cache_clear()`` the next call
     still generates every graph.
     """
     _check_exhaustive_order(n)
@@ -196,52 +206,6 @@ def _smallest_mask_extensions(h: tuple[int, ...], isolate_free: bool) -> list[tu
             if _smaller_below(adj, cols, k - 1, unplaced):
                 alive ^= low
     return [adj for s, adj in joined.items() if alive >> s & 1]
-
-
-@lru_cache(maxsize=None)
-def _columns(m: int) -> tuple[int, ...]:
-    """Column i is the bitmap over s in range(2**m) of the s with bit i set.
-
-    Only orders m <= EXHAUSTIVE_ORDER_CAP are cached; ``_value_levels``
-    builds larger orders through ``_columns.__wrapped__`` for one graph.
-    """
-    columns = []
-    for i in range(m):
-        column = ((1 << (1 << i)) - 1) << (1 << i)  # 2**i values without bit i, then 2**i with it
-        width = 2 << i
-        while width < 1 << m:
-            column |= column << width
-            width <<= 1
-        columns.append(column)
-    return tuple(columns)
-
-
-@lru_cache(maxsize=None)
-def _downsets(n: int) -> tuple[int, ...]:
-    """Entry a is the 2**n-bit bitmap of the subsets of a, for a in range(2**n).
-
-    Built by doubling: the subsets of a | 2**t, for a < 2**t, are those of a
-    and those of a with bit t set, that is the bitmap shifted by 2**t.
-    Only exhaustive orders build it.
-    """
-    down = [1]
-    for t in range(n):
-        down += [d | d << (1 << t) for d in down]
-    return tuple(down)
-
-
-@lru_cache(maxsize=None)
-def _upsets(n: int) -> tuple[int, ...]:
-    """Entry a is the 2**n-bit bitmap of the supersets of a, for a in range(2**n).
-
-    Built by doubling like ``_downsets``: for a < 2**t, the supersets of a
-    among t + 1 bits are those of a and those with bit t set, and the
-    supersets of a | 2**t are only the latter.  Only exhaustive orders build it.
-    """
-    up = [1]
-    for t in range(n):
-        up = [u | u << (1 << t) for u in up] + [u << (1 << t) for u in up]
-    return tuple(up)
 
 
 def _smaller_below(adj: tuple[int, ...], cols: list[int], k: int, unplaced: int) -> bool:
@@ -492,10 +456,10 @@ def check_continuation(
     subsets B of A that are not in L_value(A), read as the bits of
     Down(A) AND NOT L_value(A) from the highest down.  The closure's bit
     columns and the subset bitmaps Down(A) are the per-order tables
-    ``_columns(n)`` and ``_downsets(n)``, and the violations' vertex
-    tuples are lane 0 of ``games._byte_lanes()``, as every mask fits in
-    one byte; ``_value_levels`` builds the levels on the same tables and
-    the superset bitmaps of ``_upsets(n)``.
+    ``games._columns(n)`` and ``games._downsets(n)``, and the violations'
+    vertex tuples are lane 0 of ``games._byte_lanes()``, as every mask
+    fits in one byte; ``games._value_levels`` builds the levels on the
+    same tables and the superset bitmaps of ``games._upsets(n)``.
     Sampled mode, at n up to 26, draws ``samples`` seeded random pairs,
     at least one, and reports a pair when value(A) > value(B).  Up to
     n = SAMPLED_LEVELS_ORDER_CAP it reads every value off the levels,
@@ -560,78 +524,6 @@ def _random_masks(seed: int, n: int) -> Iterator[int]:
         mask = draw(n + 1)
         if mask <= full:
             yield mask
-
-
-def _value_levels(G: Graph) -> list[int]:
-    """The indicated game's value table over every mask, as threshold bitmaps.
-
-    Entry k - 1 is L_k, a 2**n-bit int whose bit M is set when the value
-    from dominated mask M is at least k; the levels are nested, the first
-    empty one ends the list, and the value of M is the number of levels
-    that hold it.  L_1 is every mask but V.  M is in L_{k+1} when M != V
-    and every undominated v has a reply u in N(v) with M | N(u) in L_k.
-    The masks M with M | N(u) in L_k are ``_preimages``' entry u; the
-    undominated v are read off column v of ``_columns(n)``, and the
-    replies u in N(v) off lane 0 of ``games._byte_lanes()``, as every
-    neighbourhood fits in one byte.  These tables, with ``_upsets(n)``
-    and ``_downsets(n)``, are cached up to EXHAUSTIVE_ORDER_CAP; above it
-    the columns are built uncached for the one graph, and the replies are
-    its neighbourhoods' vertex tuples.  Every round plays a new vertex,
-    so at most n levels are non-empty: a level not inside the one before
-    it, or an (n + 1)-th, raises ``AssertionError``, so that a wrong reply
-    step fails at once instead of growing the list without end.
-    """
-    n, nbr = G.n, G.nbr
-    if n <= EXHAUSTIVE_ORDER_CAP:
-        cols, members = _columns(n), _byte_lanes()[0]
-    else:
-        cols, members = _columns.__wrapped__(n), {s: tuple(bits(s)) for s in nbr}
-    open_masks = (1 << G.full_mask) - 1  # every mask but V, the highest
-    levels = []
-    level = last = open_masks
-    while level:
-        if len(levels) == n or level & last != level:
-            k = len(levels) + 1  # level is L_k
-            broken = f"non-empty, but n = {n}" if k > n else f"not inside L_{k - 1}"
-            raise AssertionError(f"{G.label or f'graph(n={n})'}: gti level L_{k} is {broken}")
-        levels.append(level)
-        replies = _preimages(level, nbr, cols)
-        last, level = level, open_masks
-        for v in range(n):
-            answered = cols[v]
-            for u in members[nbr[v]]:
-                answered |= replies[u]
-            level &= answered
-    return levels
-
-
-def _preimages(level: int, nbr: tuple[int, ...], cols: tuple[int, ...]) -> list[int]:
-    """Entry u is the bitmap of the masks M with M | nbr[u] in ``level``.
-
-    ``level`` is a 2**n-bit bitmap over masks, n = len(nbr), and ``cols``
-    is ``_columns(n)``.  Up to EXHAUSTIVE_ORDER_CAP each entry is one
-    product: with S = nbr[u], the masks p of ``level`` that contain S
-    (``_upsets(n)[S]``) times the subsets T of S (``_downsets(n)[S]``)
-    put a bit at p + T, and shifting right by S moves it to p - (S - T),
-    that is p with the vertices of S outside T cleared.  Distinct (p, T)
-    land on distinct bits, so nothing carries.  Above the cap the product
-    of two 2**n-bit ints costs far more than walking S: there each vertex
-    i of S keeps the masks holding i (column i) and adds each with i cleared.
-    """
-    n = len(nbr)
-    if n <= EXHAUSTIVE_ORDER_CAP:
-        up, down = _upsets(n), _downsets(n)
-        return [((level & up[s]) * down[s]) >> s for s in nbr]
-    replies = []
-    for rest in nbr:
-        reply = level
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            reply &= cols[low.bit_length() - 1]
-            reply |= reply >> low
-        replies.append(reply)
-    return replies
 
 
 def _level_values(levels: list[int], n: int) -> Callable[[int], int]:

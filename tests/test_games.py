@@ -221,10 +221,15 @@ def oracle_best_response(G, declared, fixed):
 
 class TestAgainstPlainRecursions:
     def test_every_graph_up_to_7(self):
+        # The public solvers read whole tables here; the engines that they
+        # use above the cap are held to the same recursions.
         for graph_id, G in exhaustive_corpus(7):
-            assert gti(G) == OracleIndicatedGame(G).value(0), graph_id
-            assert gtg(G) == oracle_gtg(G), graph_id
-            assert grundy_t(G) == oracle_grundy(G), graph_id
+            value = OracleIndicatedGame(G).value(0)
+            assert gti(G) == IndicatedGameSolver(G).value(0) == value, graph_id
+            value = oracle_gtg(G)
+            assert gtg(G) == _mask_search(G)[0] == value, graph_id
+            value = oracle_grundy(G)
+            assert grundy_t(G) == _LongestSequence(G).value(0) == value, graph_id
 
     def test_seeded_graphs_8_to_11(self):
         rng = random.Random(0x6A3E)
@@ -250,6 +255,7 @@ class TestAgainstPlainRecursions:
             solver, oracle = IndicatedGameSolver(G), OracleIndicatedGame(G)
             for mask in range(G.full_mask):
                 assert solver.value(mask) == oracle.value(mask), (graph_id, mask)
+                assert gti(G, VertexSet(G.n, mask)) == oracle.value(mask), (graph_id, mask)
                 assert solver.best_indication(mask) == oracle.best_indication(mask), (graph_id, mask)
                 for v in range(G.n):
                     if not mask >> v & 1:
@@ -299,6 +305,40 @@ class TestAgainstPlainRecursions:
         G = family(parse_family_spec(spec))
         assert gtg(G) == gtg_value
         assert grundy_t(G) == grundy_value
+
+
+def products_with_every_subset(nbr):
+    """``games._move_products`` with S's own bit kept: moves that dominate nothing new count too."""
+    up, down = games._upsets(len(nbr)), games._downsets(len(nbr))
+    return [(up[s], down[s], s) for s in dict.fromkeys(nbr)]
+
+
+class TestWholeTableRounds:
+    # A wrong step must fail at once instead of looping: ``_value_levels``
+    # carried no bound once, and a wrong reply step grew a run to 2 GB.
+    def test_gtg_rounds_stop_after_n(self, monkeypatch):
+        # No mask contains a neighbourhood, so no move is read and D_k stays {V}.
+        monkeypatch.setattr(games, "_upsets", lambda n: (0,) * (1 << n))
+        with pytest.raises(AssertionError, match=r"^path:5: gtg level D_5 misses the root, but n = 5$"):
+            gtg(path_graph(5))
+
+    def test_grundy_rounds_stop_after_n(self, monkeypatch):
+        # G_k stays every mask.
+        monkeypatch.setattr(games, "_move_products", products_with_every_subset)
+        with pytest.raises(AssertionError, match=r"^path:5: grt level G_6 holds the root, but n = 5$"):
+            grundy_t(path_graph(5))
+
+    def test_grundy_level_outside_the_last_fails(self, monkeypatch):
+        # One "move" doubles every mask, which leaves the 2**n masks.
+        monkeypatch.setattr(games, "_move_products", lambda nbr: [(-1, 2, 0)])
+        with pytest.raises(AssertionError, match=r"^path:5: grt level G_1 is not inside G_0$"):
+            grundy_t(path_graph(5))
+
+    def test_engines_run_above_the_cap(self, monkeypatch):
+        G = path_graph(games.TABLE_ORDER_CAP + 1)
+        for rounds in ("_value_levels", "_gtg_rounds", "_grundy_rounds"):
+            monkeypatch.setattr(games, rounds, None)
+        assert (gti(G), gtg(G), grundy_t(G)) == (6, 6, 8)
 
 
 def splits(G):

@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import tdgamelab
-from tdgamelab import build_graph, check_continuation, verify
+from tdgamelab import build_graph, check_continuation, games, grundy_t, gtg, gti, verify
 from tdgamelab.cli import main
 from tdgamelab.families import cycle_graph, family, parse_family_spec, path_graph
 from tdgamelab.games import IndicatedGameSolver, _byte_lanes
@@ -433,7 +433,7 @@ def assert_levels_match_solver(G):
 
 
 def _preimages_without_upsets(level, nbr, cols):
-    """``verify._preimages`` with ``& up[S]`` dropped: masks lacking S are shifted in too."""
+    """``games._preimages`` with ``& up[S]`` dropped: masks lacking S are shifted in too."""
     down = verify._downsets(len(nbr))
     return [(level * down[s]) >> s for s in nbr]
 
@@ -447,12 +447,12 @@ class TestValueLevels:
     )
     def test_wrong_reply_step_fails_at_once(self, monkeypatch, preimages, broken):
         # Without the checks these loop on, growing the level list.
-        monkeypatch.setattr(verify, "_preimages", preimages)
+        monkeypatch.setattr(games, "_preimages", preimages)
         with pytest.raises(AssertionError, match=f"^path:4: {broken}$"):
             verify._value_levels(path_graph(4))
 
     def test_wrong_reply_step_is_an_internal_error(self, monkeypatch, capsys):
-        monkeypatch.setattr(verify, "_preimages", _preimages_without_upsets)
+        monkeypatch.setattr(games, "_preimages", _preimages_without_upsets)
         assert main(["verify", "continuation", "--graph", "path:4"]) == 4
         captured = capsys.readouterr()
         assert (captured.out, captured.err) == ("", "internal error: path:4: gti level L_4 is not inside L_3\n")
@@ -502,7 +502,7 @@ class TestValueLevels:
 class TestOrderTables:
     def test_columns_match_definition(self):
         for m in range(verify.EXHAUSTIVE_ORDER_CAP + 1):
-            columns = verify._columns(m)
+            columns = games._columns(m)
             assert len(columns) == m
             for i, column in enumerate(columns):
                 assert column >> (1 << m) == 0
@@ -510,7 +510,7 @@ class TestOrderTables:
 
     def test_downsets_match_definition(self):
         for n in range(verify.EXHAUSTIVE_ORDER_CAP + 1):
-            down = verify._downsets(n)
+            down = games._downsets(n)
             assert len(down) == 1 << n
             for a, subsets in enumerate(down):
                 assert subsets >> (1 << n) == 0
@@ -518,7 +518,7 @@ class TestOrderTables:
 
     def test_upsets_match_definition(self):
         for n in range(verify.EXHAUSTIVE_ORDER_CAP + 1):
-            up = verify._upsets(n)
+            up = games._upsets(n)
             assert len(up) == 1 << n
             for s, supersets in enumerate(up):
                 assert supersets >> (1 << n) == 0
@@ -532,7 +532,7 @@ class TestOrderTables:
         # Sampled checks run far above the cap, and up to n = 17 build the
         # 2**n-bit levels of the one graph they check, but cache no table
         # of those orders, so after them only the exhaustive orders are.
-        tables = (verify._columns, verify._downsets, verify._upsets)
+        tables = (games._columns, games._downsets, games._upsets)
         for table in tables:
             table.cache_clear()
         orders = range(2, verify.EXHAUSTIVE_ORDER_CAP + 1)
@@ -540,6 +540,9 @@ class TestOrderTables:
             check_continuation(path_graph(n))
         for G in (path_graph(17), cycle_graph(26)):
             check_continuation(G, mode="sampled", samples=50, seed=3)
+        # The games read whole tables up to the cap and run the engines above it.
+        for G in [path_graph(17), cycle_graph(26)] + [path_graph(n) for n in orders]:
+            gti(G), gtg(G), grundy_t(G)
         for table in tables:
             cached = table.cache_info()
             assert cached.currsize == len(orders)
