@@ -75,22 +75,11 @@ move, as a filter per mask costs more there than it saves.
 The class search pays for canonical codes and tuple keys, which only
 sharing repays.  Unless V itself splits, the root is one class and most
 positions stay one large class: on G(22, 0.15) γtg took 0.8 s against
-0.08 s.  Residuals that repeat can still repay it there: forced onto
-odd cycles and coronas of odd cycles, which do not split, it ran
-10-670x faster (``cycle:21``: 0.38 s to 0.009 s), while random G(n, p)
-with n = 10-16 ran 2.6-21x slower, and no static test found so far
-tells the two kinds apart.  V splits exactly when G is bipartite or
-disconnected.  On such graphs (20 relabeled ones per row, best of 3)
-the class search took a median of these multiples of the mask search's
-time: random trees 1.6x at order 10, 1.0-1.1x at 12 and 0.8x at 14;
-bipartite graphs with edge probability 0.25 and 0.6 across the sides
-1.9-2.4x and 2.6-3.5x at 10 and 12; unions of two G(k, 0.5) parts
-1.7-2.1x at 10 to 14; all under 7 ms a graph.  On relabeled paths,
-cycles, subdivided stars and coronas of order 18 to 26 it ran 4-670x
-faster (``path:18``: 49 to 11 ms, ``cycle:26``: 5.1 s to 7.5 ms).
-These timings are from a 2-core Xeon VM under Python 3.11.  Hence the
-gate: γtg takes the class search when n >= ``CLASS_SEARCH_MIN_ORDER``
-and V splits, and every other graph keeps the mask search.
+0.08 s, while odd cycles and coronas of odd cycles ran 10-670x faster,
+and no static test found so far tells the two kinds apart.  Hence the
+rule above ``TABLE_ORDER_CAP``: γtg takes the class search exactly when
+V splits, that is when G is bipartite or disconnected, and the mask
+search otherwise.
 
 A ``Policy`` plays one side of the indicated game.  It sees a position as
 its dominated mask, which is what the best-response memo keys on.  The
@@ -319,23 +308,17 @@ def gtg(G: Graph) -> int:
     Players alternate, every move must totally dominate a new vertex,
     Dominator minimises and Staller maximises the total number of moves.
     Up to ``TABLE_ORDER_CAP`` the value is read off ``_gtg_rounds``.
-    Graphs of order at least ``CLASS_SEARCH_MIN_ORDER`` whose vertex set
-    splits under "shares a neighbour" (the bipartite and the disconnected
-    ones) take the class search; every other graph takes the mask search.
+    Above it, a graph whose vertex set splits under "shares a neighbour"
+    (a bipartite or disconnected one) takes the class search, and any
+    other graph the mask search.
     """
     require_isolate_free(G)
     if G.n <= TABLE_ORDER_CAP:
         return _gtg_rounds(G)
-    if G.n >= CLASS_SEARCH_MIN_ORDER:
-        parts = components(G.near, G.full_mask)
-        if len(parts) > 1:
-            return _class_search(G, parts)[0]
+    parts = components(G.near, G.full_mask)
+    if len(parts) > 1:
+        return _class_search(G, parts)[0]
     return _mask_search(G)[0]
-
-
-# The least order at which γtg takes the class search on a graph whose
-# vertex set splits (see the module docstring).
-CLASS_SEARCH_MIN_ORDER = 10
 
 # One of ``_alphabeta``'s lower or upper tables: score bounds per position, indexed by turn.
 _Bounds = tuple[dict, dict]

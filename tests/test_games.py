@@ -25,7 +25,6 @@ from tdgamelab import (
 from tdgamelab.families import cycle_graph, disjoint_union, path_graph
 from tdgamelab import games
 from tdgamelab.games import (
-    CLASS_SEARCH_MIN_ORDER,
     _check_indication,
     _check_selection,
     _class_search,
@@ -370,8 +369,9 @@ class TestClassSearch:
             assert class_search(G)[0] == _mask_search(G)[0] == oracle_gtg(G), graph_id
             assert grundy_t(G) == oracle_grundy(G), graph_id
 
-    def test_seeded_split_graphs_10_to_14(self):
-        for G in random_split_graphs(random.Random(0xC1A55), 24, 10, 14):
+    @pytest.mark.parametrize("low, high", [(10, 14), (8, 9)])
+    def test_seeded_split_graphs(self, low, high):
+        for G in random_split_graphs(random.Random(0xC1A55), 24, low, high):
             assert splits(G), G.edges()
             assert gtg(G) == class_search(G)[0] == oracle_gtg(G), G.edges()
             assert grundy_t(G) == oracle_grundy(G), G.edges()
@@ -380,13 +380,14 @@ class TestClassSearch:
         for graph_id, G in exhaustive_corpus(7):
             assert splits(G) == (is_bipartite(G) or not is_connected(G)), graph_id
 
-    def test_gate(self, monkeypatch):
-        # The stand-in class search returns 0, so a positive value comes
-        # from the mask search.
+    def test_rule(self, monkeypatch):
+        # Above the table cap, γtg takes the class search exactly when V
+        # splits.  The stand-in class search returns 0, so a positive value
+        # comes from the tables or the mask search.
         calls = []
         monkeypatch.setattr(games, "_class_search", lambda G, parts: (calls.append(G.n) or 0, None, None))
-        n = CLASS_SEARCH_MIN_ORDER
-        assert gtg(path_graph(n - 1)) > 0  # too small
+        n = games.TABLE_ORDER_CAP + 1
+        assert gtg(path_graph(n - 1)) > 0  # tables
         assert gtg(cycle_graph(n | 1)) > 0  # odd: V does not split
         assert gtg(path_graph(n)) == 0 and gtg(disjoint_union([cycle_graph(3), cycle_graph(n - 3)])) == 0
         assert calls == [n, n]

@@ -136,7 +136,7 @@ class TestNeighborhoods:
     def test_solvers_compute_near_once_per_graph(self, monkeypatch):
         calls = []
         monkeypatch.setattr(graph_module, "near_masks", lambda G: calls.append(G) or near_masks(G))
-        G = cycle_graph(10)  # bipartite and of order 10, so gtg reads G.near too
+        G = cycle_graph(10)  # above the table cap, so gtg reads G.near too
         for solve in (gti, grundy_t, upper_gamma_t, ooir, gtg):
             solve(G)
         assert calls == [G]

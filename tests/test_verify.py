@@ -528,6 +528,11 @@ class TestOrderTables:
         # The exhaustive orders read the vertex tuple of a mask below 2**7 here.
         assert _byte_lanes()[0] == tuple(tuple(bits(m)) for m in range(256))
 
+    def test_table_cap_fits_the_first_byte_lane(self):
+        # Up to the cap ``_value_levels`` reads each neighbourhood's vertex
+        # tuple from lane 0, so a cap past 8 needs a wider read first.
+        assert (1 << games.TABLE_ORDER_CAP) - 1 < len(_byte_lanes()[0])
+
     def test_caches_stay_bounded(self):
         # Sampled checks run far above the cap, and up to n = 17 build the
         # 2**n-bit levels of the one graph they check, but cache no table
