@@ -79,7 +79,12 @@ positions stay one large class: on G(22, 0.15) γtg took 0.8 s against
 and no static test found so far tells the two kinds apart.  Hence the
 rule above ``TABLE_ORDER_CAP``: γtg takes the class search exactly when
 V splits, that is when G is bipartite or disconnected, and the mask
-search otherwise.
+search otherwise.  On split graphs of order 8-10 (random trees,
+bipartite graphs with edge probability 0.25 and 0.6 across the sides,
+unions of two G(k, 0.5) parts; 20 relabeled ones per row and seed, three
+seeds, best of 3) the class search took a median of 1.0-3.6x the mask
+search's time per row, and at most 0.9 ms more a graph.  These timings
+are from a 2-core Xeon VM under Python 3.11, 2026-10-21, commit c2e829d.
 
 A ``Policy`` plays one side of the indicated game.  It sees a position as
 its dominated mask, which is what the best-response memo keys on.  The
