@@ -618,8 +618,9 @@ def _byte_lanes() -> tuple[tuple[tuple[int, ...], ...], ...]:
 # Whole tables over every dominated mask, up to TABLE_ORDER_CAP
 
 # The last order whose per-order tables are cached, and up to which gti,
-# gtg and grundy_t read their values off whole tables (see the module
-# docstring).  At most 8, as ``_value_levels`` reads one byte lane there.
+# gtg, grundy_t and the four subset invariants read their values off
+# whole tables (see the module docstrings).  At most 8, as
+# ``_value_levels`` and ``invariants._subset_table`` read one byte lane there.
 TABLE_ORDER_CAP = 7
 
 

@@ -1,8 +1,16 @@
 """Exact computation of the non-game invariants.
 
-All four optimisation invariants run branch-and-bound search over bitmask
-subsets; every prune is exact and there are no special-case shortcuts, so
-the returned values are exact for every graph within SOLVER_CAP.  γt is a
+Up to ``TABLE_ORDER_CAP`` (7) the four optimisation invariants, like the
+three games, read whole tables: ``_subset_table`` builds, once per graph,
+2**n-bit bitmaps over every vertex subset S of the TD-sets, the
+OO-irredundant sets and the sets inducing a 1-regular subgraph, and
+``_table_optimum`` reads each value off the size layers and each witness
+by the same lexicographic tie-break as the searches.  A one-entry cache
+shares the table across the four calls that ``survey_row`` makes.
+
+Above the cap they run branch-and-bound search over bitmask subsets;
+every prune is exact and there are no special-case shortcuts, so the
+returned values are exact for every graph within SOLVER_CAP.  γt is a
 depth-first search through the sizes k = ⌈n/Δ⌉, ⌈n/Δ⌉ + 1, ... and, within
 each size, the k-subsets in lexicographic order, cut by a degree bound and
 a reach bound on the undominated vertices.  Γt and OOIR share one
@@ -27,7 +35,9 @@ are broken toward the lexicographically smallest witness.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache, lru_cache
 
+from .games import TABLE_ORDER_CAP, _byte_lanes, _columns
 from .graph import (
     Graph,
     VertexSet,
@@ -69,17 +79,100 @@ def _certify(condition: bool, kind: str) -> None:
         raise WitnessError(f"computed witness for {kind} failed revalidation")
 
 
+@cache
+def _size_layers(n: int) -> tuple[int, ...]:
+    """Entry k is the 2**n-bit bitmap of the k-subsets of range(n).
+
+    Built by doubling like ``games._downsets``: with vertex t added, the
+    k-subsets are those without t and, shifted by 2**t, the (k - 1)-subsets
+    without it.  Only orders up to TABLE_ORDER_CAP build it.
+    """
+    layers = [1]
+    for t in range(n):
+        layers = [a | b << (1 << t) for a, b in zip(layers + [0], [0] + layers)]
+    return tuple(layers)
+
+
+@lru_cache(maxsize=1)
+def _subset_table(nbr: tuple[int, ...]) -> tuple[int, int, int]:
+    """TD, OOIR and IM: 2**n-bit bitmaps over the vertex subsets S of a graph.
+
+    ``nbr`` is ``G.nbr`` with n = len(nbr) <= TABLE_ORDER_CAP.  With C_v
+    column v of ``_columns(n)`` (the S holding v), once_w and exact_w are
+    the S with at least one and exactly one neighbour of w.  TD, the
+    TD-sets, is ⋀_w once_w.  A member's private neighbours are its
+    neighbours w in exact_w, so OOIR, the OO-irredundant sets, is
+    ⋀_s (¬C_s ∨ ⋁_{w ∈ N(s)} exact_w), and IM, the sets inducing a
+    1-regular subgraph, is ⋀_v (¬C_v ∨ exact_v).  Neighbourhoods are read
+    off lane 0 of ``_byte_lanes()``.  The cache holds one graph, so the
+    four invariants of one ``survey_row`` build the table once.
+    """
+    n = len(nbr)
+    cols, members = _columns(n), _byte_lanes()[0]
+    td = oo = im = (1 << (1 << n)) - 1
+    exact = []
+    for w in range(n):
+        once = twice = 0
+        for u in members[nbr[w]]:
+            twice |= once & cols[u]
+            once |= cols[u]
+        td &= once
+        exact.append(once & ~twice)
+    for s in range(n):
+        private = 0
+        for w in members[nbr[s]]:
+            private |= exact[w]
+        oo &= ~cols[s] | private
+        im &= ~cols[s] | exact[s]
+    return td, oo, im
+
+
+def _table_optimum(G: Graph, kind: str) -> tuple[int, int]:
+    """Value and witness mask of invariant ``kind`` off ``_subset_table``, for n <= TABLE_ORDER_CAP.
+
+    The value is the least size layer that TD meets for γt, and the
+    largest that TD ∧ OOIR, OOIR or IM meets for Γt, ooir and νI (halved
+    for νI).  The witness keeps the searches' tie-break.  The optimal sets
+    X are cut to X ∧ C_v for v = 0, 1, ..., n - 1 whenever that is
+    non-empty, which leaves the lexicographically first.  For νI the cuts
+    are X ∧ C_a ∧ C_b over the edges (a, b) in ``G.edges()`` order, which
+    leaves the matching whose tuple of edge indices is first.
+    """
+    n, nbr = G.n, G.nbr
+    td, oo, im = _subset_table(nbr)
+    layers, cuts = _size_layers(n), _columns(n)
+    if kind == GAMMA_T:
+        sets, size, step = td, 0, 1
+    else:
+        sets, size, step = {UPPER_GAMMA_T: td & oo, OOIR: oo, INDUCED_MATCHING: im}[kind], n, -1
+    while not sets & layers[size]:
+        size += step
+    found = sets & layers[size]
+    if kind == INDUCED_MATCHING:  # the edges (a, b), a < b, in G.edges() order
+        cuts = [cuts[a] & cuts[b] for a in range(n) for b in _byte_lanes()[0][nbr[a] & -2 << a]]
+        size //= 2
+    for cut in cuts:
+        if found & cut:
+            found &= cut
+    return size, found.bit_length() - 1
+
+
 def gamma_t(G: Graph) -> InvariantValue:
     """Total domination number: minimum cardinality of a TD-set.
 
     The witness is the lexicographically first TD-set of the smallest size,
-    found by the search in ``_first_smallest_td_set``.
+    read off the table up to TABLE_ORDER_CAP and found by the search in
+    ``_first_smallest_td_set`` above it.
     """
     require_isolate_free(G)
-    chosen = _first_smallest_td_set(G)
-    witness = VertexSet.of(G.n, chosen)
-    _certify(is_total_dominating(G, witness) and len(witness) == len(chosen), GAMMA_T)
-    return InvariantValue(GAMMA_T, len(chosen), witness)
+    if G.n <= TABLE_ORDER_CAP:
+        size, mask = _table_optimum(G, GAMMA_T)
+    else:
+        chosen = _first_smallest_td_set(G)
+        size, mask = len(chosen), VertexSet.of(G.n, chosen).mask
+    witness = VertexSet(G.n, mask)
+    _certify(is_total_dominating(G, witness) and len(witness) == size, GAMMA_T)
+    return InvariantValue(GAMMA_T, size, witness)
 
 
 def _first_smallest_td_set(G: Graph) -> list[int]:
@@ -264,10 +357,14 @@ def upper_gamma_t(G: Graph) -> InvariantValue:
     A TD-set is minimal exactly when every member keeps an open private
     neighbor, i.e. when it is OO-irredundant.  So Γt is the largest set of
     the ``ooir`` search that also totally dominates G, and the witness is
-    the lexicographically smallest minimal TD-set of that size.
+    the lexicographically smallest minimal TD-set of that size.  Up to
+    TABLE_ORDER_CAP both are read off the table instead.
     """
     require_isolate_free(G)
-    size, mask = _largest_irredundant(G, G.full_mask)
+    if G.n <= TABLE_ORDER_CAP:
+        size, mask = _table_optimum(G, UPPER_GAMMA_T)
+    else:
+        size, mask = _largest_irredundant(G, G.full_mask)
     witness = VertexSet(G.n, mask)
     # A minimal TD-set is an OO-irredundant TD-set; testing the two
     # conditions, rather than ``is_minimal_total_dominating``, tests
@@ -288,9 +385,13 @@ def ooir(G: Graph) -> InvariantValue:
 
     The same subset search as ``upper_gamma_t`` with nothing to cover, so
     it admits every set and the cover prune never cuts; the witness is the
-    lexicographically smallest OO-irredundant set of maximum size.
+    lexicographically smallest OO-irredundant set of maximum size.  Up to
+    TABLE_ORDER_CAP both are read off the table instead.
     """
-    size, mask = _largest_irredundant(G, 0)
+    if G.n <= TABLE_ORDER_CAP:
+        size, mask = _table_optimum(G, OOIR)
+    else:
+        size, mask = _largest_irredundant(G, 0)
     witness = VertexSet(G.n, mask)
     _certify(is_open_open_irredundant(G, witness) and len(witness) == size, OOIR)
     return InvariantValue(OOIR, size, witness)
@@ -346,16 +447,36 @@ def induced_matching_number(
     ``candidate_edges`` optionally restricts the search to a subset of the
     edge set (used e.g. to probe matchings built from pendant edges only);
     the value is then the maximum over induced matchings inside that subset.
+    Up to TABLE_ORDER_CAP, without ``candidate_edges``, the value and
+    witness are read off the table; otherwise ``_first_largest_induced_matching``
+    searches.  Either way the witness is the first largest induced matching
+    by its tuple of edge indices.
+    """
+    if candidate_edges is None and G.n <= TABLE_ORDER_CAP:
+        size, mask = _table_optimum(G, INDUCED_MATCHING)
+        witness = tuple((a, b) for a in bits(mask) for b in bits(G.nbr[a] & mask & -2 << a))
+    else:
+        if candidate_edges is None:
+            edges = G.edges()
+        else:
+            edges = sorted({tuple(sorted(e)) for e in candidate_edges})
+            for u, v in edges:
+                if not G.has_edge(u, v):
+                    raise ValueError(f"candidate edge ({u}, {v}) is not an edge of the graph")
+        witness = _first_largest_induced_matching(G, edges)
+        size = len(witness)
+    _certify(is_induced_matching(G, witness) and len(witness) == size, INDUCED_MATCHING)
+    return InvariantValue(INDUCED_MATCHING, size, witness)
+
+
+def _first_largest_induced_matching(G: Graph, edges: list[Edge]) -> tuple[Edge, ...]:
+    """The largest induced matching within ``edges`` whose tuple of edge indices is first.
+
     The search adds edges in index order and drops from the candidates the
     edges with an end in the closed neighbourhood of an added edge's end.
+    A best set is replaced only on a strict size gain, so the first of the
+    largest is kept.
     """
-    if candidate_edges is None:
-        edges = G.edges()
-    else:
-        edges = sorted({tuple(sorted(e)) for e in candidate_edges})
-        for u, v in edges:
-            if not G.has_edge(u, v):
-                raise ValueError(f"candidate edge ({u}, {v}) is not an edge of the graph")
     conflict = _conflict_masks(G, edges)
 
     best_size = 0
@@ -373,12 +494,7 @@ def induced_matching_number(
             extend(chosen + (i,), cand & ~conflict[i])
 
     extend((), (1 << len(edges)) - 1)
-    witness = tuple(edges[i] for i in best)
-    _certify(
-        is_induced_matching(G, witness) and len(witness) == best_size,
-        INDUCED_MATCHING,
-    )
-    return InvariantValue(INDUCED_MATCHING, best_size, witness)
+    return tuple(edges[i] for i in best)
 
 
 def is_perfect_matching(G: Graph, edges: tuple[Edge, ...]) -> bool:

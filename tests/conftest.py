@@ -5,7 +5,7 @@ from itertools import combinations
 import pytest
 from hypothesis import strategies as st
 
-from tdgamelab import build_graph
+from tdgamelab import build_graph, is_induced_matching
 from tdgamelab.families import disjoint_union, path_graph
 from tdgamelab.verify import random_isolate_free_graph
 
@@ -61,6 +61,27 @@ def random_split_graphs(rng, count, low, high):
                                 random_isolate_free_graph(n - k, 0.5, rng)])
         graphs.append(relabeled(G, rng))
     return graphs
+
+
+def brute_induced_matching_witness(G):
+    """Size and edges of the first largest induced matching, by edge index.
+
+    Walks every induced matching of G, one size at a time, as the increasing
+    tuples of edge indices that ``is_induced_matching`` accepts, and keeps
+    the least tuple of the last size.  Edge order is not vertex order:
+    {(0, 3), (4, 6)} comes before {(0, 5), (1, 2)}.
+    """
+    edges = G.edges()
+    level, first = [()], ()
+    while level:
+        first = min(level)
+        level = [
+            chosen + (j,)
+            for chosen in level
+            for j in range(chosen[-1] + 1 if chosen else 0, len(edges))
+            if is_induced_matching(G, tuple(edges[i] for i in chosen + (j,)))
+        ]
+    return len(first), tuple(edges[i] for i in first)
 
 
 class CountingMasks(tuple):

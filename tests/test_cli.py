@@ -154,10 +154,18 @@ class TestInvariant:
         assert err == "internal error: injected\n"
 
     def test_non_dominating_ugt_witness_exit_4(self, capsys, monkeypatch):
-        # A search returning {0}, which does not dominate P_4, is an internal
-        # error (exit 4), not a usage error (exit 2).
-        monkeypatch.setattr(invariants, "_largest_irredundant", lambda G, cover: (1, 1))
+        # A table read returning {0}, which does not dominate P_4, is an
+        # internal error (exit 4), not a usage error (exit 2).
+        monkeypatch.setattr(invariants, "_table_optimum", lambda G, kind: (1, 1))
         code, out, err = run(capsys, "invariant", "--graph", "path:4", "--which", "ugt")
+        assert code == 4
+        assert out == ""
+        assert err == "internal error: computed witness for upper_gamma_t failed revalidation\n"
+
+    def test_non_dominating_ugt_search_witness_exit_4(self, capsys, monkeypatch):
+        # The same from the search, which answers on path:8, above the table cap.
+        monkeypatch.setattr(invariants, "_largest_irredundant", lambda G, cover: (1, 1))
+        code, out, err = run(capsys, "invariant", "--graph", "path:8", "--which", "ugt")
         assert code == 4
         assert out == ""
         assert err == "internal error: computed witness for upper_gamma_t failed revalidation\n"

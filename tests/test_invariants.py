@@ -26,11 +26,18 @@ from tdgamelab import (
 )
 from tdgamelab import invariants
 from tdgamelab.families import disjoint_union, path_graph
+from tdgamelab.games import TABLE_ORDER_CAP
 from tdgamelab.graph import Graph, components
 from tdgamelab.invariants import WitnessError
 from tdgamelab.verify import exhaustive_corpus, random_isolate_free_graph
 
-from conftest import CountingMasks, isolate_free_graphs_st, random_split_graphs, relabeled
+from conftest import (
+    CountingMasks,
+    brute_induced_matching_witness,
+    isolate_free_graphs_st,
+    random_split_graphs,
+    relabeled,
+)
 
 
 def brute_upper_gamma_t(G):
@@ -102,25 +109,6 @@ def brute_induced_matching(G):
             if is_induced_matching(G, combo):
                 best = max(best, k)
     return best
-
-
-def brute_induced_matching_witness(G):
-    """Size and edges of the first largest induced matching, by edge index.
-
-    Walks every induced matching of G, one size at a time, as the increasing
-    tuples of edge indices that ``is_induced_matching`` accepts.
-    """
-    edges = G.edges()
-    level, first = [()], ()
-    while level:
-        first = min(level)
-        level = [
-            chosen + (j,)
-            for chosen in level
-            for j in range(chosen[-1] + 1 if chosen else 0, len(edges))
-            if is_induced_matching(G, tuple(edges[i] for i in chosen + (j,)))
-        ]
-    return len(first), tuple(edges[i] for i in first)
 
 
 def pairwise_conflicts(G, edges):
@@ -206,11 +194,17 @@ class TestUpperGammaT:
         assert upper_gamma_t(family(parse_family_spec("gk:2"))).value == 4
 
     def test_non_dominating_witness_is_a_witness_error(self, monkeypatch):
-        # {0} does not dominate P_4; the check must report a faulty search,
-        # not reject the set as a bad input.
-        monkeypatch.setattr(invariants, "_largest_irredundant", lambda G, cover: (1, 1))
+        # {0} does not dominate P_4; the check must report a faulty table
+        # read, not reject the set as a bad input.
+        monkeypatch.setattr(invariants, "_table_optimum", lambda G, kind: (1, 1))
         with pytest.raises(WitnessError, match="upper_gamma_t"):
             upper_gamma_t(path_graph(4))
+
+    def test_non_dominating_search_witness_is_a_witness_error(self, monkeypatch):
+        # Above the table cap the search answers, and {0} does not dominate P_8.
+        monkeypatch.setattr(invariants, "_largest_irredundant", lambda G, cover: (1, 1))
+        with pytest.raises(WitnessError, match="upper_gamma_t"):
+            upper_gamma_t(path_graph(TABLE_ORDER_CAP + 1))
 
     def test_witness_is_minimal(self):
         result = upper_gamma_t(path_graph(8))
@@ -437,10 +431,11 @@ class TestAgainstBruteForce:
 
     def test_witness_tie_break_on_every_graph_up_to_7(self):
         for graph_id, G in exhaustive_corpus(7):
-            gt, ugt, oo = gamma_t(G), upper_gamma_t(G), ooir(G)
+            gt, ugt, oo, im = gamma_t(G), upper_gamma_t(G), ooir(G), induced_matching_number(G)
             assert (gt.value, gt.witness.mask) == brute_gamma_t_witness(G), graph_id
             assert (ugt.value, ugt.witness.mask) == brute_upper_gamma_t_witness(G), graph_id
             assert (oo.value, oo.witness.mask) == brute_ooir_witness(G), graph_id
+            assert (im.value, im.witness) == brute_induced_matching_witness(G), graph_id
 
     @settings(max_examples=40, deadline=None)
     @given(isolate_free_graphs_st(max_n=7))
@@ -467,6 +462,56 @@ class TestAgainstBruteForce:
         nui = induced_matching_number(G).value
         assert gt <= ugt <= oo
         assert 2 * nui <= oo
+
+
+def search_optima(G):
+    """(value, witness) of γt, Γt, ooir and νI from the searches, which answer above the cap."""
+    chosen = invariants._first_smallest_td_set(G)
+    matching = invariants._first_largest_induced_matching(G, G.edges())
+    return (
+        (len(chosen), VertexSet.of(G.n, chosen).mask),
+        invariants._largest_irredundant(G, G.full_mask),
+        invariants._largest_irredundant(G, 0),
+        (len(matching), matching),
+    )
+
+
+def table_optima(G):
+    sets = [(r.value, r.witness.mask) for r in (gamma_t(G), upper_gamma_t(G), ooir(G))]
+    im = induced_matching_number(G)
+    return (*sets, (im.value, im.witness))
+
+
+class TestSubsetTable:
+    """Up to the cap the four invariants read one subset table per graph;
+    the searches stay its oracle there, as the game engines do for the rounds."""
+
+    def test_matches_the_searches_on_every_graph_up_to_7(self):
+        rng = random.Random(0x7AB1)
+        for graph_id, G in exhaustive_corpus(TABLE_ORDER_CAP):
+            for H in (G, relabeled(G, rng)):
+                assert table_optima(H) == search_optima(H), (graph_id, H.edges())
+
+    def test_matches_the_searches_with_isolated_vertices(self):
+        # ooir and νI accept isolated vertices, which no admitted set holds:
+        # the edgeless graphs, and each graph up to order 6 with one more
+        # vertex, relabeled.
+        rng = random.Random(0x150)
+        lone = build_graph(1, [])
+        graphs = [build_graph(n, []) for n in range(TABLE_ORDER_CAP + 1)]
+        graphs += [relabeled(disjoint_union([G, lone]), rng) for _, G in exhaustive_corpus(TABLE_ORDER_CAP - 1)]
+        for G in graphs:
+            oo, im = ooir(G), induced_matching_number(G)
+            assert (oo.value, oo.witness.mask) == invariants._largest_irredundant(G, 0), G.edges()
+            matching = invariants._first_largest_induced_matching(G, G.edges())
+            assert (im.value, im.witness) == (len(matching), matching), G.edges()
+
+    def test_searches_run_above_the_cap(self, monkeypatch):
+        G = path_graph(TABLE_ORDER_CAP + 1)
+        monkeypatch.setattr(invariants, "_table_optimum", None)
+        assert table_optima(G) == (
+            (4, 0b01100110), (6, 0b11011011), (6, 0b11011011), (3, ((0, 1), (3, 4), (6, 7)))
+        )
 
 
 def test_classical_chain_on_seeded_corpus():

@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import tdgamelab
-from tdgamelab import build_graph, check_continuation, games, grundy_t, gtg, gti, verify
+from tdgamelab import build_graph, check_continuation, games, gti, invariants, verify
 from tdgamelab.cli import main
 from tdgamelab.families import cycle_graph, family, parse_family_spec, path_graph
 from tdgamelab.games import IndicatedGameSolver, _byte_lanes
@@ -524,20 +524,29 @@ class TestOrderTables:
                 assert supersets >> (1 << n) == 0
                 assert all(supersets >> a & 1 == (s & ~a == 0) for a in range(1 << n)), (n, s)
 
+    def test_size_layers_match_definition(self):
+        for n in range(verify.EXHAUSTIVE_ORDER_CAP + 1):
+            layers = invariants._size_layers(n)
+            assert len(layers) == n + 1
+            for k, sets in enumerate(layers):
+                assert sets >> (1 << n) == 0
+                assert all(sets >> s & 1 == (s.bit_count() == k) for s in range(1 << n)), (n, k)
+
     def test_first_byte_lane_matches_bits(self):
         # The exhaustive orders read the vertex tuple of a mask below 2**7 here.
         assert _byte_lanes()[0] == tuple(tuple(bits(m)) for m in range(256))
 
     def test_table_cap_fits_the_first_byte_lane(self):
-        # Up to the cap ``_value_levels`` reads each neighbourhood's vertex
-        # tuple from lane 0, so a cap past 8 needs a wider read first.
+        # Up to the cap ``_value_levels`` and ``invariants._subset_table``
+        # read each neighbourhood's vertex tuple from lane 0, so a cap past 8
+        # needs a wider read first.
         assert (1 << games.TABLE_ORDER_CAP) - 1 < len(_byte_lanes()[0])
 
     def test_caches_stay_bounded(self):
         # Sampled checks run far above the cap, and up to n = 17 build the
         # 2**n-bit levels of the one graph they check, but cache no table
         # of those orders, so after them only the exhaustive orders are.
-        tables = (games._columns, games._downsets, games._upsets)
+        tables = (games._columns, games._downsets, games._upsets, invariants._size_layers)
         for table in tables:
             table.cache_clear()
         orders = range(2, verify.EXHAUSTIVE_ORDER_CAP + 1)
@@ -545,9 +554,11 @@ class TestOrderTables:
             check_continuation(path_graph(n))
         for G in (path_graph(17), cycle_graph(26)):
             check_continuation(G, mode="sampled", samples=50, seed=3)
-        # The games read whole tables up to the cap and run the engines above it.
-        for G in [path_graph(17), cycle_graph(26)] + [path_graph(n) for n in orders]:
-            gti(G), gtg(G), grundy_t(G)
+        # The seven invariants read whole tables up to the cap and search
+        # above it; the subset table is kept for the last graph only.
+        graphs = [path_graph(17), cycle_graph(26)] + [path_graph(n) for n in orders]
+        list(survey((G.label, G) for G in graphs))
+        assert invariants._subset_table.cache_info().currsize == 1
         for table in tables:
             cached = table.cache_info()
             assert cached.currsize == len(orders)
