@@ -13,20 +13,21 @@ Up to ``TABLE_ORDER_CAP`` (7) no engine runs: ``gti``, ``gtg`` and
 ``grundy_t`` read their values off whole tables over all 2**n dominated
 masks, one 2**n-bit int per table and round (``_value_levels``,
 ``_gtg_rounds``, ``_grundy_rounds``).  A round costs one or two
-big-integer products per neighbourhood (see ``_preimages``), where the
-engines pay memo reads, splits and move sorting per position.  Over a
-relabeled copy of the 1,043 graphs with n <= 7 (in-process, best of 9),
-γti took 12.6 ms against 24 ms through the engine, γtg 9.0 against 28-29
-ms and γgrt 9.3 against 15 ms.  The cap is the last order whose
-per-order tables (``_columns``, ``_downsets``, ``_upsets``: 2**n bitmaps
-of 2**n bits) are cached, and ``_value_levels`` reads vertex tuples off
-one byte lane, which holds only n <= 8.  Above it the gain shrinks, and
-γgrt's is gone by n = 10: on 40 random G(n, p) per order with the cap
-raised, γgrt's rounds took 43 µs a graph against the engine's 43-46 µs
-at n = 10 and 123-129 against 53-59 µs at n = 11, while γti's (40-42
-against 103-106 µs) and γtg's (48-51 against 136-153 µs) still won at
-n = 10.  These timings are from a 2-core Xeon VM under Python 3.11,
-2026-10-20, against the engines of commit 9e51b4a.
+big-integer products per neighbourhood, all three games' from one list
+(``_move_products``), where the engines pay memo reads, splits and move
+sorting per position.  Over a relabeled copy of the 1,043 graphs with
+n <= 7 (in-process, best of 9), γti took 12.6 ms against 24 ms through
+the engine, γtg 9.0 against 28-29 ms and γgrt 9.3 against 15 ms.  The
+cap is the last order whose per-order tables (``_columns`` and
+``_subsets``: 2**n bitmaps of 2**n bits) are cached, and
+``_value_levels`` reads vertex tuples off one byte lane, which holds
+only n <= 8.  Above it the gain shrinks, and γgrt's is gone by n = 10:
+on 40 random G(n, p) per order with the cap raised, γgrt's rounds took
+43 µs a graph against the engine's 43-46 µs at n = 10 and 123-129
+against 53-59 µs at n = 11, while γti's (40-42 against 103-106 µs) and
+γtg's (48-51 against 136-153 µs) still won at n = 10.  These timings
+are from a 2-core Xeon VM under Python 3.11, 2026-10-20, against the
+engines of commit 9e51b4a.
 
 The indicated game (γti) and the Grundy sequence (γgrt) run on one
 engine, ``_SplitMemo``: an exact value per mask, where a position whose
@@ -103,7 +104,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import cache
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .graph import (
     SOLVER_CAP,
@@ -288,15 +289,15 @@ def gti(G: Graph, declared: VertexSet | None = None) -> int:
     Dominator indicates undominated vertices to minimise, Staller selects
     replies from their neighborhoods to maximise, and the value counts the
     selections made when both play optimally.  Up to ``TABLE_ORDER_CAP``
-    the value is the number of levels of ``_value_levels(G)`` that hold the
-    declared mask; above it an ``IndicatedGameSolver`` answers.
+    ``_level_values`` reads the value off the levels of ``_value_levels(G)``;
+    above it an ``IndicatedGameSolver`` answers.
     """
     if G.n > TABLE_ORDER_CAP:
         solver = IndicatedGameSolver(G)  # rejects isolated vertices
         return solver.value(_declared_mask(G, declared))
     require_isolate_free(G)
     mask = _declared_mask(G, declared)
-    return sum(level >> mask & 1 for level in _value_levels(G))
+    return _level_values(_value_levels(G), G.n)(mask)
 
 
 def _declared_mask(G: Graph, declared: VertexSet | None) -> int:
@@ -642,33 +643,50 @@ def _columns(m: int) -> tuple[int, ...]:
     return tuple(columns)
 
 
-@cache
-def _downsets(n: int) -> tuple[int, ...]:
-    """Entry a is the 2**n-bit bitmap of the subsets of a, for a in range(2**n).
+class _Subsets(NamedTuple):
+    """The per-order bitmaps of ``_subsets(n)``, each 2**n bits over the subsets of range(n)."""
 
-    Built by doubling: the subsets of a | 2**t, for a < 2**t, are those of a
-    and those of a with bit t set, that is the bitmap shifted by 2**t.
-    Only orders up to TABLE_ORDER_CAP build it.
-    """
-    down = [1]
-    for t in range(n):
-        down += [d | d << (1 << t) for d in down]
-    return tuple(down)
+    down: tuple[int, ...]  # entry a, for a in range(2**n): the subsets of a
+    up: tuple[int, ...]  # entry a: the supersets of a
+    layers: tuple[int, ...]  # entry k, for k in range(n + 1): the k-subsets
 
 
 @cache
-def _upsets(n: int) -> tuple[int, ...]:
-    """Entry a is the 2**n-bit bitmap of the supersets of a, for a in range(2**n).
+def _subsets(n: int) -> _Subsets:
+    """The subsets and supersets of each subset of range(n), and its size layers.
 
-    Built by doubling like ``_downsets``: for a < 2**t, the supersets of a
-    among t + 1 bits are those of a and those with bit t set, and the
-    supersets of a | 2**t are only the latter.  Only orders up to
+    Built by doubling over t = 0, ..., n - 1.  For a < 2**t: the subsets of
+    a | 2**t are those of a and those of a with bit t set, that is the
+    bitmap shifted by 2**t; the supersets of a among t + 1 bits are those
+    of a and those with bit t set, and the supersets of a | 2**t are only
+    the latter; and the k-subsets are those without t and, shifted by
+    2**t, the (k - 1)-subsets without it.  Only orders up to
     TABLE_ORDER_CAP build it.
     """
-    up = [1]
+    down, up, layers = [1], [1], [1]
     for t in range(n):
-        up = [u | u << (1 << t) for u in up] + [u << (1 << t) for u in up]
-    return tuple(up)
+        shift = 1 << t
+        down += [d | d << shift for d in down]
+        up = [u | u << shift for u in up] + [u << shift for u in up]
+        layers = [a | b << shift for a, b in zip(layers + [0], [0] + layers)]
+    return _Subsets(tuple(down), tuple(up), tuple(layers))
+
+
+def _move_products(nbr: tuple[int, ...]) -> list[tuple[int, int, int]]:
+    """(Up(S), the proper subsets of S, S) for S = N(w), one per vertex w in order.
+
+    For a 2**n-bit bitmap L over masks, ``((L & up) * below) >> S`` is
+    pre_w(L) minus Up(S): the masks M that do not contain S and have
+    M | S in L.  The masks p of L that contain S, times the proper subsets
+    T of S, put a bit at p + T, and shifting right by S moves it to
+    p - (S - T), that is p with the vertices of S outside T cleared.
+    Distinct (p, T) land on distinct bits, so nothing carries.  Up(S) is
+    also the set of masks where playing w dominates nothing new.  Only
+    orders up to TABLE_ORDER_CAP read it: above the cap the product of
+    two 2**n-bit ints costs far more than ``_preimages``' walk.
+    """
+    subsets = _subsets(len(nbr))
+    return [(subsets.up[s], subsets.down[s] ^ 1 << s, s) for s in nbr]
 
 
 def _value_levels(G: Graph) -> list[int]:
@@ -677,22 +695,26 @@ def _value_levels(G: Graph) -> list[int]:
     Entry k - 1 is L_k, a 2**n-bit int whose bit M is set when the value
     from dominated mask M is at least k; the levels are nested, the first
     empty one ends the list, and the value of M is the number of levels
-    that hold it.  L_1 is every mask but V.  M is in L_{k+1} when M != V
-    and every undominated v has a reply u in N(v) with M | N(u) in L_k.
-    The masks M with M | N(u) in L_k are ``_preimages``' entry u; the
-    undominated v are read off column v of ``_columns(n)``, and the
-    replies u in N(v) off lane 0 of ``_byte_lanes()``, as every
-    neighbourhood fits in one byte.  These tables, with ``_upsets(n)``
-    and ``_downsets(n)``, are cached up to TABLE_ORDER_CAP; above it
-    the columns are built uncached for the one graph, and the replies are
-    its neighbourhoods' vertex tuples.  Every round plays a new vertex,
-    so at most n levels are non-empty: a level not inside the one before
-    it, or an (n + 1)-th, raises ``AssertionError``, so that a wrong reply
-    step fails at once instead of growing the list without end.
+    that hold it (``_level_values``).  L_1 is every mask but V.  M is in
+    L_{k+1} when M != V and every undominated v has a reply u in N(v) with
+    M | N(u) in L_k.  The undominated v are read off column v of
+    ``_columns(n)``.  Up to TABLE_ORDER_CAP the masks answered by u are
+    ``_move_products``' entry u, which leaves out the masks that contain
+    N(u); those hold v, as v is in N(u), so column v answers them already.
+    The replies u in N(v) are read off lane 0 of ``_byte_lanes()``, as
+    every neighbourhood fits in one byte.  Above the cap the columns are
+    built uncached for the one graph, the masks answered by u are
+    ``_preimages``' entry u, and the replies are its neighbourhoods'
+    vertex tuples.  Every round plays a new vertex, so at most n levels
+    are non-empty: a level not inside the one before it, or an
+    (n + 1)-th, raises ``AssertionError``, so that a wrong reply step
+    fails at once instead of growing the list without end.
     """
     n, nbr = G.n, G.nbr
+    products = None
     if n <= TABLE_ORDER_CAP:
         cols, members = _columns(n), _byte_lanes()[0]
+        products = _move_products(nbr)
     else:
         cols, members = _columns.__wrapped__(n), {s: tuple(bits(s)) for s in nbr}
     open_masks = (1 << G.full_mask) - 1  # every mask but V, the highest
@@ -704,7 +726,10 @@ def _value_levels(G: Graph) -> list[int]:
             broken = f"non-empty, but n = {n}" if k > n else f"not inside L_{k - 1}"
             raise AssertionError(f"{_name(G)}: gti level L_{k} is {broken}")
         levels.append(level)
-        replies = _preimages(level, nbr, cols)
+        if products is None:
+            replies = _preimages(level, nbr, cols)
+        else:
+            replies = [((level & up) * below) >> s for up, below, s in products]
         last, level = level, open_masks
         for v in range(n):
             answered = cols[v]
@@ -714,23 +739,36 @@ def _value_levels(G: Graph) -> list[int]:
     return levels
 
 
+def _level_values(levels: list[int], n: int) -> Callable[[int], int]:
+    """The value of a mask M read off the nested levels of ``_value_levels``.
+
+    Each level becomes a little-endian ``bytes`` view once, and value(M),
+    the number of levels that hold M, is a binary search over the levels
+    that reads one byte per step, so no query shifts a 2**n-bit int.
+    """
+    tables = [level.to_bytes(((1 << n) + 7) >> 3, "little") for level in levels]
+
+    def value(mask: int) -> int:
+        byte, bit = mask >> 3, mask & 7
+        lo, hi = 0, len(tables)  # the first lo levels hold mask, level hi + 1 does not
+        while lo < hi:
+            mid = (lo + hi + 1) >> 1
+            if tables[mid - 1][byte] >> bit & 1:
+                lo = mid
+            else:
+                hi = mid - 1
+        return lo
+
+    return value
+
+
 def _preimages(level: int, nbr: tuple[int, ...], cols: tuple[int, ...]) -> list[int]:
-    """Entry u is the bitmap of the masks M with M | nbr[u] in ``level``.
+    """Entry u is the bitmap of the masks M with M | nbr[u] in ``level``, above TABLE_ORDER_CAP.
 
     ``level`` is a 2**n-bit bitmap over masks, n = len(nbr), and ``cols``
-    is ``_columns(n)``.  Up to TABLE_ORDER_CAP each entry is one
-    product: with S = nbr[u], the masks p of ``level`` that contain S
-    (``_upsets(n)[S]``) times the subsets T of S (``_downsets(n)[S]``)
-    put a bit at p + T, and shifting right by S moves it to p - (S - T),
-    that is p with the vertices of S outside T cleared.  Distinct (p, T)
-    land on distinct bits, so nothing carries.  Above the cap the product
-    of two 2**n-bit ints costs far more than walking S: there each vertex
-    i of S keeps the masks holding i (column i) and adds each with i cleared.
+    is ``_columns(n)``.  Each vertex i of S = nbr[u] keeps the masks
+    holding i (column i) and adds each with i cleared.
     """
-    n = len(nbr)
-    if n <= TABLE_ORDER_CAP:
-        up, down = _upsets(n), _downsets(n)
-        return [((level & up[s]) * down[s]) >> s for s in nbr]
     replies = []
     for rest in nbr:
         reply = level
@@ -745,21 +783,6 @@ def _preimages(level: int, nbr: tuple[int, ...], cols: tuple[int, ...]) -> list[
 
 def _name(G: Graph) -> str:
     return G.label or f"graph(n={G.n})"
-
-
-def _move_products(nbr: tuple[int, ...]) -> list[tuple[int, int, int]]:
-    """(Up(S), the proper subsets of S, S) for each distinct S = N(w), read once per solve.
-
-    For a 2**n-bit bitmap L over masks, ``((L & up) * below) >> S`` is
-    pre_w(L) minus Up(S): the masks M that do not contain S and have
-    M | S in L.  It is ``_preimages``' product with T ranging over the
-    proper subsets of S only, so the no-carry argument in its docstring
-    holds as it stands.  Up(S) is also the set of masks where playing w
-    dominates nothing new.
-    """
-    n = len(nbr)
-    up, down = _upsets(n), _downsets(n)
-    return [(up[s], down[s] ^ 1 << s, s) for s in dict.fromkeys(nbr)]
 
 
 def _gtg_rounds(G: Graph) -> int:

@@ -4,12 +4,13 @@ Up to ``TABLE_ORDER_CAP`` (7) the four optimisation invariants, like the
 three games, read whole tables: ``_subset_table`` builds, once per graph,
 2**n-bit bitmaps over every vertex subset S of the TD-sets, the
 OO-irredundant sets and the sets inducing a 1-regular subgraph, and
-``_table_optimum`` reads each value off the size layers and each witness
-by the same lexicographic tie-break as the searches.  A one-entry cache
-shares the table across the four calls that ``survey_row`` makes.  On
-tdbench's survey7 workload this took the median wall time from 0.313 s
-to 0.240 s, faster in 10 of 10 alternated pairs (2-core Xeon VM, Python
-3.11, 2026-10-21, commit 8cbbf92, ``BENCH_subset_tables.json``).
+``_table_optimum`` reads each value off the size layers of
+``games._subsets(n)`` and each witness by the same lexicographic
+tie-break as the searches.  A one-entry cache shares the table across
+the four calls that ``survey_row`` makes.  On tdbench's survey7 workload
+this took the median wall time from 0.313 s to 0.240 s, faster in 10 of
+10 alternated pairs (2-core Xeon VM, Python 3.11, 2026-10-21, commit
+8cbbf92, ``BENCH_subset_tables.json``).
 
 Above the cap they run branch-and-bound search over bitmask subsets;
 every prune is exact and there are no special-case shortcuts, so the
@@ -38,9 +39,9 @@ are broken toward the lexicographically smallest witness.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, lru_cache
+from functools import lru_cache
 
-from .games import TABLE_ORDER_CAP, _byte_lanes, _columns
+from .games import TABLE_ORDER_CAP, _byte_lanes, _columns, _subsets
 from .graph import (
     Graph,
     VertexSet,
@@ -82,20 +83,6 @@ def _certify(condition: bool, kind: str) -> None:
         raise WitnessError(f"computed witness for {kind} failed revalidation")
 
 
-@cache
-def _size_layers(n: int) -> tuple[int, ...]:
-    """Entry k is the 2**n-bit bitmap of the k-subsets of range(n).
-
-    Built by doubling like ``games._downsets``: with vertex t added, the
-    k-subsets are those without t and, shifted by 2**t, the (k - 1)-subsets
-    without it.  Only orders up to TABLE_ORDER_CAP build it.
-    """
-    layers = [1]
-    for t in range(n):
-        layers = [a | b << (1 << t) for a, b in zip(layers + [0], [0] + layers)]
-    return tuple(layers)
-
-
 @lru_cache(maxsize=1)
 def _subset_table(nbr: tuple[int, ...]) -> tuple[int, int, int]:
     """TD, OOIR and IM: 2**n-bit bitmaps over the vertex subsets S of a graph.
@@ -133,17 +120,18 @@ def _subset_table(nbr: tuple[int, ...]) -> tuple[int, int, int]:
 def _table_optimum(G: Graph, kind: str) -> tuple[int, int]:
     """Value and witness mask of invariant ``kind`` off ``_subset_table``, for n <= TABLE_ORDER_CAP.
 
-    The value is the least size layer that TD meets for γt, and the
-    largest that TD ∧ OOIR, OOIR or IM meets for Γt, ooir and νI (halved
-    for νI).  The witness keeps the searches' tie-break.  The optimal sets
-    X are cut to X ∧ C_v for v = 0, 1, ..., n - 1 whenever that is
-    non-empty, which leaves the lexicographically first.  For νI the cuts
-    are X ∧ C_a ∧ C_b over the edges (a, b) in ``G.edges()`` order, which
-    leaves the matching whose tuple of edge indices is first.
+    The value is the least size layer (``_subsets(n).layers``) that TD
+    meets for γt, and the largest that TD ∧ OOIR, OOIR or IM meets for Γt,
+    ooir and νI (halved for νI).  The witness keeps the searches'
+    tie-break.  The optimal sets X are cut to X ∧ C_v for v = 0, 1, ...,
+    n - 1 whenever that is non-empty, which leaves the lexicographically
+    first.  For νI the cuts are X ∧ C_a ∧ C_b over the edges (a, b) in
+    ``G.edges()`` order, which leaves the matching whose tuple of edge
+    indices is first.
     """
     n, nbr = G.n, G.nbr
     td, oo, im = _subset_table(nbr)
-    layers, cuts = _size_layers(n), _columns(n)
+    layers, cuts = _subsets(n).layers, _columns(n)
     if kind == GAMMA_T:
         sets, size, step = td, 0, 1
     else:

@@ -35,7 +35,8 @@ from .games import (
     IndicatedGameSolver,
     _byte_lanes,
     _columns,
-    _downsets,
+    _level_values,
+    _subsets,
     _value_levels,
     best_response_length,
     grundy_t,
@@ -449,22 +450,20 @@ def check_continuation(
     Exhaustive mode decides every pair B <= A of declared sets (3^n ordered
     pairs) and is cost-guarded to n <= 7 (``CapacityError`` above it).  It
     reads the whole value table as the threshold bitmaps of
-    ``_value_levels``: a set A has a violating subset exactly when, for
-    some k, A is in L_k and a subset of A is not, so only the sets of
+    ``games._value_levels``: a set A has a violating subset exactly when,
+    for some k, A is in L_k and a subset of A is not, so only the sets of
     W = OR_k (L_k AND Up(NOT L_k)) are walked, where Up is the superset
     closure.  For each A in W, in increasing order, the violations are the
     subsets B of A that are not in L_value(A), read as the bits of
-    Down(A) AND NOT L_value(A) from the highest down.  The closure's bit
-    columns and the subset bitmaps Down(A) are the per-order tables
-    ``games._columns(n)`` and ``games._downsets(n)``, and the violations'
-    vertex tuples are lane 0 of ``games._byte_lanes()``, as every mask
-    fits in one byte; ``games._value_levels`` builds the levels on the
-    same tables and the superset bitmaps of ``games._upsets(n)``.
+    Down(A) AND NOT L_value(A) from the highest down.  The closure, Down(A)
+    and the vertex tuples are read off the per-order tables of ``games``
+    (``_columns``, ``_subsets`` and ``_byte_lanes``).
     Sampled mode, at n up to 26, draws ``samples`` seeded random pairs,
     at least one, and reports a pair when value(A) > value(B).  Up to
     n = SAMPLED_LEVELS_ORDER_CAP it reads every value off the levels,
     whatever the sample count; above it an ``IndicatedGameSolver``
-    answers them, whose memo pays per draw instead of per mask.  Only the
+    answers them, whose memo pays per draw instead of per mask.  Both
+    modes read values through ``games._level_values``, and only the
     exhaustive orders' tables are cached.
     Violations are reported with the witnessing (A, B).
     """
@@ -478,7 +477,7 @@ def check_continuation(
         levels = _value_levels(G)
         columns = _columns(G.n)
         members = _byte_lanes()[0]
-        down = _downsets(G.n)
+        down = _subsets(G.n).down
         walk = 0
         for level in levels:
             # Up(NOT L_k); the bits of ~level past 2**n are dropped by the
@@ -524,29 +523,6 @@ def _random_masks(seed: int, n: int) -> Iterator[int]:
         mask = draw(n + 1)
         if mask <= full:
             yield mask
-
-
-def _level_values(levels: list[int], n: int) -> Callable[[int], int]:
-    """The value of a mask M read off the nested levels of ``_value_levels``.
-
-    Each level becomes a little-endian ``bytes`` view once, and value(M),
-    the number of levels that hold M, is a binary search over the levels
-    that reads one byte per step, so no query shifts a 2**n-bit int.
-    """
-    tables = [level.to_bytes(((1 << n) + 7) >> 3, "little") for level in levels]
-
-    def value(mask: int) -> int:
-        byte, bit = mask >> 3, mask & 7
-        lo, hi = 0, len(tables)  # the first lo levels hold mask, level hi + 1 does not
-        while lo < hi:
-            mid = (lo + hi + 1) >> 1
-            if tables[mid - 1][byte] >> bit & 1:
-                lo = mid
-            else:
-                hi = mid - 1
-        return lo
-
-    return value
 
 
 # ---------------------------------------------------------------------------

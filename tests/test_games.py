@@ -308,8 +308,8 @@ class TestAgainstPlainRecursions:
 
 def products_with_every_subset(nbr):
     """``games._move_products`` with S's own bit kept: moves that dominate nothing new count too."""
-    up, down = games._upsets(len(nbr)), games._downsets(len(nbr))
-    return [(up[s], down[s], s) for s in dict.fromkeys(nbr)]
+    subsets = games._subsets(len(nbr))
+    return [(subsets.up[s], subsets.down[s], s) for s in nbr]
 
 
 class TestWholeTableRounds:
@@ -317,7 +317,8 @@ class TestWholeTableRounds:
     # carried no bound once, and a wrong reply step grew a run to 2 GB.
     def test_gtg_rounds_stop_after_n(self, monkeypatch):
         # No mask contains a neighbourhood, so no move is read and D_k stays {V}.
-        monkeypatch.setattr(games, "_upsets", lambda n: (0,) * (1 << n))
+        subsets = games._subsets
+        monkeypatch.setattr(games, "_subsets", lambda n: subsets(n)._replace(up=(0,) * (1 << n)))
         with pytest.raises(AssertionError, match=r"^path:5: gtg level D_5 misses the root, but n = 5$"):
             gtg(path_graph(5))
 
@@ -326,6 +327,18 @@ class TestWholeTableRounds:
         monkeypatch.setattr(games, "_move_products", products_with_every_subset)
         with pytest.raises(AssertionError, match=r"^path:5: grt level G_6 holds the root, but n = 5$"):
             grundy_t(path_graph(5))
+
+    def test_gti_levels_equal_with_every_subset(self, monkeypatch):
+        # The products above break γgrt, but not γti's levels: a mask that
+        # holds N(u) holds the undominated v it answers, as v is in N(u), so
+        # column v of ``_columns(n)`` answers it already.
+        rng = random.Random(37)
+        graphs = [G for _, G in exhaustive_corpus(7)]
+        graphs += [relabeled(G, rng) for G in graphs]
+        expected = [games._value_levels(G) for G in graphs]
+        monkeypatch.setattr(games, "_move_products", products_with_every_subset)
+        for G, levels in zip(graphs, expected):
+            assert games._value_levels(G) == levels, G.edges()
 
     def test_grundy_level_outside_the_last_fails(self, monkeypatch):
         # One "move" doubles every mask, which leaves the 2**n masks.

@@ -19,10 +19,9 @@ from tdgamelab.verify import isolate_free_graphs
 
 from conftest import graphs
 
-nx = pytest.importorskip("networkx")
-
 
 def to_nx(G):
+    nx = pytest.importorskip("networkx")
     H = nx.Graph()
     H.add_nodes_from(range(G.n))
     H.add_edges_from(G.edges())
@@ -112,6 +111,7 @@ class TestGraph6:
 
     def test_all_four_vertex_graphs_from_reference_codec(self):
         # Every 4-vertex graph, encoded by networkx, parses back identically.
+        nx = pytest.importorskip("networkx")
         payloads = []
         seen = set()
         for H in nx.graph_atlas_g():
@@ -129,6 +129,7 @@ class TestGraph6:
     @settings(max_examples=100, deadline=None)
     @given(graphs(min_n=1, max_n=12))
     def test_round_trip_against_networkx(self, G):
+        nx = pytest.importorskip("networkx")
         ours = serialize_graph6(G)
         theirs = nx.to_graph6_bytes(to_nx(G), header=False).strip().decode()
         assert ours == theirs
@@ -138,6 +139,7 @@ class TestGraph6:
     @pytest.mark.parametrize("n", range(SOLVER_CAP + 1))
     def test_every_order_matches_networkx(self, n):
         # The empty graph, the complete graph and one seeded random graph.
+        nx = pytest.importorskip("networkx")
         rng = random.Random(n)
         cases = [
             build_graph(n, []),

@@ -43,8 +43,6 @@ import random
 
 from conftest import relabeled
 
-nx = pytest.importorskip("networkx")
-
 
 # --- independent canonical form for trees (test-local oracle) ---------------
 
@@ -105,6 +103,7 @@ def prufer_tree_codes(n):
 
 class TestExhaustiveEnumeration:
     def test_counts_match_atlas(self):
+        nx = pytest.importorskip("networkx")
         expected = {}
         for H in nx.graph_atlas_g():
             n = H.number_of_nodes()
@@ -120,6 +119,7 @@ class TestExhaustiveEnumeration:
             assert len({G.nbr for G in batch}) == len(batch)
 
     def test_pairwise_non_isomorphic_small(self):
+        nx = pytest.importorskip("networkx")
         for n in range(2, 6):
             batch = [nx.Graph(G.edges()) for G in isolate_free_graphs(n)]
             for g in batch:
@@ -228,10 +228,12 @@ class TestTreeEnumeration:
         assert [len(enumerate_trees(n)) for n in range(2, 13)] == expected
 
     def test_counts_match_networkx(self):
+        nx = pytest.importorskip("networkx")
         for n in range(2, 13):
             assert len(enumerate_trees(n)) == sum(1 for _ in nx.nonisomorphic_trees(n))
 
     def test_trees_are_trees(self):
+        nx = pytest.importorskip("networkx")
         for n in range(2, 10):
             for T in enumerate_trees(n):
                 assert T.edge_count() == n - 1
@@ -421,7 +423,7 @@ class TestSampledLevels:
 
 def assert_levels_match_solver(G):
     levels = verify._value_levels(G)
-    value = verify._level_values(levels, G.n)
+    value = games._level_values(levels, G.n)
     solver = IndicatedGameSolver(G)
     for mask in range(G.full_mask + 1):
         assert sum(level >> mask & 1 for level in levels) == solver.value(mask), (G, mask)
@@ -432,30 +434,30 @@ def assert_levels_match_solver(G):
     assert all(upper & ~lower == 0 for lower, upper in zip(levels, levels[1:]))
 
 
-def _preimages_without_upsets(level, nbr, cols):
-    """``games._preimages`` with ``& up[S]`` dropped: masks lacking S are shifted in too."""
-    down = verify._downsets(len(nbr))
-    return [(level * down[s]) >> s for s in nbr]
+def _move_products_without_upsets(nbr):
+    """``games._move_products`` with ``& up`` dropped: masks lacking S are shifted in too."""
+    down = games._subsets(len(nbr)).down
+    return [(-1, down[s] ^ 1 << s, s) for s in nbr]
 
 
 class TestValueLevels:
     @pytest.mark.parametrize(
-        "preimages, broken",
-        [(_preimages_without_upsets, "gti level L_4 is not inside L_3"),
+        "products, broken",
+        [(_move_products_without_upsets, "gti level L_3 is not inside L_2"),
          # Every reply answers the whole level, so no level ever shrinks.
-         (lambda level, nbr, cols: [level] * len(nbr), "gti level L_5 is non-empty, but n = 4")],
+         (lambda nbr: [(-1, 1, 0)] * len(nbr), "gti level L_5 is non-empty, but n = 4")],
     )
-    def test_wrong_reply_step_fails_at_once(self, monkeypatch, preimages, broken):
+    def test_wrong_reply_step_fails_at_once(self, monkeypatch, products, broken):
         # Without the checks these loop on, growing the level list.
-        monkeypatch.setattr(games, "_preimages", preimages)
+        monkeypatch.setattr(games, "_move_products", products)
         with pytest.raises(AssertionError, match=f"^path:4: {broken}$"):
             verify._value_levels(path_graph(4))
 
     def test_wrong_reply_step_is_an_internal_error(self, monkeypatch, capsys):
-        monkeypatch.setattr(games, "_preimages", _preimages_without_upsets)
+        monkeypatch.setattr(games, "_move_products", _move_products_without_upsets)
         assert main(["verify", "continuation", "--graph", "path:4"]) == 4
         captured = capsys.readouterr()
-        assert (captured.out, captured.err) == ("", "internal error: path:4: gti level L_4 is not inside L_3\n")
+        assert (captured.out, captured.err) == ("", "internal error: path:4: gti level L_3 is not inside L_2\n")
 
     def test_every_mask_up_to_7(self):
         for _, G in exhaustive_corpus(7):
@@ -510,7 +512,7 @@ class TestOrderTables:
 
     def test_downsets_match_definition(self):
         for n in range(verify.EXHAUSTIVE_ORDER_CAP + 1):
-            down = games._downsets(n)
+            down = games._subsets(n).down
             assert len(down) == 1 << n
             for a, subsets in enumerate(down):
                 assert subsets >> (1 << n) == 0
@@ -518,7 +520,7 @@ class TestOrderTables:
 
     def test_upsets_match_definition(self):
         for n in range(verify.EXHAUSTIVE_ORDER_CAP + 1):
-            up = games._upsets(n)
+            up = games._subsets(n).up
             assert len(up) == 1 << n
             for s, supersets in enumerate(up):
                 assert supersets >> (1 << n) == 0
@@ -526,7 +528,7 @@ class TestOrderTables:
 
     def test_size_layers_match_definition(self):
         for n in range(verify.EXHAUSTIVE_ORDER_CAP + 1):
-            layers = invariants._size_layers(n)
+            layers = games._subsets(n).layers
             assert len(layers) == n + 1
             for k, sets in enumerate(layers):
                 assert sets >> (1 << n) == 0
@@ -538,15 +540,17 @@ class TestOrderTables:
 
     def test_table_cap_fits_the_first_byte_lane(self):
         # Up to the cap ``_value_levels`` and ``invariants._subset_table``
-        # read each neighbourhood's vertex tuple from lane 0, so a cap past 8
-        # needs a wider read first.
+        # read each neighbourhood's vertex tuple from lane 0, and exhaustive
+        # continuation checks read each violation's sets there, so a cap
+        # past 8 needs a wider read first.
         assert (1 << games.TABLE_ORDER_CAP) - 1 < len(_byte_lanes()[0])
+        assert (1 << verify.EXHAUSTIVE_ORDER_CAP) - 1 < len(_byte_lanes()[0])
 
     def test_caches_stay_bounded(self):
         # Sampled checks run far above the cap, and up to n = 17 build the
         # 2**n-bit levels of the one graph they check, but cache no table
         # of those orders, so after them only the exhaustive orders are.
-        tables = (games._columns, games._downsets, games._upsets, invariants._size_layers)
+        tables = (games._columns, games._subsets)
         for table in tables:
             table.cache_clear()
         orders = range(2, verify.EXHAUSTIVE_ORDER_CAP + 1)
