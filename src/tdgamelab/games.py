@@ -103,7 +103,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import cache
+from functools import cache, lru_cache
 from typing import Callable, NamedTuple, Sequence
 
 from .graph import (
@@ -672,7 +672,8 @@ def _subsets(n: int) -> _Subsets:
     return _Subsets(tuple(down), tuple(up), tuple(layers))
 
 
-def _move_products(nbr: tuple[int, ...]) -> list[tuple[int, int, int]]:
+@lru_cache(maxsize=1)
+def _move_products(nbr: tuple[int, ...]) -> tuple[tuple[int, int, int], ...]:
     """(Up(S), the proper subsets of S, S) for S = N(w), one per vertex w in order.
 
     For a 2**n-bit bitmap L over masks, ``((L & up) * below) >> S`` is
@@ -683,10 +684,11 @@ def _move_products(nbr: tuple[int, ...]) -> list[tuple[int, int, int]]:
     Distinct (p, T) land on distinct bits, so nothing carries.  Up(S) is
     also the set of masks where playing w dominates nothing new.  Only
     orders up to TABLE_ORDER_CAP read it: above the cap the product of
-    two 2**n-bit ints costs far more than ``_preimages``' walk.
+    two 2**n-bit ints costs far more than ``_preimages``' walk.  The cache
+    holds one graph, so the three games of one survey row build it once.
     """
     subsets = _subsets(len(nbr))
-    return [(subsets.up[s], subsets.down[s] ^ 1 << s, s) for s in nbr]
+    return tuple((subsets.up[s], subsets.down[s] ^ 1 << s, s) for s in nbr)
 
 
 def _value_levels(G: Graph) -> list[int]:

@@ -17,21 +17,25 @@ every prune is exact and there are no special-case shortcuts, so the
 returned values are exact for every graph within SOLVER_CAP.  γt is a
 depth-first search through the sizes k = ⌈n/Δ⌉, ⌈n/Δ⌉ + 1, ... and, within
 each size, the k-subsets in lexicographic order, cut by a degree bound and
-a reach bound on the undominated vertices.  Γt and OOIR share one
+a reach bound on the undominated vertices.  Γt and OOIR come from one
 depth-first search over OO-irredundant sets in lexicographic order, which
-carries the vertices dominated once and twice from node to node and is cut
-by three prunes: a candidate mask of the later vertices that keep the set
-OO-irredundant (exact, as OO-irredundance is closed under subsets), a size
-bound on the set plus its candidates, and, for Γt, a cover prune once an
-undominated vertex has no neighbour among the candidates, read as one
-cover limit per node.  The search runs once per part of V under "shares a
-neighbour" (``G.near``), e.g. once per colour class of a connected
-bipartite graph, and adds the parts' sizes and joins their sets.  That is
-exact: the neighbours of one vertex all lie in one part, so a set is
-OO-irredundant (and dominates V) exactly when each part's share is
-OO-irredundant (and dominates the part's neighbourhood); and as the parts
-are disjoint, the union of each part's lexicographically first largest
-set is the whole graph's.  Every optimum comes with a witness that is
+keeps two bests side by side, the largest set that dominates V and the
+largest set, and is cached for one graph, so ``upper_gamma_t`` and
+``ooir`` of one graph search once.  It carries the vertices dominated once
+and twice from node to node and is cut by three prunes: a candidate mask
+of the later vertices that keep the set OO-irredundant (exact, as
+OO-irredundance is closed under subsets), a cover limit per node past
+which an undominated vertex has no neighbour among the candidates, so
+only the second best can gain, and a size bound on the set plus its
+candidates against the first best, or past the cover limit the second.
+The search runs once per part of V under "shares a neighbour"
+(``G.near``), e.g. once per colour class of a connected bipartite graph,
+and adds the parts' sizes and joins their sets.  That is exact: the
+neighbours of one vertex all lie in one part, so a set is OO-irredundant
+(and dominates V) exactly when each part's share is OO-irredundant (and
+dominates the part's neighbourhood); and as the parts are disjoint, the
+union of each part's lexicographically first largest set is the whole
+graph's.  Every optimum comes with a witness that is
 re-checked against the defining predicate before being returned, and ties
 are broken toward the lexicographically smallest witness.
 """
@@ -221,19 +225,22 @@ def _first_smallest_td_set(G: Graph) -> list[int]:
     raise AssertionError("isolate-free graph admits V(G) as a TD-set")
 
 
-def _largest_irredundant(G: Graph, cover: int) -> tuple[int, int]:
-    """Size and mask of the first largest OO-irredundant set that dominates ``cover``.
+@lru_cache(maxsize=1)
+def _irredundant_optima(G: Graph) -> tuple[tuple[int, int], tuple[int, int]]:
+    """Size and mask of the first largest OO-irredundant set dominating N(V), and of the first largest.
 
-    ``cover = G.full_mask`` gives Γt, as the OO-irredundant TD-sets are the
-    minimal TD-sets, and ``cover = 0`` gives ooir.  A depth-first search
-    adds members in increasing order, so it meets the sets in lexicographic
-    order, and the best set is replaced only on a strict size gain, so the
-    lexicographically smallest of the largest admitted sets is kept.  Each
-    node carries ``once`` and ``twice``, the vertices with at least one and
-    at least two neighbours in the set, updated per added vertex ``v`` as
-    ``twice |= once & nbr[v]`` and ``once |= nbr[v]``; a member's private
-    neighbours are its neighbours in ``once & ~twice``.  Three exact prunes
-    cut the search:
+    On an isolate-free graph the first pair is Γt, as the OO-irredundant
+    TD-sets are the minimal TD-sets, and the second is ooir.  One
+    depth-first search adds members in increasing order, so it meets the
+    sets in lexicographic order, and keeps two bests side by side: ``td``,
+    the largest set so far that dominates ``goal``, and ``any``, the
+    largest so far.  Each is replaced only on a strict size gain, so the
+    lexicographically smallest of the largest admitted sets is kept, and
+    ``td`` is never larger than ``any``.  Each node carries ``once`` and
+    ``twice``, the vertices with at least one and at least two neighbours
+    in the set, updated per added vertex ``v`` as ``twice |= once & nbr[v]``
+    and ``once |= nbr[v]``; a member's private neighbours are its
+    neighbours in ``once & ~twice``.  Three exact prunes cut the search:
 
     - candidate mask: a node keeps only the later vertices whose addition
       leaves the set OO-irredundant.  OO-irredundance is closed under
@@ -242,37 +249,42 @@ def _largest_irredundant(G: Graph, cover: int) -> tuple[int, int]:
       or of a member whose private neighbours meet ``nbr[v]``, so a child
       re-checks only those members, and only the candidates sharing a
       neighbour with ``v`` for a private neighbour of their own;
-    - size bound: a branch ends once its size plus its candidates is at
-      most the best size, as it holds no strictly larger set;
-    - cover prune (Γt only): a node walks its candidates from the lowest up
-      and stops past its limit, the least over the vertices of ``cover``
-      outside ``once`` of their highest candidate neighbour, as past it one
-      of them has no neighbour left among the candidates.
+    - cover limit: the least, over the vertices of ``goal`` outside
+      ``once``, of their highest candidate neighbour.  Past it one of them
+      has no neighbour left among the candidates, so no set there counts
+      for ``td``;
+    - size bound: a node's loop ends once its size plus its candidates is
+      at most ``td``'s size, as neither best can gain, and past the cover
+      limit once it is at most ``any``'s.  A child is searched when it can
+      beat ``any``, or, at or before the cover limit, ``td``.
 
     The search runs once per part P of ``components(G.near, G.full_mask)``,
-    with the candidates limited to P and ``cover`` to N(P), and the parts'
+    with the candidates limited to P and ``goal`` to N(P), and the parts'
     sizes add and their masks join.  Two facts make this exact.  A vertex's
     neighbours all share it, so they lie in one part: a member's private
     neighbours and the vertices it dominates lie in N(P), which no vertex of
-    another part touches, so a set is OO-irredundant (and dominates
-    ``cover``) exactly when each part's share is OO-irredundant (and
-    dominates ``cover`` within N(P)).  And the first difference of two
-    unions over disjoint parts is the first difference within one part, so
-    the lexicographically first largest set of the whole is the union of
-    each part's.  A graph with one part, such as every connected graph with
-    an odd cycle, runs one search as before.
+    another part touches, so a set is OO-irredundant (and dominates V)
+    exactly when each part's share is OO-irredundant (and dominates N(P)).
+    And the first difference of two unions over disjoint parts is the first
+    difference within one part, so the lexicographically first largest set
+    of the whole is the union of each part's.  A graph with one part, such
+    as every connected graph with an odd cycle, runs one search.  The cache
+    holds one graph, so ``upper_gamma_t`` and ``ooir`` of one graph search
+    once.
     """
     n, nbr = G.n, G.nbr
     # near[v]: the vertices sharing a neighbour with v, the only candidates
     # whose own private neighbours adding v can take.
     near = G.near
-    best_size = best_mask = goal = 0
+    td_size = td_mask = any_size = any_mask = goal = 0
 
     def extend(size: int, mask: int, once: int, twice: int, cands: int) -> None:
-        nonlocal best_size, best_mask
+        nonlocal td_size, td_mask, any_size, any_mask
         need = goal & ~once
-        if size > best_size and not need:
-            best_size, best_mask = size, mask
+        if size > any_size:
+            any_size, any_mask = size, mask
+        if size > td_size and not need:
+            td_size, td_mask = size, mask
         limit = n
         while need and limit >= 0:  # at -1 a vertex of need has no candidate neighbour
             w = need.bit_length() - 1
@@ -282,11 +294,11 @@ def _largest_irredundant(G: Graph, cover: int) -> tuple[int, int]:
                 limit = top
         left = cands.bit_count()
         while cands:
-            if size + left <= best_size:
+            if size + left <= td_size:
                 return  # size bound
             v = (cands & -cands).bit_length() - 1
-            if v > limit:
-                return  # cover prune, for v and every later candidate
+            if v > limit and size + left <= any_size:
+                return  # size bound past the cover limit, for v and every later candidate
             left -= 1
             cands ^= 1 << v
             nv = nbr[v]
@@ -319,13 +331,15 @@ def _largest_irredundant(G: Graph, cover: int) -> tuple[int, int]:
                     own ^= 1 << x
                     killers &= nbr[x]
                 rest &= ~killers
-            if size + rest.bit_count() >= best_size:  # else the child's size bound cuts it
+            room = size + rest.bit_count()
+            # Else the child's size bound cuts it; past the limit only ``any`` counts.
+            if room >= any_size or room >= td_size and v <= limit:
                 extend(size + 1, mask | 1 << v, grown_once, grown_twice, rest)
 
-    total = union = 0
+    td_total = td_union = any_total = any_union = 0
     for part in components(near, G.full_mask):
         # A vertex with no neighbour has no private neighbour.
-        cands = reach = 0
+        cands = goal = 0
         rest = part
         while rest:
             low = rest & -rest
@@ -333,29 +347,30 @@ def _largest_irredundant(G: Graph, cover: int) -> tuple[int, int]:
             m = nbr[low.bit_length() - 1]
             if m:
                 cands |= low
-                reach |= m
-        goal = cover & reach  # cover within N(P), which only members of P dominate
-        best_size = best_mask = 0
+                goal |= m  # N(P), which only members of P dominate
+        td_size = td_mask = any_size = any_mask = 0
         extend(0, 0, 0, 0, cands)
-        total += best_size
-        union |= best_mask
-    return total, union
+        td_total += td_size
+        td_union |= td_mask
+        any_total += any_size
+        any_union |= any_mask
+    return (td_total, td_union), (any_total, any_union)
 
 
 def upper_gamma_t(G: Graph) -> InvariantValue:
     """Upper total domination number: maximum cardinality of a minimal TD-set.
 
     A TD-set is minimal exactly when every member keeps an open private
-    neighbor, i.e. when it is OO-irredundant.  So Γt is the largest set of
-    the ``ooir`` search that also totally dominates G, and the witness is
-    the lexicographically smallest minimal TD-set of that size.  Up to
-    TABLE_ORDER_CAP both are read off the table instead.
+    neighbor, i.e. when it is OO-irredundant.  So Γt is the largest
+    OO-irredundant set that also totally dominates G, and the witness is
+    the lexicographically smallest minimal TD-set of that size, both read
+    off ``_irredundant_optima``, or up to TABLE_ORDER_CAP off the table.
     """
     require_isolate_free(G)
     if G.n <= TABLE_ORDER_CAP:
         size, mask = _table_optimum(G, UPPER_GAMMA_T)
     else:
-        size, mask = _largest_irredundant(G, G.full_mask)
+        size, mask = _irredundant_optima(G)[0]
     witness = VertexSet(G.n, mask)
     # A minimal TD-set is an OO-irredundant TD-set; testing the two
     # conditions, rather than ``is_minimal_total_dominating``, tests
@@ -374,15 +389,14 @@ def ooir(G: Graph) -> InvariantValue:
     """Open-open irredundance number: maximum set where every member has an
     open private neighbor.
 
-    The same subset search as ``upper_gamma_t`` with nothing to cover, so
-    it admits every set and the cover prune never cuts; the witness is the
-    lexicographically smallest OO-irredundant set of maximum size.  Up to
-    TABLE_ORDER_CAP both are read off the table instead.
+    The second best of ``upper_gamma_t``'s search, which admits every set;
+    the witness is the lexicographically smallest OO-irredundant set of
+    maximum size.  Up to TABLE_ORDER_CAP both are read off the table instead.
     """
     if G.n <= TABLE_ORDER_CAP:
         size, mask = _table_optimum(G, OOIR)
     else:
-        size, mask = _largest_irredundant(G, 0)
+        size, mask = _irredundant_optima(G)[1]
     witness = VertexSet(G.n, mask)
     _certify(is_open_open_irredundant(G, witness) and len(witness) == size, OOIR)
     return InvariantValue(OOIR, size, witness)

@@ -164,7 +164,7 @@ class TestInvariant:
 
     def test_non_dominating_ugt_search_witness_exit_4(self, capsys, monkeypatch):
         # The same from the search, which answers on path:8, above the table cap.
-        monkeypatch.setattr(invariants, "_largest_irredundant", lambda G, cover: (1, 1))
+        monkeypatch.setattr(invariants, "_irredundant_optima", lambda G: ((1, 1), (1, 1)))
         code, out, err = run(capsys, "invariant", "--graph", "path:8", "--which", "ugt")
         assert code == 4
         assert out == ""

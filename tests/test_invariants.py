@@ -202,7 +202,7 @@ class TestUpperGammaT:
 
     def test_non_dominating_search_witness_is_a_witness_error(self, monkeypatch):
         # Above the table cap the search answers, and {0} does not dominate P_8.
-        monkeypatch.setattr(invariants, "_largest_irredundant", lambda G, cover: (1, 1))
+        monkeypatch.setattr(invariants, "_irredundant_optima", lambda G: ((1, 1), (1, 1)))
         with pytest.raises(WitnessError, match="upper_gamma_t"):
             upper_gamma_t(path_graph(TABLE_ORDER_CAP + 1))
 
@@ -267,45 +267,90 @@ class TestIrredundantSearch:
     @pytest.mark.parametrize(
         "spec, solve, value, limit",
         [
-            # Γt(bk:8) = 2 lies far below ooir = 16, so the cover prune does
-            # the work: 4,666 reads; with its limit taken over every vertex
-            # from the lowest candidate on instead of the candidates, 136,872.
-            ("bk:8", upper_gamma_t, 2, 20_000),
+            # Γt(bk:8) = 2 lies far below ooir = 16, so the cover limit does
+            # the work: 5,233 reads; with the limit taken over every vertex
+            # from the lowest candidate on instead of the candidates, 136,994.
+            ("bk:8", upper_gamma_t, 2, 8_000),
             # cycle:20 and path:20 are bipartite, so each colour class is a
             # part of its own under "shares a neighbour" and is searched
-            # alone.  ooir(cycle:20) leans on the size bound: 2,076 reads;
-            # with ``<`` for ``<=`` in it, 3,065, without the bound inside
-            # the loop, 4,729, with per-node lists of the candidates and the
-            # unions of their neighbourhoods, 3,018, and with one search over
-            # all of V, 61,107.
-            ("cycle:20", ooir, 12, 2_400),
-            # Γt(cycle:20): 2,606 reads; with ``<`` for ``<=``, 2,867, without
-            # the bound inside the loop, 2,881, and over all of V, 34,423.
-            ("cycle:20", upper_gamma_t, 12, 2_800),
-            # Γt(path:20): 1,846 reads; with ``<`` for ``<=``, 2,072, without
-            # the bound inside the loop, 2,105, with the cover limit taken from
-            # the lowest candidate on, 1,999, and over all of V, 10,407.
-            ("path:20", upper_gamma_t, 14, 1_950),
-            # ooir(cyclepower:18,3), whose V is one part: 51,774 reads; with
+            # alone.  ooir(cycle:20): 2,982 reads; with ``<`` for ``<=`` in
+            # the size bounds, 3,965, without the bounds inside the loop,
+            # 5,629, with per-node lists of the candidates and the unions of
+            # their neighbourhoods in place of the cover limit, 3,027, and
+            # with one search over all of V, 92,474.
+            ("cycle:20", ooir, 12, 3_010),
+            # Γt(cycle:20) runs the same search and checks another witness:
+            # 3,078 reads; with ``<`` for ``<=``, 4,061, without the bounds
+            # inside the loop, 5,725, and over all of V, 92,570.
+            ("cycle:20", upper_gamma_t, 12, 3_300),
+            # Γt(path:20): 2,089 reads; with ``<`` for ``<=``, 2,649, without
+            # the bounds inside the loop, 3,918, with the cover limit taken
+            # from the lowest candidate on, 2,161, and over all of V, 22,975.
+            ("path:20", upper_gamma_t, 14, 2_130),
+            # ooir(cyclepower:18,3), whose V is one part: 57,792 reads; with
             # the per-node lists, 59,760.
-            ("cyclepower:18,3", ooir, 6, 56_000),
+            ("cyclepower:18,3", ooir, 6, 59_000),
+            # Γt(fk:8) = 4 lies below ooir = 7: 23,653 reads; with the
+            # per-node lists, 24,807, and with the cover limit taken from the
+            # lowest candidate on, 25,148.
+            ("fk:8", upper_gamma_t, 4, 24_400),
         ],
         # From the spec and the solver only, so re-measuring a limit keeps the name.
         ids=["bk:8-upper_gamma_t", "cycle:20-ooir", "cycle:20-upper_gamma_t", "path:20-upper_gamma_t",
-             "cyclepower:18,3-ooir"],
+             "cyclepower:18,3-ooir", "fk:8-upper_gamma_t"],
     )
     def test_prunes_bound_the_work(self, spec, solve, value, limit):
         # Reads of the neighbour masks count the search's work
         # deterministically, so a prune weakened without changing any value
-        # still fails.  A search that re-checks each set from scratch, with
-        # only a size bound on the vertices left, reads 21.8 million masks
-        # for Γt on ten relabelings of bk:8.
+        # still fails.  Either call runs the one search for Γt and ooir.  A
+        # search that re-checks each set from scratch, with only a size
+        # bound on the vertices left, reads 21.8 million masks for Γt on ten
+        # relabelings of bk:8.
         G0 = family(parse_family_spec(spec))
         graphs = [relabeled(G0, random.Random(seed)) for seed in range(3)]
         counted = [Graph(G.n, CountingMasks(G.nbr)) for G in graphs]
+        # A counted graph equals its plain twin, which an earlier test may
+        # have left in the cache.
+        invariants._irredundant_optima.cache_clear()
         CountingMasks.reads = 0
         assert [solve(G).value for G in counted] == [value] * 3
         assert CountingMasks.reads <= limit, CountingMasks.reads
+
+    def test_second_call_reads_the_cache(self):
+        # Above the cap, ooir after upper_gamma_t on the same graph reads
+        # no mask beyond its own witness check.
+        G = relabeled(family(parse_family_spec("fk:8")), random.Random(4))
+        counted = Graph(G.n, CountingMasks(G.nbr))
+        invariants._irredundant_optima.cache_clear()
+        ugt = upper_gamma_t(counted)
+        CountingMasks.reads = 0
+        oo = ooir(counted)
+        reads = CountingMasks.reads
+        CountingMasks.reads = 0
+        assert is_open_open_irredundant(counted, oo.witness) and len(oo.witness) == oo.value
+        assert reads == CountingMasks.reads, reads
+        assert is_minimal_total_dominating(counted, ugt.witness) and len(ugt.witness) == ugt.value
+        assert (ugt.value, oo.value) == (4, 7)
+        assert invariants._irredundant_optima.cache_info().hits == 1
+
+    def test_merged_search_matches_brute_force_8_to_12(self):
+        # Γt and ooir come from one search that keeps both bests, so a
+        # prune of one best that cuts the other's branches shows here:
+        # sparse draws put Γt below ooir.  A lone vertex, which only ooir
+        # accepts, joins half of the graphs.
+        rng = random.Random(0x2B35)
+        lone = build_graph(1, [])
+        for n in range(8, 13):
+            for i in range(6):
+                p = rng.uniform(0.12, 0.7)
+                if i % 2:
+                    G = relabeled(disjoint_union([random_isolate_free_graph(n - 1, p, rng), lone]), rng)
+                    assert invariants._irredundant_optima(G)[1] == brute_ooir_witness(G), G.edges()
+                else:
+                    G = relabeled(random_isolate_free_graph(n, p, rng), rng)
+                    assert invariants._irredundant_optima(G) == (
+                        brute_upper_gamma_t_witness(G), brute_ooir_witness(G)
+                    ), G.edges()
 
     def test_additive_over_disjoint_unions(self):
         # The sets of a disjoint union are the unions of sets of its parts,
@@ -470,8 +515,7 @@ def search_optima(G):
     matching = invariants._first_largest_induced_matching(G, G.edges())
     return (
         (len(chosen), VertexSet.of(G.n, chosen).mask),
-        invariants._largest_irredundant(G, G.full_mask),
-        invariants._largest_irredundant(G, 0),
+        *invariants._irredundant_optima(G),
         (len(matching), matching),
     )
 
@@ -503,7 +547,7 @@ class TestSubsetTable:
         graphs += [relabeled(disjoint_union([G, lone]), rng) for _, G in exhaustive_corpus(TABLE_ORDER_CAP - 1)]
         for G in graphs:
             oo, im = ooir(G), induced_matching_number(G)
-            assert (oo.value, oo.witness.mask) == invariants._largest_irredundant(G, 0), G.edges()
+            assert (oo.value, oo.witness.mask) == invariants._irredundant_optima(G)[1], G.edges()
             matching = invariants._first_largest_induced_matching(G, G.edges())
             assert (im.value, im.witness) == (len(matching), matching), G.edges()
 

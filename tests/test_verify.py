@@ -559,10 +559,12 @@ class TestOrderTables:
         for G in (path_graph(17), cycle_graph(26)):
             check_continuation(G, mode="sampled", samples=50, seed=3)
         # The seven invariants read whole tables up to the cap and search
-        # above it; the subset table is kept for the last graph only.
+        # above it; the subset table, the product list and the irredundant
+        # search are kept for the last graph only.
         graphs = [path_graph(17), cycle_graph(26)] + [path_graph(n) for n in orders]
         list(survey((G.label, G) for G in graphs))
-        assert invariants._subset_table.cache_info().currsize == 1
+        for one in (invariants._subset_table, games._move_products, invariants._irredundant_optima):
+            assert one.cache_info().currsize == 1, one
         for table in tables:
             cached = table.cache_info()
             assert cached.currsize == len(orders)
